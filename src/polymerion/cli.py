@@ -11,8 +11,7 @@
 
 Configs are JSON (see `config`); results go to stdout as JSON or to
 `output.path` as CSV or JSON. Exit codes: 0 success, 2 bad config,
-3 numerical failure. POLYMERION_THREADS sets the worker count for
-grid scans.
+3 numerical failure.
 """
 
 from __future__ import annotations
@@ -22,11 +21,9 @@ import cmath
 import csv
 import json
 import math
-import os
 import sys
 
 import numpy as np
-from concurrent.futures import ThreadPoolExecutor
 
 from . import config as cfgmod
 from .convergence import (
@@ -54,26 +51,6 @@ from .series import (
 )
 
 __all__ = ["main"]
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("POLYMERION_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"POLYMERION_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, n)
-
-
-def _pmap(fn, items):
-    items = list(items)
-    n = _thread_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +184,7 @@ def _cmd_exact(cfg, args) -> int:
             row["correlation"] = complex(orc.reduced_correlation(corr))
         return row
 
-    rows = _pmap(one, betas)
+    rows = [one(b) for b in betas]
     meta = {"sites": len(ham.sites), "bonds": len(ham.bonds), "boundary": ham.boundary}
     _emit(cfg, args, rows, meta)
     return 0
@@ -232,7 +209,7 @@ def _cmd_series(cfg, args) -> int:
             row["n_clusters"] = s.n_clusters
             return row
 
-        rows = _pmap(one_density, betas)
+        rows = [one_density(b) for b in betas]
         meta = {"quantity": "free_energy_density", "max_total_bonds": k}
         _emit(cfg, args, rows, meta)
         return 0
@@ -250,8 +227,7 @@ def _cmd_series(cfg, args) -> int:
     else:
         orders = [k]
 
-    def one(task):
-        b, kk = task
+    def one(b, kk):
         s = free_energy_series(ham, b, kk)
         row = _beta_row(b)
         row["truncation"] = kk
@@ -270,7 +246,7 @@ def _cmd_series(cfg, args) -> int:
             )
         return row
 
-    rows = _pmap(one, [(b, kk) for b in betas for kk in orders])
+    rows = [one(b, kk) for b in betas for kk in orders]
     meta = {
         "sites": len(ham.sites),
         "bonds": len(ham.bonds),
@@ -375,7 +351,7 @@ def _cmd_park(cfg, args) -> int:
     alphas = sec.get("alphas")
     if alphas is not None:
         alphas = [float(a) for a in alphas]
-        scans = _pmap(lambda a: park_compare(d, [a]), alphas)
+        scans = [park_compare(d, [a]) for a in alphas]
         rows_nested = [s.rows[0] for s in scans]
         sup_y, sup_alpha = 0.0, math.nan
         for r in rows_nested:

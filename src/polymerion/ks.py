@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 from .oracle import Oracle
 from .polymers import enumerate_polymers
 
@@ -103,7 +103,10 @@ class KSSolution:
     kernel: KSKernel
 
     def value(self, sites) -> complex:
-        return self.g[frozenset(sites)]
+        key = frozenset(sites)
+        if key not in self.g:
+            raise ConfigError(f"no ratio was solved for the site set {sorted(key)}")
+        return self.g[key]
 
 
 def ks_solve(

@@ -16,6 +16,7 @@ polymers.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 from dataclasses import dataclass
 
@@ -76,6 +77,15 @@ def site_set(x0) -> frozenset[Site]:
     if isinstance(x0, tuple) and x0 and all(isinstance(c, (int, np.integer)) for c in x0):
         return frozenset([x0])
     return frozenset(as_site(s) for s in x0)
+
+
+def _volume_sites(ham: Hamiltonian, x0) -> frozenset[Site]:
+    """`site_set(x0)`, refusing any site that is not in the volume of `ham`."""
+    sites = site_set(x0)
+    outside = sites.difference(ham.sites)
+    if outside:
+        raise ConfigError(f"sites {sorted(outside)} are not in the volume")
+    return sites
 
 
 class Oracle:
@@ -142,12 +152,14 @@ class Oracle:
         else:
             w = np.linalg.eigvalsh(total)
             val = complex(np.mean(np.exp(-self.beta * w)))
+        if not cmath.isfinite(val):
+            raise NumericalError(f"partition function is not finite at beta = {self.beta}")
         self._z[ids] = val
         return val
 
     def z_avoiding(self, x0) -> complex:
         """Partition function with every bond meeting the site set x0 removed."""
-        x0 = site_set(x0)
+        x0 = _volume_sites(self.ham, x0)
         ids = frozenset(
             i for i, b in enumerate(self.ham.bonds) if x0.isdisjoint(b)
         )
@@ -206,24 +218,15 @@ class Oracle:
         ham = self.ham
         if not set(obs.support) <= set(ham.sites):
             raise ConfigError("observable support must lie inside the region")
+        if ham.kind == CLASSICAL:
+            if obs.data.size != ham.q ** len(obs.support):
+                raise ConfigError("classical observables need one entry per state")
+        elif obs.data.ndim != 2:
+            raise ConfigError("quantum observables must be matrices")
         z = self.z()
         if z == 0:
             raise NumericalError("partition function vanished; expectation undefined")
-        support, total = self.hamiltonian_on(self._all, support=ham.sites)
-        q = ham.q
-        if ham.kind == CLASSICAL:
-            if obs.data.size != q ** len(obs.support):
-                raise ConfigError("classical observables need one entry per state")
-            a = embed_table(obs.data.astype(complex), obs.support, support, q)
-            val = np.mean(a * np.exp(-self.beta * total))
-        else:
-            if obs.data.ndim != 2:
-                raise ConfigError("quantum observables must be matrices")
-            a = embed_matrix(obs.data.astype(complex), obs.support, support, q)
-            w, v = np.linalg.eigh(total)
-            bf = (v * np.exp(-self.beta * w)) @ v.conj().T
-            val = np.trace(a @ bf) / bf.shape[0]
-        return complex(val) / z
+        return self.weighted_trace(obs, self._all, ham.sites) / z
 
     def weighted_trace(self, obs: Observable, bond_ids, support) -> complex:
         """tr(A exp(-beta H_B)) on a fixed support (not divided by Z)."""

@@ -16,12 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Hamiltonian, Site
-from .oracle import Oracle
+from .oracle import Oracle, site_set
+from .ursell import _bits
 
 __all__ = [
     "Polymer",
     "PolymerWeight",
-    "bond_adjacency",
     "enumerate_polymers",
     "polymer_weights",
     "rho_fugacity",
@@ -43,34 +43,44 @@ class Polymer:
         return len(self.bonds)
 
 
-def bond_adjacency(ham: Hamiltonian) -> list[int]:
-    """Bitmask adjacency of the bond link graph: bit j of mask[i] means overlap."""
-    supports = [set(b) for b in ham.bonds]
-    m = len(supports)
-    masks = [0] * m
-    for i in range(m):
-        for j in range(i + 1, m):
-            if supports[i] & supports[j]:
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
+def _overlap_masks(supports) -> list[int]:
+    """Bitmask adjacency of overlapping supports: bit j of mask[i] set when
+    supports i and j share a site (i != j).
+
+    One pass collects the polymers at each site, a second ORs those masks
+    over each support, so the work is O(sum of support sizes).
+    """
+    at: dict[Site, int] = {}
+    for i, support in enumerate(supports):
+        for s in support:
+            at[s] = at.get(s, 0) | (1 << i)
+    masks = []
+    for i, support in enumerate(supports):
+        mask = 0
+        for s in support:
+            mask |= at[s]
+        masks.append(mask & ~(1 << i))
     return masks
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _connected_families(adj, sizes, max_total: int, rooted: bool):
+    """Connected subsets as (bitmask of ids, total size), each exactly once.
 
+    With `rooted` only subsets containing vertex 0 are produced (vertex 0
+    is then the pin and contributes size 0). A vertex too large for the
+    budget left is dropped from the candidates before it is tried, since
+    the budget only shrinks further down the walk.
+    """
+    fits = [0] * (max_total + 1)
+    for v, size in enumerate(sizes):
+        if size <= max_total:
+            fits[size] |= 1 << v
+    for r in range(1, max_total + 1):
+        fits[r] |= fits[r - 1]
 
-def _connected_subsets(adj: list[int], max_size: int):
-    """Every connected subset of the link graph, as a bitmask, exactly once."""
-    m = len(adj)
-
-    def rec(sett: int, size: int, cand: int, banned: int):
-        yield sett
-        if size >= max_size:
-            return
+    def rec(sett: int, total: int, cand: int, banned: int):
+        yield sett, total
+        cand &= fits[max_total - total]
         processed = 0
         while cand:
             low = cand & -cand
@@ -78,12 +88,17 @@ def _connected_subsets(adj: list[int], max_size: int):
             v = low.bit_length() - 1
             nb = banned | processed
             newcand = (cand | (adj[v] & ~nb)) & ~sett & ~low
-            yield from rec(sett | low, size + 1, newcand, nb)
+            yield from rec(sett | low, total + sizes[v], newcand, nb)
             processed |= low
 
-    for root in range(m):
+    if rooted:
+        yield from rec(1, sizes[0], adj[0] & ~1, 1)
+        return
+    for root in range(len(sizes)):
+        if sizes[root] > max_total:
+            continue
         below = (1 << (root + 1)) - 1
-        yield from rec(1 << root, 1, adj[root] & ~below, below)
+        yield from rec(1 << root, sizes[root], adj[root] & ~below, below)
 
 
 def enumerate_polymers(ham: Hamiltonian, max_bonds: int, anchor=None) -> tuple[Polymer, ...]:
@@ -92,12 +107,10 @@ def enumerate_polymers(ham: Hamiltonian, max_bonds: int, anchor=None) -> tuple[P
     With `anchor` (a site or iterable of sites) only polymers whose
     support meets the anchor set are kept.
     """
-    from .oracle import site_set
-
-    adj = bond_adjacency(ham)
+    adj = _overlap_masks(ham.bonds)
     anchor_set = site_set(anchor) if anchor is not None else None
     out = []
-    for mask in _connected_subsets(adj, max_bonds):
+    for mask, _ in _connected_families(adj, [1] * len(adj), max_bonds, rooted=False):
         ids = tuple(_bits(mask))
         support = frozenset(s for i in ids for s in ham.bonds[i])
         if anchor_set is not None and anchor_set.isdisjoint(support):
@@ -152,15 +165,21 @@ def compatible(p: Polymer, q: Polymer) -> bool:
 
 def incompatibility_graph(polymers) -> list[int]:
     """Bitmask adjacency: bit j of mask[i] set when polymers i, j overlap (i != j)."""
-    supports = [p.support for p in polymers]
-    m = len(supports)
-    masks = [0] * m
-    for i in range(m):
-        for j in range(i + 1, m):
-            if not supports[i].isdisjoint(supports[j]):
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-    return masks
+    return _overlap_masks([p.support for p in polymers])
+
+
+def _subset_transform(values, op) -> np.ndarray:
+    """Combine each subset entry with the entry lacking one element, axis by axis."""
+    a = np.array(values, dtype=complex)
+    n = a.size.bit_length() - 1
+    if a.size != 1 << n:
+        raise ValueError("length must be a power of two")
+    a = a.reshape((2,) * n) if n else a
+    for axis in range(n):
+        head = (slice(None),) * axis
+        with_i, without_i = a[head + (1, ...)], a[head + (0, ...)]
+        op(with_i, without_i, out=with_i)
+    return a.reshape(-1)
 
 
 def mobius_transform(values) -> np.ndarray:
@@ -170,31 +189,9 @@ def mobius_transform(values) -> np.ndarray:
     is present); output G with G(B) = sum over A subset of B of
     (-1)^{|B minus A|} F(A). Inverse of `zeta_transform`.
     """
-    a = np.array(values, dtype=complex)
-    n = a.size.bit_length() - 1
-    if a.size != 1 << n:
-        raise ValueError("length must be a power of two")
-    a = a.reshape((2,) * n) if n else a
-    for axis in range(n):
-        idx1 = [slice(None)] * n
-        idx0 = [slice(None)] * n
-        idx1[axis] = 1
-        idx0[axis] = 0
-        a[tuple(idx1)] -= a[tuple(idx0)]
-    return a.reshape(-1)
+    return _subset_transform(values, np.subtract)
 
 
 def zeta_transform(values) -> np.ndarray:
     """Subset sums: G(B) = sum over A subset of B of F(A)."""
-    a = np.array(values, dtype=complex)
-    n = a.size.bit_length() - 1
-    if a.size != 1 << n:
-        raise ValueError("length must be a power of two")
-    a = a.reshape((2,) * n) if n else a
-    for axis in range(n):
-        idx1 = [slice(None)] * n
-        idx0 = [slice(None)] * n
-        idx1[axis] = 1
-        idx0[axis] = 0
-        a[tuple(idx1)] += a[tuple(idx0)]
-    return a.reshape(-1)
+    return _subset_transform(values, np.add)

@@ -32,6 +32,7 @@ the free-energy route.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -40,9 +41,15 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .model import Hamiltonian, LatticeModel, Region, Site, assemble_hamiltonian
-from .oracle import Observable, Oracle, site_set
-from .polymers import Polymer, bond_adjacency, enumerate_polymers, incompatibility_graph
-from .ursell import expand_multiset, ursell
+from .oracle import Observable, Oracle, _volume_sites, site_set
+from .polymers import (
+    Polymer,
+    _connected_families,
+    _overlap_masks,
+    enumerate_polymers,
+    incompatibility_graph,
+)
+from .ursell import _bits, expand_multiset, ursell
 
 __all__ = [
     "TruncatedSeries",
@@ -96,73 +103,6 @@ class _LazyValues:
 
     def __len__(self) -> int:
         return len(self._polymers)
-
-
-class _LazyAdjacency:
-    """Incompatibility masks computed per vertex on first use."""
-
-    def __init__(self, supports):
-        self._supports = supports
-        self._cache: dict[int, int] = {}
-
-    def __getitem__(self, i: int) -> int:
-        hit = self._cache.get(i)
-        if hit is None:
-            si = self._supports[i]
-            mask = 0
-            for j, sj in enumerate(self._supports):
-                if j != i and not si.isdisjoint(sj):
-                    mask |= 1 << j
-            self._cache[i] = hit = mask
-        return hit
-
-    def __len__(self) -> int:
-        return len(self._supports)
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _connected_families(adj, sizes, max_total: int, rooted: bool):
-    """Connected subsets as (bitmask of ids, total size), each exactly once.
-
-    With `rooted` only subsets containing vertex 0 are produced (vertex 0
-    is then the pin and contributes size 0). A vertex too large for the
-    budget left is dropped from the candidates before it is tried, since
-    the budget only shrinks further down the walk.
-    """
-    fits = [0] * (max_total + 1)
-    for v, size in enumerate(sizes):
-        if size <= max_total:
-            fits[size] |= 1 << v
-    for r in range(1, max_total + 1):
-        fits[r] |= fits[r - 1]
-
-    def rec(sett: int, total: int, cand: int, banned: int):
-        yield sett, total
-        cand &= fits[max_total - total]
-        processed = 0
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            v = low.bit_length() - 1
-            nb = banned | processed
-            newcand = (cand | (adj[v] & ~nb)) & ~sett & ~low
-            yield from rec(sett | low, total + sizes[v], newcand, nb)
-            processed |= low
-
-    if rooted:
-        yield from rec(1, sizes[0], adj[0] & ~1, 1)
-        return
-    for root in range(len(sizes)):
-        if sizes[root] > max_total:
-            continue
-        below = (1 << (root + 1)) - 1
-        yield from rec(1 << root, sizes[root], adj[root] & ~below, below)
 
 
 def _extra_multiplicities(sizes: list[int], slack: int):
@@ -397,22 +337,9 @@ def adaptive_free_energy_series(
         s = free_energy_series(ham, beta, k)
         scale = max(1.0, abs(s.value))
         tail = [abs(t) for t in s.by_order[-2:]]
-        if all(t <= tol * scale for t in tail):
-            return TruncatedSeries(
-                value=s.value,
-                by_order=s.by_order,
-                truncation=s.truncation,
-                n_clusters=s.n_clusters,
-                converged=True,
-            )
-        if k >= cap:
-            return TruncatedSeries(
-                value=s.value,
-                by_order=s.by_order,
-                truncation=s.truncation,
-                n_clusters=s.n_clusters,
-                converged=False,
-            )
+        converged = all(t <= tol * scale for t in tail)
+        if converged or k >= cap:
+            return dataclasses.replace(s, converged=converged)
         k = min(k + step, cap)
 
 
@@ -428,7 +355,7 @@ def free_energy_by_site(
     decomposition log Z = sum over sites of h(x).
     """
     polymers, values = _prepare(ham, beta, max_total_bonds, weights)
-    adjacency = _LazyAdjacency([p.support for p in polymers])
+    adjacency = incompatibility_graph(polymers)
     shares: dict[Site, complex] = {s: 0j for s in ham.sites}
 
     sups = [p.support for p in polymers]
@@ -478,7 +405,7 @@ def pinned_series(
     polymers, rho = _prepare(ham, beta, max_total_bonds, weights)
     if values is None:
         values = rho
-    adjacency = _LazyAdjacency([p.support for p in polymers])
+    adjacency = incompatibility_graph(polymers)
     pin_adj = 0
     for i, p in enumerate(polymers):
         if not pin.support.isdisjoint(p.support):
@@ -515,11 +442,11 @@ def site_pinned_series(
     The site acts as a selector only; Ursell weights are those of the
     clusters themselves.
     """
-    (x0,) = site_set(site)
+    (x0,) = _volume_sites(ham, site)
     polymers, rho = _prepare(ham, beta, max_total_bonds, weights)
     if values is None:
         values = rho
-    adjacency = _LazyAdjacency([p.support for p in polymers])
+    adjacency = incompatibility_graph(polymers)
     pin_adj = 0
     for i, p in enumerate(polymers):
         if x0 in p.support:
@@ -562,9 +489,9 @@ def correlation_series(
     Sums the clusters whose support meets X0 and exponentiates the
     negative: removing X0 removes exactly those clusters from log Z.
     """
-    x0 = site_set(x0)
+    x0 = _volume_sites(ham, x0)
     polymers, values = _prepare(ham, beta, max_total_bonds, weights)
-    adjacency = _LazyAdjacency([p.support for p in polymers])
+    adjacency = incompatibility_graph(polymers)
     by_order, count = _run_series(
         polymers,
         values,
@@ -594,7 +521,7 @@ def expectation_families(ham: Hamiltonian, x0, max_family_bonds: int):
         raise NumericalError(
             f"family enumeration needs {work} subsets; lower max_family_bonds"
         )
-    adj = bond_adjacency(ham)
+    adj = _overlap_masks(ham.bonds)
     meets = [not x0.isdisjoint(b) for b in ham.bonds]
 
     def components_ok(ids) -> bool:

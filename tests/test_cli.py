@@ -204,25 +204,7 @@ def test_format_flag_beats_path_extension(tmp_path):
     assert len(doc["rows"]) == 3
 
 
-def test_thread_count_does_not_change_output(tmp_path, capsys, monkeypatch):
-    cfg = write_cfg(
-        tmp_path,
-        chain_cfg(
-            4,
-            {"start": 0.05, "stop": 0.3, "points": 6},
-            {"series": {"max_total_bonds": 6}},
-        ),
-    )
-    monkeypatch.setenv("POLYMERION_THREADS", "1")
-    assert main(["series", "--config", cfg]) == 0
-    one = capsys.readouterr().out
-    monkeypatch.setenv("POLYMERION_THREADS", "4")
-    assert main(["series", "--config", cfg]) == 0
-    four = capsys.readouterr().out
-    assert one == four
-
-
-def test_exit_codes(tmp_path, capsys, monkeypatch):
+def test_exit_codes(tmp_path, capsys):
     # Unreadable config file.
     assert main(["exact", "--config", str(tmp_path / "missing.json")]) == 2
     assert "config error" in capsys.readouterr().err
@@ -247,7 +229,7 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["exact", "--config", huge]) == 3
     assert "numerical failure" in capsys.readouterr().err
 
-    # Malformed thread count from the environment.
-    ok = write_cfg(tmp_path, chain_cfg(4, 0.3), name="ok.json")
-    monkeypatch.setenv("POLYMERION_THREADS", "many")
-    assert main(["exact", "--config", ok]) == 2
+    # Partition function overflows at very low temperature.
+    cold = write_cfg(tmp_path, chain_cfg(8, 400.0), name="cold.json")
+    assert main(["exact", "--config", cold]) == 3
+    assert "numerical failure" in capsys.readouterr().err

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from polymerion import (
+    ConfigError,
     NumericalError,
     Oracle,
     PolymerWeight,
@@ -197,3 +198,10 @@ def test_site_cap_is_enforced():
     ham = ising_chain(17)
     with pytest.raises(NumericalError):
         ks_solve(ham, 0.1)
+
+
+def test_unknown_site_set_is_refused():
+    sol = ks_solve(ising_chain(3), 0.3)
+    assert sol.value([(0,), (2,)]) == sol.g[frozenset([(0,), (2,)])]
+    with pytest.raises(ConfigError):
+        sol.value([(9,)])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from polymerion import (
+    ConfigError,
     Interaction,
     NumericalError,
     Observable,
@@ -174,3 +175,12 @@ def test_xi_fugacity_exact_wrapper_matches_oracle():
     support2, x2 = Oracle(ham, 0.25).xi((0, 1))
     assert support == support2
     assert np.allclose(x1, x2)
+
+
+def test_sites_outside_the_volume_are_refused():
+    orc = Oracle(ising_chain(4), 0.2)
+    with pytest.raises(ConfigError):
+        orc.z_avoiding([(9,)])
+    with pytest.raises(ConfigError):
+        orc.reduced_correlation((0, 3))
+    assert orc.z_avoiding([(0,), (3,)]) == orc.z([1])

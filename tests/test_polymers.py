@@ -16,7 +16,7 @@ from polymerion import (
     polymer_weights,
     rho_fugacity,
 )
-from polymerion.polymers import zeta_transform
+from polymerion.polymers import _overlap_masks, zeta_transform
 
 from helpers import random_table
 
@@ -72,18 +72,22 @@ def test_mobius_and_zeta_transforms_invert(rng):
 
 
 def test_mobius_transform_literal_inclusion_exclusion(rng):
-    v = rng.standard_normal(2**4)
-    m = mobius_transform(v)
-    for sett in range(2**4):
-        expected = 0.0
-        sub = sett
-        while True:
-            k = bin(sett ^ sub).count("1")
-            expected += (-1.0) ** k * v[sub]
-            if sub == 0:
-                break
-            sub = (sub - 1) & sett
-        assert abs(m[sett] - expected) < 1e-12
+    for n in (4, 0, 1):
+        v = rng.standard_normal(2**n)
+        m = mobius_transform(v)
+        z = zeta_transform(v)
+        for sett in range(2**n):
+            expected = subset_sum = 0.0
+            sub = sett
+            while True:
+                k = bin(sett ^ sub).count("1")
+                expected += (-1.0) ** k * v[sub]
+                subset_sum += v[sub]
+                if sub == 0:
+                    break
+                sub = (sub - 1) & sett
+            assert abs(m[sett] - expected) < 1e-12
+            assert abs(z[sett] - subset_sum) < 1e-12
 
 
 def test_classical_product_formula(rng):
@@ -122,17 +126,31 @@ def test_polymer_weight_bound_dominates_activity(rng):
 
 
 def test_compatibility_and_graph_consistency():
-    ham = free_ising([2, 3])
-    polys = enumerate_polymers(ham, 2)
-    adj = incompatibility_graph(polys)
-    for i, p in enumerate(polys):
-        assert not (adj[i] >> i) & 1  # self bit stays clear in the graph
-        for j in range(len(polys)):
-            if i == j:
-                continue
-            bit = bool((adj[i] >> j) & 1)
-            assert bit == (not compatible(p, polys[j]))
-            assert bit == bool((adj[j] >> i) & 1)
+    ring = assemble_hamiltonian(ising_model(1), Region.box([6]), boundary="periodic")
+    fields = assemble_hamiltonian(
+        ising_model(2, field_h=0.3), Region.box([2, 3]), boundary="free"
+    )
+    cases = [(free_ising([2, 3]), 2), (ring, 6), (free_ising([3, 3]), 4), (fields, 3)]
+    for ham, k in cases:
+        polys = enumerate_polymers(ham, k)
+        adj = incompatibility_graph(polys)
+        assert len(adj) == len(polys)
+        for i, p in enumerate(polys):
+            assert not (adj[i] >> i) & 1  # self bit stays clear in the graph
+            for j in range(len(polys)):
+                if i == j:
+                    continue
+                bit = bool((adj[i] >> j) & 1)
+                assert bit == (not compatible(p, polys[j]))
+                assert bit == bool((adj[j] >> i) & 1)
+        bond_adj = _overlap_masks(ham.bonds)
+        for i, a in enumerate(ham.bonds):
+            want = sum(
+                1 << j
+                for j, b in enumerate(ham.bonds)
+                if j != i and not set(a).isdisjoint(b)
+            )
+            assert bond_adj[i] == want
 
 
 def test_weights_reuse_given_polymers(rng):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from polymerion import (
+    ConfigError,
     Interaction,
     Observable,
     Oracle,
@@ -117,6 +118,21 @@ def test_correlation_series_matches_exact_ratio():
         got = correlation_series(ham, beta, x0, 8).value
         want = reduced_correlation_exact(ham, beta, x0)
         assert abs(got - want) < 1e-8 * abs(want)
+
+
+def test_sites_outside_the_volume_are_refused():
+    # On a chain, (0, 3) is one two-dimensional site, not the pair
+    # [(0,), (3,)]; it used to be read as a site meeting no bond.
+    ham = small_chain()
+    beta = 0.2
+    want = reduced_correlation_exact(ham, beta, [(0,), (3,)])
+    assert abs(correlation_series(ham, beta, [(0,), (3,)], 6).value - want) < 1e-8
+    with pytest.raises(ConfigError):
+        correlation_series(ham, beta, (0, 3), 6)
+    with pytest.raises(ConfigError):
+        site_pinned_series(ham, beta, (9,), 6)
+    with pytest.raises(ConfigError):
+        site_pinned_series(ham, beta, (0, 3), 6)
 
 
 def test_correlation_series_is_exp_of_series_difference():
