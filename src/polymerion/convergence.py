@@ -39,7 +39,14 @@ from .model import (
     operator_norm,
 )
 from .numeric import bisect_root, geometric_grid, golden_max
-from .polymers import Polymer, enumerate_polymers, incompatibility_graph
+from .polymers import (
+    Polymer,
+    _overlap_masks,
+    _site_masks,
+    enumerate_polymers,
+    incompatibility_graph,
+)
+from .ursell import _bits
 
 __all__ = [
     "TreeReport",
@@ -111,23 +118,10 @@ class _Structure:
 
 
 def _finite_structure(bonds, norms) -> _Structure:
-    supports = [set(b) for b in bonds]
-    m = len(bonds)
-    neighbor_counts = []
-    for i in range(m):
-        row: dict[int, int] = {}
-        for j in range(m):
-            if j != i and supports[i] & supports[j]:
-                row[j] = row.get(j, 0) + 1
-        neighbor_counts.append(sorted(row.items()))
-    sites = sorted({s for b in bonds for s in b})
-    site_counts = []
-    for s in sites:
-        row = {}
-        for i in range(m):
-            if s in supports[i]:
-                row[i] = row.get(i, 0) + 1
-        site_counts.append(row)
+    # Every bond is its own class, so every multiplicity is 1.
+    neighbor_counts = [[(j, 1) for j in _bits(mask)] for mask in _overlap_masks(bonds)]
+    at = _site_masks(bonds)
+    site_counts = [{i: 1 for i in _bits(at[s])} for s in sorted(at)]
     return _Structure([len(b) for b in bonds], norms, neighbor_counts, site_counts)
 
 
@@ -298,6 +292,21 @@ def _zeta_for_a(structure: _Structure, a: float) -> float:
     return math.expm1(a) / count
 
 
+def _tree_certificate(
+    structure: _Structure, beta: complex, a=None, zeta=None, form: str = "bracketed"
+) -> TreeReport:
+    """The tree form at weights W(X) = e^{|beta| ||Phi(X)||} - 1, zeta resolved
+    as `gk_criterion` documents."""
+    ab = abs(beta)
+    weights = [math.expm1(ab * w) for w in structure.norms]
+    if zeta is None:
+        if a is not None:
+            zeta = _zeta_for_a(structure, a)
+        else:
+            zeta = _default_scalar_zeta(weights, structure, form)
+    return tree_bound(weights, structure, zeta, form=form)
+
+
 def gk_criterion(
     source,
     beta: complex,
@@ -320,15 +329,7 @@ def gk_criterion(
     """
     if form not in TREE_FORMS:
         raise ConfigError(f"unknown tree form {form!r}; choose one of {TREE_FORMS}")
-    structure = _structure_of(source)
-    ab = abs(beta)
-    weights = [math.expm1(ab * w) for w in structure.norms]
-    if zeta is None:
-        if a is not None:
-            zeta = _zeta_for_a(structure, a)
-        else:
-            zeta = _default_scalar_zeta(weights, structure, form)
-    tree = tree_bound(weights, structure, zeta, form=form)
+    tree = _tree_certificate(_structure_of(source), beta, a, zeta, form)
     anchored = anchored_polymer_sum(source, beta, tree.a, anchored_truncation)
     guarantees = {}
     if tree.holds and form != "direct":
@@ -411,16 +412,26 @@ class FPReport:
     phi: tuple[float, ...]
 
 
-def _phi_single(cand_ids, adj, mu_vals) -> float:
-    """Sum of prod mu over pairwise-compatible subsets of the candidates."""
+def _neighbourhood(adjacency, index: int):
+    """Candidates of phi_B0 (B0 and the polymers overlapping it), ascending,
+    with their incompatibility masks renumbered to candidate positions."""
+    cand_mask = adjacency[index] | (1 << index)
+    cand_ids = list(_bits(cand_mask))
+    if len(cand_ids) > 24:
+        raise NumericalError("fixed-point sum over more than 2^24 families refused")
     index_of = {c: k for k, c in enumerate(cand_ids)}
     local = []
     for c in cand_ids:
         mask = 0
-        for d_ in cand_ids:
-            if d_ != c and ((adj[c] >> d_) & 1):
-                mask |= 1 << index_of[d_]
+        for d_ in _bits(adjacency[c] & cand_mask & ~(1 << c)):
+            mask |= 1 << index_of[d_]
         local.append(mask)
+    return cand_ids, local
+
+
+def _phi(cand_ids, local, mu) -> float:
+    """Sum of prod mu over pairwise-compatible subsets of the candidates."""
+    mu_vals = [float(mu[c]) for c in cand_ids]
     memo: dict[int, float] = {}
 
     def g(avail: int) -> float:
@@ -446,12 +457,7 @@ def fp_phi(polymers, index: int, mu, adjacency=None) -> float:
     """
     if adjacency is None:
         adjacency = incompatibility_graph(polymers)
-    cand_mask = adjacency[index] | (1 << index)
-    cand_ids = [i for i in range(len(polymers)) if (cand_mask >> i) & 1]
-    if len(cand_ids) > 24:
-        raise NumericalError("fixed-point sum over more than 2^24 families refused")
-    mu_vals = [float(mu[c]) for c in cand_ids]
-    return _phi_single(cand_ids, adjacency, mu_vals)
+    return _phi(*_neighbourhood(adjacency, index), mu)
 
 
 def fp_iterate(
@@ -475,8 +481,9 @@ def fp_iterate(
     lam = [float(x) for x in lam]
     mu = [0.0] * m if mu0 is None else [float(x) for x in mu0]
     chain = [max(mu, default=0.0)]
+    hoods = [_neighbourhood(adjacency, i) for i in range(m)]
     for it in range(1, max_iter + 1):
-        nxt = [lam[i] * fp_phi(polymers, i, mu, adjacency) for i in range(m)]
+        nxt = [lam[i] * _phi(*hoods[i], mu) for i in range(m)]
         delta = max(abs(a - b) for a, b in zip(nxt, mu))
         mu = nxt
         chain.append(max(mu, default=0.0))
@@ -722,6 +729,17 @@ class RadiusScan:
     beta_radius: float | None
 
 
+def _tree_scan(source, a=None, zeta=None, form="bracketed", anchored_truncation=4):
+    """`gk_criterion(source, beta, ...).holds` as a function of beta; refuses
+    the keywords and sources `gk_criterion` refuses."""
+    if form not in TREE_FORMS:
+        raise ConfigError(f"unknown tree form {form!r}; choose one of {TREE_FORMS}")
+    structure = _structure_of(source)
+    if not isinstance(source, (LatticeModel, Hamiltonian)):
+        raise ConfigError("anchored sums need a Hamiltonian or a LatticeModel")
+    return lambda beta: _tree_certificate(structure, beta, a, zeta, form).holds
+
+
 def beta_radius(
     source,
     criterion: str = "tree",
@@ -736,12 +754,18 @@ def beta_radius(
     iteration on the complex-temperature polymer bounds; finite systems
     only), or "universal" (closed form; the grid is then only sampled
     for reporting).
+
+    A tree scan takes `gk_criterion`'s keywords and flags each point with
+    its `.holds`, but evaluates only the tree certificate: the bond
+    structure is built once per scan, and the anchored lower bound, a
+    diagnostic that never decides `.holds`, is left to `gk_criterion`.
     """
     grid = geometric_grid(lo, hi, per_decade)
     points: list[tuple[float, bool]] = []
     if criterion == "tree":
+        certifies = _tree_scan(source, **kw)
         for b in grid:
-            points.append((float(b), gk_criterion(source, b, **kw).holds))
+            points.append((float(b), certifies(b)))
     elif criterion == "universal":
         rad = universal_radius(source, **kw).beta_star
         for b in grid:

@@ -147,11 +147,10 @@ class Oracle:
             self._z[ids] = 1.0 + 0.0j
             return self._z[ids]
         support, total = self.hamiltonian_on(ids)
-        if self.ham.kind == CLASSICAL:
-            val = complex(np.mean(np.exp(-self.beta * total)))
-        else:
-            w = np.linalg.eigvalsh(total)
-            val = complex(np.mean(np.exp(-self.beta * w)))
+        energies = total if self.ham.kind == CLASSICAL else np.linalg.eigvalsh(total)
+        # An overflow is reported by the NumericalError below, not by numpy.
+        with np.errstate(over="ignore", invalid="ignore"):
+            val = complex(np.mean(np.exp(-self.beta * energies)))
         if not cmath.isfinite(val):
             raise NumericalError(f"partition function is not finite at beta = {self.beta}")
         self._z[ids] = val

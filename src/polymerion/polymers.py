@@ -43,6 +43,15 @@ class Polymer:
         return len(self.bonds)
 
 
+def _site_masks(supports) -> dict[Site, int]:
+    """Per site, the bitmask of the supports that contain it."""
+    at: dict[Site, int] = {}
+    for i, support in enumerate(supports):
+        for s in support:
+            at[s] = at.get(s, 0) | (1 << i)
+    return at
+
+
 def _overlap_masks(supports) -> list[int]:
     """Bitmask adjacency of overlapping supports: bit j of mask[i] set when
     supports i and j share a site (i != j).
@@ -50,10 +59,7 @@ def _overlap_masks(supports) -> list[int]:
     One pass collects the polymers at each site, a second ORs those masks
     over each support, so the work is O(sum of support sizes).
     """
-    at: dict[Site, int] = {}
-    for i, support in enumerate(supports):
-        for s in support:
-            at[s] = at.get(s, 0) | (1 << i)
+    at = _site_masks(supports)
     masks = []
     for i, support in enumerate(supports):
         mask = 0

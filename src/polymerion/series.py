@@ -442,7 +442,10 @@ def site_pinned_series(
     The site acts as a selector only; Ursell weights are those of the
     clusters themselves.
     """
-    (x0,) = _volume_sites(ham, site)
+    sites = _volume_sites(ham, site)
+    if len(sites) != 1:
+        raise ConfigError(f"site_pinned_series pins exactly one site, got {len(sites)}")
+    (x0,) = sites
     polymers, rho = _prepare(ham, beta, max_total_bonds, weights)
     if values is None:
         values = rho

@@ -6,6 +6,7 @@ import scipy.special
 
 from polymerion import (
     ConfigError,
+    Interaction,
     Oracle,
     Polymer,
     PolymerWeight,
@@ -28,7 +29,8 @@ from polymerion import (
     tree_bound,
     universal_radius,
 )
-from polymerion.convergence import TREE_FORMS
+from polymerion.convergence import TREE_FORMS, _finite_structure
+from polymerion.numeric import geometric_grid
 
 TABLE = {
     2: (0.0873651, 0.0290245),
@@ -312,3 +314,84 @@ def test_beta_radius_fp_on_finite_instance():
 def test_beta_radius_unknown_criterion():
     with pytest.raises(ConfigError):
         beta_radius(ising_model(2), criterion="bogus")
+
+
+def test_tree_scan_flags_every_point_as_gk_criterion_does():
+    # The scan skips the anchored diagnostic and builds the bond structure
+    # once; its flags must still be gk_criterion's, keyword for keyword.
+    box = assemble_hamiltonian(ising_model(2), Region.box([3, 3]), boundary="free")
+    # a and zeta away from the default optimum, so dropping either shows.
+    variants = [{"form": f} for f in TREE_FORMS] + [
+        {"a": math.log(1.1)},
+        {"zeta": 0.03},
+        {"anchored_truncation": 2},
+    ]
+    lo, hi, per_decade = 0.005, 0.2, 4
+    grid = geometric_grid(lo, hi, per_decade)
+    for source in (ising_model(2), box):
+        for kw in variants:
+            scan = beta_radius(source, "tree", lo=lo, hi=hi, per_decade=per_decade, **kw)
+            want = tuple((float(b), gk_criterion(source, b, **kw).holds) for b in grid)
+            assert scan.points == want, kw
+            flags = [ok for _, ok in want]
+            assert any(flags) and not all(flags), kw
+
+
+def test_tree_scan_refuses_what_gk_criterion_refuses():
+    model = ising_model(2)
+    with pytest.raises(TypeError):
+        beta_radius(model, "tree", bogus=1)
+    with pytest.raises(ConfigError):
+        beta_radius(model, "tree", form="bogus")
+    inter = Interaction.from_terms(
+        q=2, kind="classical", terms=[(((0,), (1,)), np.array([-1.0, 1.0, 1.0, -1.0]))]
+    )
+    with pytest.raises(ConfigError, match="anchored sums"):
+        gk_criterion(inter, 0.01)
+    with pytest.raises(ConfigError, match="anchored sums"):
+        beta_radius(inter, "tree")
+
+
+def _fp_iterate_by_fp_phi(polymers, lam, max_iter=2000, tol=1e-14, divergence=1e9):
+    """fp_iterate's loop, written with the public fp_phi."""
+    mu = [0.0] * len(polymers)
+    chain = [0.0]
+    for it in range(1, max_iter + 1):
+        nxt = [lam[i] * fp_phi(polymers, i, mu) for i in range(len(polymers))]
+        delta = max(abs(a - b) for a, b in zip(nxt, mu))
+        mu = nxt
+        chain.append(max(mu))
+        if max(mu) > divergence or delta <= tol * (1.0 + max(mu)):
+            break
+    return tuple(mu), tuple(chain), it
+
+
+def test_fp_iterate_matches_a_loop_over_fp_phi():
+    ham = assemble_hamiltonian(ising_model(1), Region.box([5]), boundary="free")
+    polys = enumerate_polymers(ham, 4)
+    outcomes = []
+    for beta in (0.05, 0.4):
+        lam = [math.prod(math.expm1(beta * ham.norms[i]) for i in p.bonds) for p in polys]
+        res = fp_iterate(polys, lam, max_iter=2000)
+        assert (res.mu, res.chain, res.iterations) == _fp_iterate_by_fp_phi(polys, lam)
+        outcomes.append((res.converged, res.diverged))
+    assert outcomes == [(True, False), (False, True)]
+
+
+def test_finite_structure_matches_pairwise_overlaps():
+    fields = assemble_hamiltonian(
+        ising_model(2, field_h=0.3), Region.box([2, 3]), boundary="free"
+    )
+    ring = assemble_hamiltonian(ising_model(1), Region.box([6]), boundary="periodic")
+    for ham in (fields, ring):
+        bonds = ham.bonds
+        m = len(bonds)
+        st = _finite_structure(bonds, ham.norms)
+        assert st.sizes == [len(b) for b in bonds]
+        assert st.neighbor_counts == [
+            [(j, 1) for j in range(m) if j != i and set(bonds[i]) & set(bonds[j])]
+            for i in range(m)
+        ]
+        sites = sorted({s for b in bonds for s in b})
+        assert st.site_counts == [{i: 1 for i in range(m) if s in bonds[i]} for s in sites]
+    assert any(len(b) == 1 for b in fields.bonds)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -167,6 +168,15 @@ def test_oracle_refuses_oversized_state_space():
     )
     with pytest.raises(NumericalError):
         partition_function(ham, 0.1)
+
+
+def test_overflowing_z_raises_without_numpy_warnings():
+    quantum = assemble_hamiltonian(heisenberg_model(1), Region.box([4]), boundary="free")
+    for ham, beta in ((ising_chain(8), 400.0), (quantum, 2000.0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError):
+                Oracle(ham, beta).z()
 
 
 def test_xi_fugacity_exact_wrapper_matches_oracle():

@@ -135,6 +135,12 @@ def test_sites_outside_the_volume_are_refused():
         site_pinned_series(ham, beta, (0, 3), 6)
 
 
+def test_site_pinned_series_pins_exactly_one_site():
+    ham = small_chain()
+    with pytest.raises(ConfigError, match="one site"):
+        site_pinned_series(ham, 0.2, [(0,), (1,)], 4)
+
+
 def test_correlation_series_is_exp_of_series_difference():
     ham = small_chain()
     beta = 0.28
