@@ -740,6 +740,25 @@ def _tree_scan(source, a=None, zeta=None, form="bracketed", anchored_truncation=
     return lambda beta: _tree_certificate(structure, beta, a, zeta, form).holds
 
 
+def _fp_scan(source, max_bonds=4):
+    """Does the fixed-point iteration on the complex-temperature polymer
+    bounds converge at beta? The polymers and their graph are built once."""
+    if not isinstance(source, Hamiltonian):
+        raise ConfigError("the fixed-point scan needs a finite Hamiltonian")
+    polymers = enumerate_polymers(source, max_bonds)
+    adjacency = incompatibility_graph(polymers)
+
+    def certifies(beta):
+        ab = abs(beta)
+        lam = [
+            math.prod(math.expm1(ab * source.norms[i]) for i in p.bonds)
+            for p in polymers
+        ]
+        return fp_iterate(polymers, lam, adjacency=adjacency, max_iter=2000).converged
+
+    return certifies
+
+
 def beta_radius(
     source,
     criterion: str = "tree",
@@ -759,32 +778,20 @@ def beta_radius(
     its `.holds`, but evaluates only the tree certificate: the bond
     structure is built once per scan, and the anchored lower bound, a
     diagnostic that never decides `.holds`, is left to `gk_criterion`.
+    An fp scan takes `max_bonds` (default 4), the largest polymer it
+    iterates on, and refuses any other keyword.
     """
     grid = geometric_grid(lo, hi, per_decade)
-    points: list[tuple[float, bool]] = []
     if criterion == "tree":
         certifies = _tree_scan(source, **kw)
-        for b in grid:
-            points.append((float(b), certifies(b)))
+    elif criterion == "fp":
+        certifies = _fp_scan(source, **kw)
     elif criterion == "universal":
         rad = universal_radius(source, **kw).beta_star
-        for b in grid:
-            points.append((float(b), bool(b <= rad)))
-    elif criterion == "fp":
-        if not isinstance(source, Hamiltonian):
-            raise ConfigError("the fixed-point scan needs a finite Hamiltonian")
-        polymers = enumerate_polymers(source, kw.pop("max_bonds", 4))
-        adjacency = incompatibility_graph(polymers)
-        for b in grid:
-            ab = abs(b)
-            lam = [
-                math.prod(math.expm1(ab * source.norms[i]) for i in p.bonds)
-                for p in polymers
-            ]
-            res = fp_iterate(polymers, lam, adjacency=adjacency, max_iter=2000)
-            points.append((float(b), res.converged))
+        certifies = lambda b: bool(b <= rad)
     else:
         raise ConfigError(f"unknown radius criterion {criterion!r}")
+    points = [(float(b), certifies(b)) for b in grid]
     radius = None
     for b, ok in points:
         if ok:

@@ -19,12 +19,13 @@ factor actually observed.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, NumericalError
 from .oracle import Oracle
-from .polymers import enumerate_polymers
+from .polymers import _connected_families, _overlap_masks, enumerate_polymers
 
 __all__ = ["KSKernel", "KSSolution", "build_ks_kernel", "ks_solve"]
 
@@ -68,11 +69,17 @@ def build_ks_kernel(ham, beta: complex, max_polymer_bonds: int | None = None) ->
     """
     if max_polymer_bonds is None:
         max_polymer_bonds = len(ham.bonds)
-    polymers = enumerate_polymers(ham, max_polymer_bonds)
-    if len(polymers) > MAX_KERNEL_POLYMERS:
+    # Walk the connected bond families before building any polymer, and
+    # stop as soon as the walk passes the cap.
+    walk = _connected_families(
+        _overlap_masks(ham.bonds), [1] * len(ham.bonds), max_polymer_bonds, rooted=False
+    )
+    if next(itertools.islice(walk, MAX_KERNEL_POLYMERS, None), None) is not None:
         raise NumericalError(
-            f"{len(polymers)} polymers exceed the kernel cap; lower max_polymer_bonds"
+            f"more than {MAX_KERNEL_POLYMERS} polymers, over the kernel cap; "
+            "lower max_polymer_bonds"
         )
+    polymers = enumerate_polymers(ham, max_polymer_bonds)
     oracle = Oracle(ham, beta)
     entries: dict = {}
     for p in polymers:

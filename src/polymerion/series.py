@@ -10,29 +10,32 @@ truncated by total bond count: a cluster with multiplicities m_B of
 polymers of |B| bonds has order sum m_B |B|, and `max_total_bonds` keeps
 every cluster of order up to the cut.
 
-The free energy is summed without visiting clusters. A compatible
-polymer family is the set of connected components of a bond subset, so
-the polymer partition function is a polynomial in a bond-count variable,
+A compatible polymer family is the set of connected components of a
+bond subset, so the polymer partition function is a polynomial in a
+bond-count variable,
 
     Xi(t) = sum over bond subsets S of t^|S| prod_{components C of S} rho_C,
 
 and the clusters of order k sum to [t^k] log Xi(t) (Scott and Sokal,
-J. Stat. Phys. 118, 2005). `free_energy_series` enumerates the families
-of at most `max_total_bonds` bonds and takes the truncated logarithm.
+J. Stat. Phys. 118, 2005). Most series are truncated power series of
+Xi over the families of at most `max_total_bonds` bonds, with Xi_A
+over the polymers that miss the site set A: `free_energy_series` is
+log Xi; `correlation_series` is log Xi - log Xi_X0 (clusters meeting
+X0); `free_energy_by_site` gives site x the share log Xi_{s < x} -
+log Xi_{s <= x} (clusters whose smallest site is x); `pinned_series`
+is Xi_pin / Xi = d log Xi / d rho_pin (clusters rooted at the pin).
 
-The pinned, correlation and density series walk the clusters: connected
-subsets of the distinct-polymer graph (a multiset is connected exactly
-when its set of distinct polymers is), then multiplicities within the
-order budget, each weighted by the Ursell function of its multiset graph.
-Pinned variants root the walk: at an extra polymer vertex for
-derivative-style pinned sums, or at a single site for clusters whose
-support must contain it. The walk is also the independent reference for
-the free-energy route.
+`site_pinned_series` walks the clusters through one site instead:
+connected subsets of the distinct-polymer graph (a multiset is
+connected exactly when its set of distinct polymers is), then
+multiplicities within the order budget, each weighted by the Ursell
+function of its multiset graph. It is the independent reference for
+the routes above, and the route of `free_energy_density`, whose
+per-cluster weight 1/|support| is no ratio of partition functions.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -101,9 +104,6 @@ class _LazyValues:
             self._cache[i] = hit
         return hit
 
-    def __len__(self) -> int:
-        return len(self._polymers)
-
 
 def _extra_multiplicities(sizes: list[int], slack: int):
     """All vectors of extra copies (>= 0) with sum extra_i * size_i <= slack."""
@@ -128,41 +128,28 @@ def _run_series(
     polymers,
     values,
     adjacency,
+    pin_adj: int,
     max_total: int,
     *,
     absolute: bool = False,
-    pin_adj: int | None = None,
-    pin_in_graph: bool = False,
-    site_filter=None,
     per_cluster=None,
 ) -> tuple[list[complex], int]:
-    """Shared accumulation loop; returns (sums by order, cluster count)."""
-    m = len(polymers)
+    """The site-rooted cluster walk; returns (sums by order, cluster count).
+
+    `pin_adj` marks the polymers that contain the site. Every cluster
+    holds one of them, so the walk is rooted at a pin vertex that only
+    selects clusters and takes no part in their Ursell weights.
+    """
     sizes = [len(p.bonds) for p in polymers]
     supports = [p.support for p in polymers]
     by_order = [0j] * (max_total + 1)
     count = 0
-
-    if pin_adj is not None:
-        eadj = _PinShift(adjacency, pin_adj, m)
-        esizes = [0] + sizes
-        gen = _connected_families(eadj, esizes, max_total, rooted=True)
-    else:
-        gen = _connected_families(adjacency, sizes, max_total, rooted=False)
-
-    for sett, base in gen:
-        if pin_adj is not None:
-            ids = [v - 1 for v in _bits(sett >> 1 << 1)]
-            if not ids:
-                if pin_in_graph:
-                    by_order[0] += 1
-                    count += 1
-                continue
-        else:
-            ids = list(_bits(sett))
-        support = frozenset().union(*(supports[i] for i in ids))
-        if site_filter is not None and site_filter.isdisjoint(support):
+    eadj = _PinShift(adjacency, pin_adj)
+    for sett, base in _connected_families(eadj, [0] + sizes, max_total, rooted=True):
+        if sett == 1:
             continue
+        ids = list(_bits(sett >> 1))
+        support = frozenset().union(*(supports[i] for i in ids))
         weight = 1.0 if per_cluster is None else per_cluster(support)
         k = len(ids)
         local = [0] * k
@@ -171,22 +158,11 @@ def _run_series(
                 if (adjacency[ids[a]] >> ids[b]) & 1:
                     local[a] |= 1 << b
                     local[b] |= 1 << a
-        if pin_in_graph:
-            pin_bits = 0
-            for a in range(k):
-                if (pin_adj >> ids[a]) & 1:
-                    pin_bits |= 1 << a
-            glocal = [pin_bits << 1] + [
-                (local[a] << 1) | ((pin_bits >> a) & 1) for a in range(k)
-            ]
         id_sizes = [sizes[i] for i in ids]
         for extra in _extra_multiplicities(id_sizes, max_total - base):
             mult = [1 + e for e in extra]
             order = base + sum(e * s for e, s in zip(extra, id_sizes))
-            if pin_in_graph:
-                w = ursell(expand_multiset(glocal, [1] + mult))
-            else:
-                w = ursell(expand_multiset(local, mult))
+            w = ursell(expand_multiset(local, mult))
             if w == 0:
                 continue
             term = abs(w) if absolute else w
@@ -204,19 +180,15 @@ def _run_series(
 class _PinShift:
     """Adjacency view with the pin inserted at index 0."""
 
-    def __init__(self, adjacency, pin_adj: int, m: int):
+    def __init__(self, adjacency, pin_adj: int):
         self._adj = adjacency
         self._pin = pin_adj
-        self._m = m
 
     def __getitem__(self, v: int) -> int:
         if v == 0:
             return self._pin << 1
         i = v - 1
         return (self._adj[i] << 1) | ((self._pin >> i) & 1)
-
-    def __len__(self) -> int:
-        return self._m + 1
 
 
 def _prepare(ham: Hamiltonian, beta: complex, max_total: int, weights):
@@ -227,6 +199,16 @@ def _prepare(ham: Hamiltonian, beta: complex, max_total: int, weights):
     oracle = Oracle(ham, beta)
     polymers = list(enumerate_polymers(ham, max_total))
     return polymers, _LazyValues(oracle, polymers)
+
+
+def _series(by_order, truncation: int, n_clusters: int, converged=None) -> TruncatedSeries:
+    return TruncatedSeries(
+        value=sum(by_order),
+        by_order=tuple(by_order),
+        truncation=truncation,
+        n_clusters=n_clusters,
+        converged=converged,
+    )
 
 
 def _family_sums(sizes, values, adjacency, max_total: int) -> list[complex]:
@@ -253,6 +235,25 @@ def _family_sums(sizes, values, adjacency, max_total: int) -> list[complex]:
     return xi
 
 
+def _families(polymers, values, max_total: int, avoid=frozenset()):
+    """Xi(t) up to t^max_total over the polymers whose support misses `avoid`.
+
+    Returns (xi, kept polymers, their incompatibility masks); the kept
+    polymers are those that fit the budget, sorted by size.
+    """
+    keep = [
+        i
+        for i, p in enumerate(polymers)
+        if len(p.bonds) <= max_total and avoid.isdisjoint(p.support)
+    ]
+    keep.sort(key=lambda i: len(polymers[i].bonds))
+    kept = [polymers[i] for i in keep]
+    adjacency = incompatibility_graph(kept)
+    sizes = [len(p.bonds) for p in kept]
+    xi = _family_sums(sizes, [values[i] for i in keep], adjacency, max_total)
+    return xi, kept, adjacency
+
+
 def _log_series(xi: list[complex]) -> list[complex]:
     """Coefficients of log(xi(t)) for a power series with xi[0] == 1."""
     out = [0j] * len(xi)
@@ -262,16 +263,33 @@ def _log_series(xi: list[complex]) -> list[complex]:
     return out
 
 
-def _count_clusters(sizes, adjacency, max_total: int) -> int:
+def _divide_series(num: list[complex], den: list[complex]) -> list[complex]:
+    """Coefficients of num(t) / den(t) for power series with den[0] == 1."""
+    out = [0j] * len(num)
+    for k in range(len(num)):
+        out[k] = num[k] - sum(den[j] * out[k - j] for j in range(1, k + 1))
+    return out
+
+
+def _count_clusters(polymers, adjacency, max_total: int, pin: int | None = None) -> int:
     """Number of clusters of order <= max_total, without weighing them.
 
     A connected multiset graph has a nonzero Ursell function, so every
     multiplicity vector of a connected polymer set that fits the budget
-    is one cluster of the series.
+    is one cluster of the series. With a `pin` mask the sets are rooted
+    at an external vertex meeting those polymers (the empty set counts
+    once), and the pin itself takes no multiplicity.
     """
+    sizes = [len(p.bonds) for p in polymers]
+    if pin is None:
+        walk = _connected_families(adjacency, sizes, max_total, rooted=False)
+    else:
+        eadj = _PinShift(adjacency, pin)
+        rooted = _connected_families(eadj, [0] + sizes, max_total, rooted=True)
+        walk = ((sett >> 1, base) for sett, base in rooted)
     memo: dict[tuple[tuple[int, ...], int], int] = {}
     count = 0
-    for sett, base in _connected_families(adjacency, sizes, max_total, rooted=False):
+    for sett, base in walk:
         set_sizes = tuple(sorted(sizes[i] for i in _bits(sett)))
         slack = max_total - base
         hit = memo.get((set_sizes, slack))
@@ -307,19 +325,11 @@ def free_energy_series(
     reaches rounding level.
     """
     polymers, values = _prepare(ham, beta, max_total_bonds, weights)
-    keep = sorted(
-        (i for i, p in enumerate(polymers) if len(p.bonds) <= max_total_bonds),
-        key=lambda i: len(polymers[i].bonds),
-    )
-    sizes = [len(polymers[i].bonds) for i in keep]
-    adjacency = incompatibility_graph([polymers[i] for i in keep])
-    xi = _family_sums(sizes, [values[i] for i in keep], adjacency, max_total_bonds)
-    by_order = _log_series(xi)
-    return TruncatedSeries(
-        value=sum(by_order),
-        by_order=tuple(by_order),
-        truncation=max_total_bonds,
-        n_clusters=_count_clusters(sizes, adjacency, max_total_bonds),
+    xi, kept, adjacency = _families(polymers, values, max_total_bonds)
+    return _series(
+        _log_series(xi),
+        max_total_bonds,
+        _count_clusters(kept, adjacency, max_total_bonds),
     )
 
 
@@ -331,15 +341,20 @@ def adaptive_free_energy_series(
     step: int = 2,
     cap: int = 14,
 ) -> TruncatedSeries:
-    """Raise the truncation until the last two order increments are tiny."""
+    """Raise the truncation until the last two order increments are tiny.
+
+    Clusters are counted only for the truncation that is returned.
+    """
     k = min(start, cap)
     while True:
-        s = free_energy_series(ham, beta, k)
-        scale = max(1.0, abs(s.value))
-        tail = [abs(t) for t in s.by_order[-2:]]
-        converged = all(t <= tol * scale for t in tail)
+        polymers, values = _prepare(ham, beta, k, None)
+        xi, kept, adjacency = _families(polymers, values, k)
+        by_order = _log_series(xi)
+        scale = max(1.0, abs(sum(by_order)))
+        converged = all(abs(t) <= tol * scale for t in by_order[-2:])
         if converged or k >= cap:
-            return dataclasses.replace(s, converged=converged)
+            count = _count_clusters(kept, adjacency, k)
+            return _series(by_order, k, count, converged=converged)
         k = min(k + step, cap)
 
 
@@ -352,36 +367,20 @@ def free_energy_by_site(
     """Split the free-energy series by the smallest site of each cluster.
 
     The shares sum to the full series value, giving a volume-order
-    decomposition log Z = sum over sites of h(x).
+    decomposition log Z = sum over sites of h(x). The clusters whose
+    smallest site is x are those that avoid every site below x but not
+    x itself, so h(x) = log Xi_{V minus {s < x}} - log Xi_{V minus {s <= x}}.
     """
     polymers, values = _prepare(ham, beta, max_total_bonds, weights)
-    adjacency = incompatibility_graph(polymers)
-    shares: dict[Site, complex] = {s: 0j for s in ham.sites}
-
-    sups = [p.support for p in polymers]
-    sizes = [len(p.bonds) for p in polymers]
-    for sett, base in _connected_families(adjacency, sizes, max_total_bonds, rooted=False):
-        ids = list(_bits(sett))
-        support = frozenset().union(*(sups[i] for i in ids))
-        anchor = min(support)
-        k = len(ids)
-        local = [0] * k
-        for a in range(k):
-            for b in range(a + 1, k):
-                if (adjacency[ids[a]] >> ids[b]) & 1:
-                    local[a] |= 1 << b
-                    local[b] |= 1 << a
-        id_sizes = [sizes[i] for i in ids]
-        for extra in _extra_multiplicities(id_sizes, max_total_bonds - base):
-            mult = [1 + e for e in extra]
-            w = ursell(expand_multiset(local, mult))
-            if w == 0:
-                continue
-            term = complex(w)
-            for i, mm in zip(ids, mult):
-                term *= values[i] ** mm / math.factorial(mm)
-            shares[anchor] += term
-    return shares
+    ordered = sorted(ham.sites)
+    logs = [
+        _log_series(_families(polymers, values, max_total_bonds, frozenset(ordered[:n]))[0])
+        for n in range(len(ordered) + 1)
+    ]
+    share = {
+        x: sum(a - b for a, b in zip(logs[n], logs[n + 1])) for n, x in enumerate(ordered)
+    }
+    return {x: share[x] for x in ham.sites}
 
 
 def pinned_series(
@@ -391,39 +390,30 @@ def pinned_series(
     max_total_bonds: int,
     absolute: bool = False,
     weights=None,
-    values=None,
 ) -> TruncatedSeries:
     """Clusters rooted at an external polymer vertex.
 
     Sums omega(G(pin, B_1 .. B_n)) prod rho^m / m! over multisets of
     polymers (the pin itself may repeat among them); the order-0 term is
-    1. With `absolute` the Ursell signs and activities are replaced by
+    1. The sum is d log Xi / d rho_pin = Xi_pin(t) / Xi(t), with Xi_pin
+    over the families compatible with the pin, divided as power series.
+    With `absolute` the Ursell signs and activities are replaced by
     absolute values, giving the majorant used in convergence
-    certificates. `values` overrides the activity vector (for evaluating
-    the same combinatorial sum at bound values).
+    certificates. An Ursell function on n vertices has sign (-1)^(n-1),
+    so that is the same ratio at activities -|rho|.
     """
-    polymers, rho = _prepare(ham, beta, max_total_bonds, weights)
-    if values is None:
-        values = rho
-    adjacency = incompatibility_graph(polymers)
-    pin_adj = 0
-    for i, p in enumerate(polymers):
-        if not pin.support.isdisjoint(p.support):
-            pin_adj |= 1 << i
-    by_order, count = _run_series(
-        polymers,
-        values,
-        adjacency,
-        max_total_bonds,
-        absolute=absolute,
-        pin_adj=pin_adj,
-        pin_in_graph=True,
+    polymers, values = _prepare(ham, beta, max_total_bonds, weights)
+    if absolute:
+        values = [-abs(values[i]) for i in range(len(polymers))]
+    xi, kept, adjacency = _families(polymers, values, max_total_bonds)
+    xi_pin = _families(polymers, values, max_total_bonds, pin.support)[0]
+    pin_adj = sum(
+        1 << i for i, p in enumerate(kept) if not pin.support.isdisjoint(p.support)
     )
-    return TruncatedSeries(
-        value=sum(by_order),
-        by_order=tuple(by_order),
-        truncation=max_total_bonds,
-        n_clusters=count,
+    return _series(
+        _divide_series(xi_pin, xi),
+        max_total_bonds,
+        _count_clusters(kept, adjacency, max_total_bonds, pin=pin_adj),
     )
 
 
@@ -434,42 +424,34 @@ def site_pinned_series(
     max_total_bonds: int,
     absolute: bool = False,
     weights=None,
-    values=None,
     per_cluster=None,
 ) -> TruncatedSeries:
-    """Clusters whose support contains one given site.
+    """Clusters whose support contains one given site, by the cluster walk.
 
     The site acts as a selector only; Ursell weights are those of the
-    clusters themselves.
+    clusters themselves. This is the one series that visits every
+    cluster and calls the Ursell function on it: the reference the log
+    Xi routes are tested against, and the route for a `per_cluster`
+    weight of the cluster support, which no ratio of partition
+    functions gives.
     """
     sites = _volume_sites(ham, site)
     if len(sites) != 1:
         raise ConfigError(f"site_pinned_series pins exactly one site, got {len(sites)}")
     (x0,) = sites
-    polymers, rho = _prepare(ham, beta, max_total_bonds, weights)
-    if values is None:
-        values = rho
+    polymers, values = _prepare(ham, beta, max_total_bonds, weights)
     adjacency = incompatibility_graph(polymers)
-    pin_adj = 0
-    for i, p in enumerate(polymers):
-        if x0 in p.support:
-            pin_adj |= 1 << i
+    pin_adj = sum(1 << i for i, p in enumerate(polymers) if x0 in p.support)
     by_order, count = _run_series(
         polymers,
         values,
         adjacency,
+        pin_adj,
         max_total_bonds,
         absolute=absolute,
-        pin_adj=pin_adj,
-        pin_in_graph=False,
         per_cluster=per_cluster,
     )
-    return TruncatedSeries(
-        value=sum(by_order),
-        by_order=tuple(by_order),
-        truncation=max_total_bonds,
-        n_clusters=count,
-    )
+    return _series(by_order, max_total_bonds, count)
 
 
 @dataclass(frozen=True)
@@ -490,24 +472,18 @@ def correlation_series(
     """Series for g(X0), the ratio of the X0-depleted partition function to Z.
 
     Sums the clusters whose support meets X0 and exponentiates the
-    negative: removing X0 removes exactly those clusters from log Z.
+    negative: removing X0 removes exactly those clusters from log Z, so
+    the sum is log Xi - log Xi_{no polymer meeting X0}, order by order.
     """
     x0 = _volume_sites(ham, x0)
     polymers, values = _prepare(ham, beta, max_total_bonds, weights)
-    adjacency = incompatibility_graph(polymers)
-    by_order, count = _run_series(
-        polymers,
-        values,
-        adjacency,
-        max_total_bonds,
-        site_filter=x0,
+    xi, kept, adjacency = _families(polymers, values, max_total_bonds)
+    xi_away, kept_away, adjacency_away = _families(polymers, values, max_total_bonds, x0)
+    by_order = [a - b for a, b in zip(_log_series(xi), _log_series(xi_away))]
+    count = _count_clusters(kept, adjacency, max_total_bonds) - _count_clusters(
+        kept_away, adjacency_away, max_total_bonds
     )
-    s = TruncatedSeries(
-        value=sum(by_order),
-        by_order=tuple(by_order),
-        truncation=max_total_bonds,
-        n_clusters=count,
-    )
+    s = _series(by_order, max_total_bonds, count)
     return CorrelationSeries(pinned_sum=s, value=np.exp(-s.value))
 
 

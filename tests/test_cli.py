@@ -71,6 +71,29 @@ def test_series_sweep_converges_to_exact(tmp_path, capsys):
     assert errs[-1] < 1e-10
 
 
+def test_series_correlation_column_matches_exact_ratio(tmp_path, capsys):
+    cfg = write_cfg(
+        tmp_path,
+        chain_cfg(
+            5,
+            {"start": 0.05, "stop": 0.1, "points": 2},
+            {"series": {"sweep": [4, 6, 8]}, "correlation": {"sites": [[1], [3]]}},
+        ),
+    )
+    doc = run_json(capsys, ["series", "--config", cfg])
+    ham = assemble_hamiltonian(ising_model(1), Region.box([5]), boundary="free")
+    rows = doc["rows"]
+    assert [(row["beta"], row["truncation"]) for row in rows] == [
+        (b, k) for b in (0.05, 0.1) for k in (4, 6, 8)
+    ]
+    # The cluster counts of the free-energy walk at orders 4, 6 and 8.
+    assert [row["n_clusters"] for row in rows] == [97, 507, 2061] * 2
+    for row in rows:
+        want = Oracle(ham, row["beta"]).reduced_correlation([(1,), (3,)])
+        tol = 1e-8 if row["truncation"] == 4 else 1e-13
+        assert abs(row["correlation"] - want) < tol
+
+
 def test_series_without_region_reports_density(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,

@@ -311,6 +311,17 @@ def test_beta_radius_fp_on_finite_instance():
         beta_radius(ising_model(1), criterion="fp")
 
 
+def test_fp_scan_refuses_unknown_keywords():
+    # A misspelt max_bonds used to be dropped silently.
+    chain = assemble_hamiltonian(ising_model(1), Region.box([4]), boundary="free")
+    with pytest.raises(TypeError):
+        beta_radius(chain, "fp", lo=0.01, hi=0.1, per_decade=2, max_bond=2)
+    with pytest.raises(TypeError):
+        beta_radius(chain, "fp", lo=0.01, hi=0.1, per_decade=2, form="bracketed")
+    scan = beta_radius(chain, "fp", lo=0.01, hi=0.1, per_decade=2, max_bonds=2)
+    assert scan.beta_radius == 0.1
+
+
 def test_beta_radius_unknown_criterion():
     with pytest.raises(ConfigError):
         beta_radius(ising_model(2), criterion="bogus")

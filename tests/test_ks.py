@@ -200,6 +200,15 @@ def test_site_cap_is_enforced():
         ks_solve(ham, 0.1)
 
 
+def test_kernel_cap_fires_before_the_polymers_are_built():
+    # The 24 bonds of a 4x4 patch form well over MAX_KERNEL_POLYMERS
+    # connected families; the walk stops at the cap instead of building
+    # every polymer first.
+    ham = assemble_hamiltonian(ising_model(2), Region.box([4, 4]), boundary="free")
+    with pytest.raises(NumericalError, match="kernel cap"):
+        build_ks_kernel(ham, 0.1)
+
+
 def test_unknown_site_set_is_refused():
     sol = ks_solve(ising_chain(3), 0.3)
     assert sol.value([(0,), (2,)]) == sol.g[frozenset([(0,), (2,)])]

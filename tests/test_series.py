@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -68,6 +69,11 @@ def test_adaptive_series_reports_convergence():
     assert abs(cmath.exp(s.value) - z) < 1e-11 * abs(z)
     hot = adaptive_free_energy_series(ham, 3.5, tol=1e-13, start=4, step=2, cap=6)
     assert not hot.converged
+    # The returned round is the fixed-order series, clusters counted there.
+    for got, beta in ((s, 0.3), (hot, 3.5)):
+        assert got.truncation > 4
+        fixed = free_energy_series(ham, beta, got.truncation)
+        assert got == dataclasses.replace(fixed, converged=got.converged)
 
 
 def test_by_site_shares_sum_to_total():
@@ -93,6 +99,17 @@ def test_single_polymer_pinned_series_closed_forms():
     assert abs(s.value - 1.0 / (1.0 + rho)) < 1e-12
     s_abs = pinned_series(ham, beta, poly, k, absolute=True)
     assert abs(s_abs.value - 1.0 / (1.0 - rho)) < 1e-10
+    # Two bonds on three sites: every polymer overlaps every other, so
+    # the families are single polymers and the pinned sum is 1/Xi.
+    ham = assemble_hamiltonian(m, Region.box([3]), boundary="free")
+    orc = Oracle(ham, beta)
+    polys = enumerate_polymers(ham, 2)
+    rhos = [orc.rho(p.bonds) for p in polys]
+    for pin in polys:
+        s = pinned_series(ham, beta, pin, k)
+        assert abs(s.value - 1.0 / (1.0 + sum(rhos))) < 1e-12
+        s_abs = pinned_series(ham, beta, pin, k, absolute=True)
+        assert abs(s_abs.value - 1.0 / (1.0 - sum(abs(r) for r in rhos))) < 1e-10
 
 
 def test_site_pin_equals_full_minus_restricted():
@@ -284,6 +301,29 @@ def test_cluster_counts_are_pinned():
     assert counts == [201, 574, 1388]
     patch = assemble_hamiltonian(ising_model(2), Region.box([2, 3]), boundary="free")
     assert free_energy_series(patch, 0.05, 6).n_clusters == 9513
+    # The correlation counts are differences of two family counts and the
+    # pinned counts come from a count rooted at the pin; these are the
+    # counts of the multiset cluster walk.
+    (bond_0, bond_1) = enumerate_polymers(ham, 1)[:2]
+    pair = enumerate_polymers(ham, 2)[3]
+    assert pair.bonds == (0, 1)
+    assert [
+        correlation_series(ham, 0.3, x0, 8).pinned_sum.n_clusters
+        for x0 in [(0,), (1,), [(0,), (1,)]]
+    ] == [480, 566, 566]
+    assert site_pinned_series(ham, 0.3, (0,), 8).n_clusters == 480
+    for absolute in (False, True):
+        assert [
+            pinned_series(ham, 0.3, p, 8, absolute=absolute).n_clusters
+            for p in (bond_0, bond_1, pair)
+        ] == [567, 603, 603]
+    assert [
+        correlation_series(patch, 0.05, x0, 6).pinned_sum.n_clusters
+        for x0 in [(0, 0), (1, 1), [(0, 0), (0, 1)]]
+    ] == [7178, 9006, 9312]
+    assert site_pinned_series(patch, 0.05, (0, 0), 6).n_clusters == 7178
+    pins = [enumerate_polymers(patch, 1)[i] for i in (0, 1, 3)]
+    assert [pinned_series(patch, 0.05, p, 6).n_clusters for p in pins] == [10012, 8941, 10382]
 
 
 def _walk_by_order(ham, beta, k, weights=None):
@@ -334,3 +374,34 @@ def test_explicit_weights_give_the_same_series(rng):
     backwards = free_energy_series(patch, 0.1, 4, weights=full[::-1])
     assert max(abs(a - b) for a, b in zip(backwards.by_order, plain.by_order)) < 1e-15
     assert backwards.n_clusters == plain.n_clusters
+
+
+def test_pinned_series_is_the_reduced_correlation_of_the_pin(rng):
+    # Xi over the families that miss the pin, divided by Xi, is the ratio
+    # of the partition function without the pin's sites to Z.
+    for i in range(12):
+        label, ham, beta = random_instance(rng, i)
+        orc = Oracle(ham, beta)
+        pins = enumerate_polymers(ham, 2)
+        for pin in (pins[0], pins[-1]):
+            got = pinned_series(ham, beta, pin, 10).value
+            want = orc.reduced_correlation(pin.support)
+            assert abs(got - want) < 1e-14, label
+
+
+def test_log_xi_routes_match_the_site_walk(rng):
+    # The clusters meeting one site, and those whose smallest site is x,
+    # are site-pinned walks on the full and on a restricted volume.
+    k = 6
+    for i in range(12):
+        label, ham, beta = random_instance(rng, i)
+        ordered = sorted(ham.sites)
+        shares = free_energy_by_site(ham, beta, k)
+        assert list(shares) == list(ham.sites)
+        for n, x in enumerate(ordered):
+            walk = site_pinned_series(ham, beta, x, k)
+            corr = correlation_series(ham, beta, x, k).pinned_sum
+            assert corr.n_clusters == walk.n_clusters, label
+            assert max(abs(a - b) for a, b in zip(corr.by_order, walk.by_order)) < 1e-15
+            rest = site_pinned_series(ham.restricted_away(ordered[:n]), beta, x, k)
+            assert abs(shares[x] - rest.value) < 1e-15, label
