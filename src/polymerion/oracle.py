@@ -88,6 +88,21 @@ def _volume_sites(ham: Hamiltonian, x0) -> frozenset[Site]:
     return sites
 
 
+def _check_observable(ham: Hamiltonian, obs: Observable):
+    """Refuse an observable off the region or of the wrong shape for `ham`."""
+    if not set(obs.support) <= set(ham.sites):
+        raise ConfigError("observable support must lie inside the region")
+    states = ham.q ** len(obs.support)
+    if ham.kind == CLASSICAL:
+        if obs.data.size != states:
+            raise ConfigError(
+                f"classical observables need one entry per state, {states} here, got "
+                f"{obs.data.size}; a two-number list is read as one [re, im] value"
+            )
+    elif obs.data.shape != (states, states):
+        raise ConfigError(f"quantum observables must be {states}x{states} matrices")
+
+
 class Oracle:
     """Exact quantities for one assembled Hamiltonian at one temperature.
 
@@ -214,18 +229,11 @@ class Oracle:
 
     def expectation(self, obs: Observable) -> complex:
         """Gibbs expectation tr(A exp(-beta H)) / Z on the full region."""
-        ham = self.ham
-        if not set(obs.support) <= set(ham.sites):
-            raise ConfigError("observable support must lie inside the region")
-        if ham.kind == CLASSICAL:
-            if obs.data.size != ham.q ** len(obs.support):
-                raise ConfigError("classical observables need one entry per state")
-        elif obs.data.ndim != 2:
-            raise ConfigError("quantum observables must be matrices")
+        _check_observable(self.ham, obs)
         z = self.z()
         if z == 0:
             raise NumericalError("partition function vanished; expectation undefined")
-        return self.weighted_trace(obs, self._all, ham.sites) / z
+        return self.weighted_trace(obs, self._all, self.ham.sites) / z
 
     def weighted_trace(self, obs: Observable, bond_ids, support) -> complex:
         """tr(A exp(-beta H_B)) on a fixed support (not divided by Z)."""

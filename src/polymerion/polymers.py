@@ -107,6 +107,28 @@ def _connected_families(adj, sizes, max_total: int, rooted: bool):
         yield from rec(1 << root, sizes[root], adj[root] & ~below, below)
 
 
+def _pin_mask(supports, sites) -> int:
+    """Bitmask of the supports that meet any of `sites`."""
+    at = _site_masks(supports)
+    mask = 0
+    for s in sites:
+        mask |= at.get(s, 0)
+    return mask
+
+
+def _pinned_families(adj, pin: int, sizes, max_total: int):
+    """Sets that are connected once a pin vertex meeting `pin` is added.
+
+    Yields (bitmask of ids, total size) as `_connected_families` does,
+    with the pin's own bit removed; the empty set comes first, as mask 0.
+    The pin is vertex 0 of the shifted graph. It is the root, already in
+    every set the walk grows, so the other rows may leave out its bit.
+    """
+    shifted = [pin << 1] + [a << 1 for a in adj]
+    for sett, total in _connected_families(shifted, [0] + sizes, max_total, rooted=True):
+        yield sett >> 1, total
+
+
 def enumerate_polymers(ham: Hamiltonian, max_bonds: int, anchor=None) -> tuple[Polymer, ...]:
     """All polymers of at most `max_bonds` bonds, in canonical order.
 

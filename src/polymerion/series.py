@@ -25,6 +25,10 @@ X0); `free_energy_by_site` gives site x the share log Xi_{s < x} -
 log Xi_{s <= x} (clusters whose smallest site is x); `pinned_series`
 is Xi_pin / Xi = d log Xi / d rho_pin (clusters rooted at the pin).
 
+`expectation_series` sums the local-expectation identity over the bond
+families whose every component meets the observable's support X0:
+the connected sets of the pinned bond walk rooted at X0.
+
 `site_pinned_series` walks the clusters through one site instead:
 connected subsets of the distinct-polymer graph (a multiset is
 connected exactly when its set of distinct polymers is), then
@@ -44,11 +48,13 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .model import Hamiltonian, LatticeModel, Region, Site, assemble_hamiltonian
-from .oracle import Observable, Oracle, _volume_sites, site_set
+from .oracle import Observable, Oracle, _check_observable, _volume_sites, site_set
 from .polymers import (
     Polymer,
     _connected_families,
     _overlap_masks,
+    _pin_mask,
+    _pinned_families,
     enumerate_polymers,
     incompatibility_graph,
 )
@@ -68,6 +74,8 @@ __all__ = [
     "expectation_families",
     "free_energy_density",
 ]
+
+MAX_EXPECTATION_FAMILIES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -122,73 +130,6 @@ def _extra_multiplicities(sizes: list[int], slack: int):
         extra[i] = 0
 
     yield from rec(0, slack)
-
-
-def _run_series(
-    polymers,
-    values,
-    adjacency,
-    pin_adj: int,
-    max_total: int,
-    *,
-    absolute: bool = False,
-    per_cluster=None,
-) -> tuple[list[complex], int]:
-    """The site-rooted cluster walk; returns (sums by order, cluster count).
-
-    `pin_adj` marks the polymers that contain the site. Every cluster
-    holds one of them, so the walk is rooted at a pin vertex that only
-    selects clusters and takes no part in their Ursell weights.
-    """
-    sizes = [len(p.bonds) for p in polymers]
-    supports = [p.support for p in polymers]
-    by_order = [0j] * (max_total + 1)
-    count = 0
-    eadj = _PinShift(adjacency, pin_adj)
-    for sett, base in _connected_families(eadj, [0] + sizes, max_total, rooted=True):
-        if sett == 1:
-            continue
-        ids = list(_bits(sett >> 1))
-        support = frozenset().union(*(supports[i] for i in ids))
-        weight = 1.0 if per_cluster is None else per_cluster(support)
-        k = len(ids)
-        local = [0] * k
-        for a in range(k):
-            for b in range(a + 1, k):
-                if (adjacency[ids[a]] >> ids[b]) & 1:
-                    local[a] |= 1 << b
-                    local[b] |= 1 << a
-        id_sizes = [sizes[i] for i in ids]
-        for extra in _extra_multiplicities(id_sizes, max_total - base):
-            mult = [1 + e for e in extra]
-            order = base + sum(e * s for e, s in zip(extra, id_sizes))
-            w = ursell(expand_multiset(local, mult))
-            if w == 0:
-                continue
-            term = abs(w) if absolute else w
-            for i, mm in zip(ids, mult):
-                v = values[i]
-                if absolute:
-                    v = abs(v)
-                term *= v**mm / math.factorial(mm)
-            term *= weight
-            by_order[order] += term
-            count += 1
-    return by_order, count
-
-
-class _PinShift:
-    """Adjacency view with the pin inserted at index 0."""
-
-    def __init__(self, adjacency, pin_adj: int):
-        self._adj = adjacency
-        self._pin = pin_adj
-
-    def __getitem__(self, v: int) -> int:
-        if v == 0:
-            return self._pin << 1
-        i = v - 1
-        return (self._adj[i] << 1) | ((self._pin >> i) & 1)
 
 
 def _prepare(ham: Hamiltonian, beta: complex, max_total: int, weights):
@@ -279,18 +220,20 @@ def _count_clusters(polymers, adjacency, max_total: int, pin: int | None = None)
     is one cluster of the series. With a `pin` mask the sets are rooted
     at an external vertex meeting those polymers (the empty set counts
     once), and the pin itself takes no multiplicity.
+
+    The polymers come sorted by size (`_families` keeps them so) and
+    `_bits` ascends, so each set's size tuple is already sorted and
+    serves as the memo key as it is.
     """
     sizes = [len(p.bonds) for p in polymers]
     if pin is None:
         walk = _connected_families(adjacency, sizes, max_total, rooted=False)
     else:
-        eadj = _PinShift(adjacency, pin)
-        rooted = _connected_families(eadj, [0] + sizes, max_total, rooted=True)
-        walk = ((sett >> 1, base) for sett, base in rooted)
+        walk = _pinned_families(adjacency, pin, sizes, max_total)
     memo: dict[tuple[tuple[int, ...], int], int] = {}
     count = 0
     for sett, base in walk:
-        set_sizes = tuple(sorted(sizes[i] for i in _bits(sett)))
+        set_sizes = tuple(sizes[i] for i in _bits(sett))
         slack = max_total - base
         hit = memo.get((set_sizes, slack))
         if hit is None:
@@ -407,9 +350,7 @@ def pinned_series(
         values = [-abs(values[i]) for i in range(len(polymers))]
     xi, kept, adjacency = _families(polymers, values, max_total_bonds)
     xi_pin = _families(polymers, values, max_total_bonds, pin.support)[0]
-    pin_adj = sum(
-        1 << i for i, p in enumerate(kept) if not pin.support.isdisjoint(p.support)
-    )
+    pin_adj = _pin_mask([p.support for p in kept], pin.support)
     return _series(
         _divide_series(xi_pin, xi),
         max_total_bonds,
@@ -438,19 +379,43 @@ def site_pinned_series(
     sites = _volume_sites(ham, site)
     if len(sites) != 1:
         raise ConfigError(f"site_pinned_series pins exactly one site, got {len(sites)}")
-    (x0,) = sites
     polymers, values = _prepare(ham, beta, max_total_bonds, weights)
+    sizes = [len(p.bonds) for p in polymers]
+    supports = [p.support for p in polymers]
     adjacency = incompatibility_graph(polymers)
-    pin_adj = sum(1 << i for i, p in enumerate(polymers) if x0 in p.support)
-    by_order, count = _run_series(
-        polymers,
-        values,
-        adjacency,
-        pin_adj,
-        max_total_bonds,
-        absolute=absolute,
-        per_cluster=per_cluster,
-    )
+    # The walk is rooted at a pin vertex meeting the polymers that hold the site.
+    pin = _pin_mask(supports, sites)
+    by_order = [0j] * (max_total_bonds + 1)
+    count = 0
+    for mask, base in _pinned_families(adjacency, pin, sizes, max_total_bonds):
+        if not mask:
+            continue
+        ids = list(_bits(mask))
+        support = frozenset().union(*(supports[i] for i in ids))
+        weight = 1.0 if per_cluster is None else per_cluster(support)
+        k = len(ids)
+        local = [0] * k
+        for a in range(k):
+            for b in range(a + 1, k):
+                if (adjacency[ids[a]] >> ids[b]) & 1:
+                    local[a] |= 1 << b
+                    local[b] |= 1 << a
+        id_sizes = [sizes[i] for i in ids]
+        for extra in _extra_multiplicities(id_sizes, max_total_bonds - base):
+            mult = [1 + e for e in extra]
+            order = base + sum(e * s for e, s in zip(extra, id_sizes))
+            w = ursell(expand_multiset(local, mult))
+            if w == 0:
+                continue
+            term = abs(w) if absolute else w
+            for i, mm in zip(ids, mult):
+                v = values[i]
+                if absolute:
+                    v = abs(v)
+                term *= v**mm / math.factorial(mm)
+            term *= weight
+            by_order[order] += term
+            count += 1
     return _series(by_order, max_total_bonds, count)
 
 
@@ -490,41 +455,21 @@ def correlation_series(
 def expectation_families(ham: Hamiltonian, x0, max_family_bonds: int):
     """Bond families whose every connected component meets X0.
 
-    Yields tuples of bond indices (the empty family first). These index
-    the inclusion-exclusion terms of the local-expectation identity.
+    Yields tuples of bond indices, sorted by size and then by index (the
+    empty family first). These index the inclusion-exclusion terms of the
+    local-expectation identity. They are the bond sets that become
+    connected once a pin vertex for X0 is added, so they come from the
+    pinned walk, counted against `MAX_EXPECTATION_FAMILIES` as they stream.
     """
-    x0 = site_set(x0)
     m = len(ham.bonds)
-    work = sum(math.comb(m, r) for r in range(min(max_family_bonds, m) + 1))
-    if work > 4_000_000:
+    pin = _pin_mask(ham.bonds, site_set(x0))
+    walk = _pinned_families(_overlap_masks(ham.bonds), pin, [1] * m, max(max_family_bonds, 0))
+    masks = [mask for mask, _ in itertools.islice(walk, MAX_EXPECTATION_FAMILIES + 1)]
+    if len(masks) > MAX_EXPECTATION_FAMILIES:
         raise NumericalError(
-            f"family enumeration needs {work} subsets; lower max_family_bonds"
+            f"more than {MAX_EXPECTATION_FAMILIES} bond families; lower max_family_bonds"
         )
-    adj = _overlap_masks(ham.bonds)
-    meets = [not x0.isdisjoint(b) for b in ham.bonds]
-
-    def components_ok(ids) -> bool:
-        remaining = set(ids)
-        while remaining:
-            seed = remaining.pop()
-            comp = {seed}
-            todo = [seed]
-            while todo:
-                v = todo.pop()
-                for w in list(remaining):
-                    if (adj[v] >> w) & 1:
-                        remaining.discard(w)
-                        comp.add(w)
-                        todo.append(w)
-            if not any(meets[i] for i in comp):
-                return False
-        return True
-
-    yield ()
-    for r in range(1, min(max_family_bonds, m) + 1):
-        for ids in itertools.combinations(range(m), r):
-            if components_ok(ids):
-                yield ids
+    yield from sorted((tuple(_bits(mask)) for mask in masks), key=lambda ids: (len(ids), ids))
 
 
 @dataclass(frozen=True)
@@ -552,6 +497,7 @@ def expectation_series(
     rounding; g_mode == "series" replaces each ratio g by its cluster
     series at `correlation_truncation`.
     """
+    _check_observable(ham, obs)
     if g_mode not in ("oracle", "series"):
         raise ConfigError(f"unknown g_mode {g_mode!r}")
     if max_family_bonds is None:

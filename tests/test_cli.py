@@ -94,6 +94,16 @@ def test_series_correlation_column_matches_exact_ratio(tmp_path, capsys):
         assert abs(row["correlation"] - want) < tol
 
 
+def test_series_refuses_a_two_number_observable_list(tmp_path, capsys):
+    # [1.0, -1.0] is one complex value [re, im], not a q=2 table, so the
+    # observable has one entry where the chain needs two.
+    obs = {"sites": [[1]], "data": [1.0, -1.0]}
+    cfg = write_cfg(tmp_path, chain_cfg(4, 0.3, {"series": {}, "observable": obs}))
+    assert main(["series", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "[re, im]" in err
+
+
 def test_series_without_region_reports_density(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,

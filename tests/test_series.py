@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from polymerion import (
     ConfigError,
     Interaction,
+    NumericalError,
     Observable,
     Oracle,
     Region,
@@ -20,6 +22,7 @@ from polymerion import (
     free_energy_density,
     free_energy_series,
     gibbs_expectation,
+    heisenberg_model,
     ising_model,
     partition_function,
     pinned_series,
@@ -27,6 +30,8 @@ from polymerion import (
     reduced_correlation_exact,
     site_pinned_series,
 )
+from polymerion import series
+from polymerion.series import expectation_families
 
 from helpers import chain_interaction, random_instance, random_observable
 
@@ -205,6 +210,146 @@ def test_expectation_series_g_mode():
     )
     assert viaseries.g_mode == "series"
     assert abs(viaseries.value - exact) < 1e-8 * max(1.0, abs(exact))
+
+
+def test_expectation_series_refuses_a_misshaped_observable():
+    ham = small_chain()
+    orc = Oracle(ham, 0.3)
+    # A one-entry table on a q=2 site, as a two-number config list gives.
+    flat = Observable.make([(1,)], np.array([1.0 - 1.0j]))
+    with pytest.raises(ConfigError, match=r"\[re, im\]"):
+        expectation_series(ham, 0.3, flat)
+    with pytest.raises(ConfigError, match=r"\[re, im\]"):
+        orc.expectation(flat)
+    quantum = assemble_hamiltonian(heisenberg_model(1), Region.box([3]), boundary="free")
+    for sites, data in (([(1,)], [1.0, -1.0]), ([(0,), (1,)], np.eye(2))):
+        with pytest.raises(ConfigError, match="matrices"):
+            expectation_series(quantum, 0.3, Observable.make(sites, data))
+
+
+def _brute_families(ham, x0, k):
+    # Every bond subset of at most k bonds, in combinations order, kept
+    # when each component (bonds merged while their sites overlap) meets X0.
+    x0 = set(x0)
+    out = []
+    for r in range(min(k, len(ham.bonds)) + 1):
+        for ids in itertools.combinations(range(len(ham.bonds)), r):
+            components = []
+            for i in ids:
+                sites = set(ham.bonds[i])
+                for c in [c for c in components if c & sites]:
+                    components.remove(c)
+                    sites |= c
+                components.append(sites)
+            if all(c & x0 for c in components):
+                out.append(ids)
+    return out
+
+
+def test_expectation_families_match_brute_force():
+    cases = [
+        (ising_model(2, field_h=0.3), [2, 3], "free", [(0, 1)]),
+        (ising_model(1), [6], "periodic", [(0,), (3,)]),
+        (heisenberg_model(2), [2, 3], "free", [(0, 0), (0, 1)]),
+    ]
+    for model, extent, boundary, x0 in cases:
+        ham = assemble_hamiltonian(model, Region.box(extent), boundary=boundary)
+        m = len(ham.bonds)
+        for k in (m - 1, m):
+            got = list(expectation_families(ham, x0, k))
+            assert got == _brute_families(ham, x0, k), (extent, boundary, k)
+
+
+def test_expectation_families_past_the_old_subset_cap():
+    # 40 bonds at K=6 are 4.6 million subsets but 12184 families.
+    ham = assemble_hamiltonian(
+        ising_model(2, field_h=0.3), Region.box([4, 4]), boundary="free"
+    )
+    families = list(expectation_families(ham, [(1, 1)], 6))
+    assert len(families) == 12184
+    assert families == sorted(families, key=lambda ids: (len(ids), ids))
+
+
+def test_expectation_family_cap(monkeypatch):
+    ham = assemble_hamiltonian(ising_model(2, field_h=0.3), Region.box([2, 3]), boundary="free")
+    n = len(list(expectation_families(ham, [(0, 0)], 7)))
+    monkeypatch.setattr(series, "MAX_EXPECTATION_FAMILIES", n)
+    assert len(list(expectation_families(ham, [(0, 0)], 7))) == n
+    monkeypatch.setattr(series, "MAX_EXPECTATION_FAMILIES", n - 1)
+    with pytest.raises(NumericalError, match="bond families"):
+        list(expectation_families(ham, [(0, 0)], 7))
+
+
+def _relabelled_terms(ham, site_map):
+    # The bonds of `ham` under new site names, with each operator's axes
+    # reordered so that they follow the sorted new names.
+    q = ham.q
+    terms = []
+    for bond, op in zip(ham.bonds, ham.ops):
+        k = len(bond)
+        new = sorted(site_map[s] for s in bond)
+        axis_of = {site_map[s]: a for a, s in enumerate(bond)}
+        perm = [axis_of[t] for t in new]
+        if ham.kind == "classical":
+            data = op.reshape((q,) * k).transpose(perm).ravel()
+        else:
+            full = perm + [k + a for a in perm]
+            data = op.reshape((q,) * (2 * k)).transpose(full).reshape(q**k, q**k)
+        terms.append((new, data))
+    return terms
+
+
+def _free_volume(kind, q, terms, sites):
+    inter = Interaction.from_terms(q=q, kind=kind, terms=terms)
+    return assemble_hamiltonian(inter, Region.from_sites(sites), boundary="free")
+
+
+def test_relabelling_sites_leaves_z_and_series_unchanged(rng):
+    k = 6
+    renamed_bonds = 0
+    for i in range(12):
+        label, ham, beta = random_instance(rng, i)
+        sites = sorted(ham.sites)
+        shuffled = [sites[j] for j in rng.permutation(len(sites))]
+        moved = _free_volume(
+            ham.kind, ham.q, _relabelled_terms(ham, dict(zip(sites, shuffled))), sites
+        )
+        renamed_bonds += set(moved.bonds) != set(ham.bonds)
+        z = Oracle(ham, beta).z()
+        assert abs(Oracle(moved, beta).z() - z) < 1e-12 * abs(z), label
+        # The activities are inclusion-exclusion sums over a reordered
+        # basis, equal up to cancellation noise near 1e-15 each.
+        want = free_energy_series(ham, beta, k)
+        got = free_energy_series(moved, beta, k)
+        assert max(abs(x - y) for x, y in zip(got.by_order, want.by_order)) < 1e-13, label
+        assert got.n_clusters == want.n_clusters, label
+    assert renamed_bonds >= 8
+
+
+def test_decoupled_volumes_multiply_z_and_add_log_xi(rng):
+    # Two volumes of one kind and q, renamed onto disjoint chain sites and
+    # joined into one Hamiltonian with no bond between them.
+    k = 6
+    drawn = [random_instance(rng, i) for i in range(12)]
+    joined_kinds = set()
+    for (label_a, a, beta), (label_b, b, _) in zip(drawn, drawn[2:]):
+        if (a.kind, a.q) != (b.kind, b.q):
+            continue
+        names_a = [(j,) for j in range(len(a.sites))]
+        names_b = [(len(a.sites) + j,) for j in range(len(b.sites))]
+        terms = _relabelled_terms(a, dict(zip(sorted(a.sites), names_a)))
+        terms += _relabelled_terms(b, dict(zip(sorted(b.sites), names_b)))
+        both = _free_volume(a.kind, a.q, terms, names_a + names_b)
+        label = f"{label_a} + {label_b}"
+        z_a, z_b = Oracle(a, beta).z(), Oracle(b, beta).z()
+        assert abs(Oracle(both, beta).z() - z_a * z_b) < 1e-12 * abs(z_a * z_b), label
+        s_a, s_b = free_energy_series(a, beta, k), free_energy_series(b, beta, k)
+        s = free_energy_series(both, beta, k)
+        sums = [x + y for x, y in zip(s_a.by_order, s_b.by_order)]
+        assert max(abs(x - y) for x, y in zip(s.by_order, sums)) < 1e-13, label
+        assert s.n_clusters == s_a.n_clusters + s_b.n_clusters, label
+        joined_kinds.add(a.kind)
+    assert joined_kinds == {"classical", "quantum"}
 
 
 def test_density_matches_log_cosh():
