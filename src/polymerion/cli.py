@@ -157,6 +157,21 @@ def _correlation_sites(cfg: dict):
     return cfgmod.parse_sites(sec["sites"], "correlation.sites")
 
 
+def _option(sec: dict, section: str, key: str, cast, default):
+    """sec[key] passed through `cast`; an unparsable value is a ConfigError.
+
+    A missing key gives `default`; with a None default, null means unset.
+    """
+    raw = sec.get(key, default)
+    if raw is None and default is None:
+        return None
+    try:
+        return cast(raw)
+    except (TypeError, ValueError, OverflowError) as exc:
+        kind = "an integer" if cast is int else "a number"
+        raise ConfigError(f"{section}.{key} must be {kind}, got {raw!r}") from exc
+
+
 def _beta_row(b: complex) -> dict:
     return {"beta": complex(b)}
 
@@ -381,12 +396,12 @@ def _cmd_ks(cfg, args) -> int:
     sol = ks_solve(
         ham,
         betas[0],
-        a=float(sec.get("a", math.log(2.0))),
-        tol=float(sec.get("tol", 1e-12)),
-        max_iter=int(sec.get("max_iter", 500)),
-        max_polymer_bonds=sec.get("max_polymer_bonds"),
+        a=_option(sec, "ks", "a", float, math.log(2.0)),
+        tol=_option(sec, "ks", "tol", float, 1e-12),
+        max_iter=_option(sec, "ks", "max_iter", int, 500),
+        max_polymer_bonds=_option(sec, "ks", "max_polymer_bonds", int, None),
     )
-    cap = int(sec.get("max_subset_size", 2))
+    cap = _option(sec, "ks", "max_subset_size", int, 2)
     rows = []
     for X in sorted(sol.g, key=lambda s: (len(s), sorted(s))):
         if len(X) > cap:

@@ -211,6 +211,65 @@ def test_ks_json_reports_contraction_metadata(tmp_path, capsys):
     assert meta["norm_bound"] < 1.0
 
 
+@pytest.mark.parametrize(
+    "golden, doc",
+    [
+        (
+            "ks_heisenberg_2x3.json",
+            {
+                "model": {"preset": "heisenberg", "dimension": 2},
+                "region": {"extent": [2, 3], "boundary": "free"},
+                "beta": [0.02, 0.01],
+                "ks": {"max_subset_size": 6},
+            },
+        ),
+        (
+            "ks_ising_3x4_cut4.csv",
+            {
+                "model": {"preset": "ising", "dimension": 2},
+                "region": {"extent": [3, 4], "boundary": "free"},
+                "beta": 0.04,
+                "ks": {"max_polymer_bonds": 4},
+            },
+        ),
+    ],
+)
+def test_ks_output_matches_golden_bytes(tmp_path, golden, doc):
+    # The goldens were written by the per-subset sweep the solver replaced.
+    cfg = write_cfg(tmp_path, doc)
+    out = tmp_path / golden
+    assert main(["ks", "--config", cfg, "--output", str(out)]) == 0
+    with open(os.path.join(GOLDEN, golden), "rb") as fh:
+        assert out.read_bytes() == fh.read()
+
+
+@pytest.mark.parametrize(
+    "ks",
+    [
+        {"max_iter": "abc"},
+        {"max_subset_size": "x"},
+        {"max_polymer_bonds": "four"},
+        {"max_iter": 0},
+        {"a": "nan"},
+        {"tol": -1.0},
+    ],
+)
+def test_ks_refuses_bad_options(tmp_path, capsys, ks):
+    cfg = write_cfg(tmp_path, chain_cfg(4, 0.2, {"ks": ks}))
+    assert main(["ks", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and captured.out == ""
+
+
+def test_ks_diverging_hierarchy_is_a_numerical_failure(tmp_path, capsys):
+    doc = chain_cfg(6, 2.0)
+    doc["region"]["boundary"] = "periodic"
+    cfg = write_cfg(tmp_path, doc)
+    assert main(["ks", "--config", cfg]) == 3
+    captured = capsys.readouterr()
+    assert "numerical failure" in captured.err and captured.out == ""
+
+
 def test_validate_echoes_normalized_config(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,

@@ -1,5 +1,6 @@
 """Reduced-correlation fixed point: kernel assembly, iteration, bounds."""
 
+import cmath
 import itertools
 import math
 
@@ -19,8 +20,9 @@ from polymerion import (
     ks_solve,
     site_pinned_series,
 )
+from polymerion.config import build_model
 
-from helpers import chain_interaction
+from helpers import chain_interaction, ks_reference, random_instance, random_observable
 
 
 def ising_chain(n: int):
@@ -214,3 +216,82 @@ def test_unknown_site_set_is_refused():
     assert sol.value([(0,), (2,)]) == sol.g[frozenset([(0,), (2,)])]
     with pytest.raises(ConfigError):
         sol.value([(9,)])
+
+
+def preset_volume(preset, extent, boundary="free", **extra):
+    model = build_model({"model": {"preset": preset, "dimension": len(extent), **extra}})
+    return assemble_hamiltonian(model, Region.box(extent), boundary=boundary)
+
+
+def assert_same_bits(sol, ref):
+    """Equal to the last bit: repr round-trips floats and keeps signed zeros."""
+    assert list(sol.g) == list(ref["g"])
+    assert [repr(v) for v in sol.g.values()] == [repr(v) for v in ref["g"].values()]
+    assert sol.iterations == ref["iterations"]
+    assert sol.converged == ref["converged"]
+    assert repr(sol.residual) == repr(ref["residual"])
+    assert repr(sol.contraction) == repr(ref["contraction"])
+
+
+def test_solve_is_bit_identical_to_the_per_subset_sweep():
+    cases = [
+        (preset_volume("ising", [3, 4]), 0.04, 5),
+        (preset_volume("ising", [3, 4]), 0.04, 4),
+        (preset_volume("ising", [2, 4]), 0.05, None),
+        (preset_volume("heisenberg", [2, 3]), 0.02 + 0.01j, None),
+        (preset_volume("potts", [2, 3], q=3), 0.05, None),
+        (preset_volume("xy", [6], "periodic"), 0.04 + 0.02j, None),
+    ]
+    for ham, beta, cut in cases:
+        kern = build_ks_kernel(ham, beta, cut)
+        sol = ks_solve(ham, beta, kernel=kern)
+        assert sol.converged
+        assert_same_bits(sol, ks_reference(ham.sites, kern, sol.a, 1e-12, 500))
+
+
+def test_solve_is_bit_identical_on_the_criterion_3_instances(rng):
+    # Draw the instances of acceptance criterion 3: the same generator
+    # calls in the same order, so the same 50 volumes and betas.
+    for i in range(50):
+        _, ham, beta = random_instance(rng, i)
+        random_observable(rng, ham)
+        pairs = math.comb(len(ham.sites), 2)
+        rng.choice(pairs, size=min(3, pairs), replace=False)
+        kern = build_ks_kernel(ham, beta)
+        sol = ks_solve(ham, beta, tol=1e-12, kernel=kern)
+        assert_same_bits(sol, ks_reference(ham.sites, kern, sol.a, 1e-12, 500))
+
+
+def test_diverging_hierarchy_raises_instead_of_reporting_nan():
+    ring = assemble_hamiltonian(ising_model(1), Region.box([6]), boundary="periodic")
+    with pytest.raises(NumericalError, match="float range"):
+        ks_solve(ring, 2.0)
+    # A run that stays finite but does not converge is still returned.
+    sol = ks_solve(ring, 1.0)
+    assert not sol.converged and sol.iterations == 500
+    assert math.isfinite(sol.residual) and sol.residual > 1e90
+    assert all(map(cmath.isfinite, sol.g.values()))
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        {"max_iter": 0},
+        {"max_iter": -3},
+        {"a": math.nan},
+        {"a": math.inf},
+        {"tol": -1e-12},
+        {"tol": math.nan},
+        {"tol": math.inf},
+    ],
+)
+def test_bad_solver_options_are_refused(options):
+    with pytest.raises(ConfigError):
+        ks_solve(ising_chain(3), 0.3, **options)
+
+
+def test_mass_of_a_site_outside_the_volume_is_refused():
+    kern = build_ks_kernel(ising_chain(3), 0.3)
+    assert kern.mass((2,), 0.5) > 0
+    with pytest.raises(ConfigError):
+        kern.mass((7,), 0.5)
