@@ -157,21 +157,6 @@ def _correlation_sites(cfg: dict):
     return cfgmod.parse_sites(sec["sites"], "correlation.sites")
 
 
-def _option(sec: dict, section: str, key: str, cast, default):
-    """sec[key] passed through `cast`; an unparsable value is a ConfigError.
-
-    A missing key gives `default`; with a None default, null means unset.
-    """
-    raw = sec.get(key, default)
-    if raw is None and default is None:
-        return None
-    try:
-        return cast(raw)
-    except (TypeError, ValueError, OverflowError) as exc:
-        kind = "an integer" if cast is int else "a number"
-        raise ConfigError(f"{section}.{key} must be {kind}, got {raw!r}") from exc
-
-
 def _beta_row(b: complex) -> dict:
     return {"beta": complex(b)}
 
@@ -210,7 +195,7 @@ def _cmd_series(cfg, args) -> int:
     sec = cfg.get("series", {})
     if not isinstance(sec, dict):
         raise ConfigError("'series' must be an object")
-    k = int(sec.get("max_total_bonds", 6))
+    k = cfgmod.option(sec, "series", "max_total_bonds", int, 6)
 
     if "region" not in cfg:
         # No finite window: report the thermodynamic free-energy density
@@ -234,13 +219,7 @@ def _cmd_series(cfg, args) -> int:
     obs = _observable(cfg)
     corr = _correlation_sites(cfg)
     g_mode = sec.get("g_mode", "oracle")
-    sweep = sec.get("sweep")
-    if sweep is not None:
-        if not isinstance(sweep, list) or not sweep:
-            raise ConfigError("'series.sweep' must be a non-empty list of orders")
-        orders = [int(v) for v in sweep]
-    else:
-        orders = [k]
+    orders = cfgmod.option(sec, "series", "sweep", int, None, many=True) or [k]
 
     def one(b, kk):
         s = free_energy_series(ham, b, kk)
@@ -280,11 +259,8 @@ def _cmd_radius(cfg, args) -> int:
 
     if criterion in ("nn", "park"):
         # Closed forms indexed by dimension; no model assembly needed.
-        if "model" in cfg:
-            model = cfgmod.build_model(cfg)
-            d = int(sec.get("dimension", model.dimension))
-        else:
-            d = int(sec.get("dimension", 2))
+        default = cfgmod.build_model(cfg).dimension if "model" in cfg else 2
+        d = cfgmod.option(sec, "radius", "dimension", int, default)
         if criterion == "nn":
             r = nn_radius(d)
             rows = [{"dimension": d, "zeta": r.zeta, "bound": r.bound,
@@ -307,20 +283,20 @@ def _cmd_radius(cfg, args) -> int:
         # by the config instead of searched.
         criterion = "tree"
         if "a" in sec:
-            kw["a"] = float(sec["a"])
+            kw["a"] = cfgmod.option(sec, "radius", "a", float, None)
     if criterion == "tree" and "form" in sec:
         kw["form"] = sec["form"]
     if criterion == "universal":
-        kw["alpha"] = float(sec.get("alpha", 1.0))
-        kw["gamma"] = float(sec.get("gamma", 0.5))
+        kw["alpha"] = cfgmod.option(sec, "radius", "alpha", float, 1.0)
+        kw["gamma"] = cfgmod.option(sec, "radius", "gamma", float, 0.5)
     if criterion == "fp":
-        kw["max_bonds"] = int(sec.get("max_bonds", 4))
+        kw["max_bonds"] = cfgmod.option(sec, "radius", "max_bonds", int, 4)
     scan = beta_radius(
         source,
         criterion=criterion,
-        lo=float(sec.get("lo", 1e-4)),
-        hi=float(sec.get("hi", 2.0)),
-        per_decade=int(sec.get("per_decade", 64)),
+        lo=cfgmod.option(sec, "radius", "lo", float, 1e-4),
+        hi=cfgmod.option(sec, "radius", "hi", float, 2.0),
+        per_decade=cfgmod.option(sec, "radius", "per_decade", int, 64),
         **kw,
     )
     rows = [{"beta": b, "certified": ok} for b, ok in scan.points]
@@ -337,10 +313,11 @@ def _cmd_radius(cfg, args) -> int:
 
 def _cmd_table1(cfg, args) -> int:
     sec = cfg.get("table", {})
-    dims = sec.get("dimensions", [2, 3, 4]) if isinstance(sec, dict) else [2, 3, 4]
+    if not isinstance(sec, dict):
+        raise ConfigError("'table' must be an object")
     rows = []
-    for d in dims:
-        r = nn_radius(int(d))
+    for d in cfgmod.option(sec, "table", "dimensions", int, [2, 3, 4], many=True):
+        r = nn_radius(d)
         rows.append(
             {
                 "dimension": r.dimension,
@@ -362,25 +339,13 @@ def _cmd_park(cfg, args) -> int:
     sec = cfg.get("park", {})
     if not isinstance(sec, dict):
         raise ConfigError("'park' must be an object")
-    d = int(sec.get("dimension", 2))
-    alphas = sec.get("alphas")
-    if alphas is not None:
-        alphas = [float(a) for a in alphas]
-        scans = [park_compare(d, [a]) for a in alphas]
-        rows_nested = [s.rows[0] for s in scans]
-        sup_y, sup_alpha = 0.0, math.nan
-        for r in rows_nested:
-            if r.y_star is not None and r.y_star > sup_y:
-                sup_y, sup_alpha = r.y_star, r.alpha
-        rows_src, meta_sup = rows_nested, (sup_y, sup_alpha)
-    else:
-        scan = park_compare(d)
-        rows_src, meta_sup = scan.rows, (scan.sup_y, scan.sup_alpha)
+    d = cfgmod.option(sec, "park", "dimension", int, 2)
+    scan = park_compare(d, cfgmod.option(sec, "park", "alphas", float, None, many=True))
     rows = [
         {"alpha": r.alpha, "y_star": r.y_star, "beta_star": r.beta_star}
-        for r in rows_src
+        for r in scan.rows
     ]
-    meta = {"dimension": d, "sup_y": meta_sup[0], "sup_alpha": meta_sup[1]}
+    meta = {"dimension": d, "sup_y": scan.sup_y, "sup_alpha": scan.sup_alpha}
     _emit(cfg, args, rows, meta)
     return 0
 
@@ -393,15 +358,17 @@ def _cmd_ks(cfg, args) -> int:
     sec = cfg.get("ks", {})
     if not isinstance(sec, dict):
         raise ConfigError("'ks' must be an object")
+    cap = cfgmod.option(sec, "ks", "max_subset_size", int, 2)
+    if cap < 1:
+        raise ConfigError(f"ks.max_subset_size must be at least 1, got {cap}")
     sol = ks_solve(
         ham,
         betas[0],
-        a=_option(sec, "ks", "a", float, math.log(2.0)),
-        tol=_option(sec, "ks", "tol", float, 1e-12),
-        max_iter=_option(sec, "ks", "max_iter", int, 500),
-        max_polymer_bonds=_option(sec, "ks", "max_polymer_bonds", int, None),
+        a=cfgmod.option(sec, "ks", "a", float, math.log(2.0)),
+        tol=cfgmod.option(sec, "ks", "tol", float, 1e-12),
+        max_iter=cfgmod.option(sec, "ks", "max_iter", int, 500),
+        max_polymer_bonds=cfgmod.option(sec, "ks", "max_polymer_bonds", int, None),
     )
-    cap = _option(sec, "ks", "max_subset_size", int, 2)
     rows = []
     for X in sorted(sol.g, key=lambda s: (len(s), sorted(s))):
         if len(X) > cap:

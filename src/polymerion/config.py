@@ -41,6 +41,7 @@ from .model import (
 
 __all__ = [
     "load_config",
+    "option",
     "parse_scalar",
     "parse_array",
     "build_model",
@@ -64,6 +65,33 @@ def load_config(path: str) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("top-level config must be a JSON object")
     return cfg
+
+
+_KINDS = {int: "an integer", float: "a number"}
+
+
+def _cast(raw, where: str, cast):
+    try:
+        return cast(raw)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where} must be {_KINDS[cast]}, got {raw!r}") from exc
+
+
+def option(sec: dict, section: str, key: str, cast, default, many: bool = False):
+    """sec[key] passed through `cast` (int or float); an unparsable value is a
+    ConfigError. With `many` the value is a nonempty list, cast entry by entry.
+
+    A missing key gives `default`; with a None default, null means unset.
+    """
+    raw = sec.get(key, default)
+    if raw is None and default is None:
+        return None
+    where = f"{section}.{key}"
+    if not many:
+        return _cast(raw, where, cast)
+    if not isinstance(raw, list) or not raw:
+        raise ConfigError(f"{where} must be a nonempty list, got {raw!r}")
+    return [_cast(v, f"{where}[{i}]", cast) for i, v in enumerate(raw)]
 
 
 def parse_scalar(value, where: str = "value") -> complex:
@@ -122,12 +150,12 @@ def build_model(cfg: dict) -> LatticeModel:
     if preset is not None:
         if preset not in _PRESETS:
             raise ConfigError(f"unknown preset {preset!r}; choose from {sorted(_PRESETS)}")
-        d = int(sec.get("dimension", 1))
-        j = float(sec.get("coupling", 1.0))
+        d = option(sec, "model", "dimension", int, 1)
+        j = option(sec, "model", "coupling", float, 1.0)
         if preset == "ising":
-            return ising_model(d, j, field_h=float(sec.get("field", 0.0)))
+            return ising_model(d, j, field_h=option(sec, "model", "field", float, 0.0))
         if preset == "potts":
-            return potts_model(int(sec.get("q", 3)), d, j)
+            return potts_model(option(sec, "model", "q", int, 3), d, j)
         if preset == "heisenberg":
             return heisenberg_model(d, j)
         return xy_model(d, j)

@@ -29,20 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .model import (
-    Hamiltonian,
-    Interaction,
-    LatticeModel,
-    Region,
-    alpha_norm,
-    assemble_hamiltonian,
-    operator_norm,
-)
+from .model import Hamiltonian, Interaction, LatticeModel, alpha_norm, operator_norm
 from .numeric import bisect_root, geometric_grid, golden_max
 from .polymers import (
     Polymer,
     _overlap_masks,
     _site_masks,
+    bond_weights,
     enumerate_polymers,
     incompatibility_graph,
 )
@@ -200,6 +193,17 @@ def _tree_lhs(form: str, w: float, size: int, neigh_prod: float, s: float, q: fl
     raise ConfigError(f"unknown tree form {form!r}; choose one of {TREE_FORMS}")
 
 
+def _margins(w, structure: _Structure, zetas, form: str) -> list[float]:
+    """zeta - lhs(form) per bond class, at weights `w`."""
+    s = structure.site_sum(zetas)
+    q = structure.site_product(zetas)
+    return [
+        zetas[i]
+        - _tree_lhs(form, w[i], structure.sizes[i], structure.neighbor_product(i, zetas), s, q)
+        for i in range(len(w))
+    ]
+
+
 def tree_bound(weights, structure_source, zeta, form: str = "bracketed") -> TreeReport:
     """Check one tree form: per bond class, lhs(form) <= zeta.
 
@@ -216,14 +220,8 @@ def tree_bound(weights, structure_source, zeta, form: str = "bracketed") -> Tree
     w = [float(x) for x in weights]
     if len(w) != len(structure.sizes):
         raise ConfigError("weights length does not match bond classes")
+    margins = _margins(w, structure, zetas, form)
     s = structure.site_sum(zetas)
-    q = structure.site_product(zetas)
-    margins = []
-    for i in range(len(w)):
-        lhs = _tree_lhs(
-            form, w[i], structure.sizes[i], structure.neighbor_product(i, zetas), s, q
-        )
-        margins.append(zetas[i] - lhs)
     holds = all(m >= 0.0 for m in margins) and bool(w)
     return TreeReport(
         holds=holds,
@@ -240,17 +238,7 @@ def _default_scalar_zeta(weights, structure: _Structure, form: str) -> float:
     """Scalar zeta maximizing the worst margin (coarse grid plus golden)."""
 
     def worst(z: float) -> float:
-        zetas = [z] * len(structure.sizes)
-        s = structure.site_sum(zetas)
-        q = structure.site_product(zetas)
-        return min(
-            zetas[i]
-            - _tree_lhs(
-                form, weights[i], structure.sizes[i],
-                structure.neighbor_product(i, zetas), s, q,
-            )
-            for i in range(len(weights))
-        )
+        return min(_margins(weights, structure, [z] * len(structure.sizes), form))
 
     zs = np.geomspace(1e-6, 2.0, 160)
     vals = [worst(z) for z in zs]
@@ -283,10 +271,7 @@ class CriterionReport:
 
 def _zeta_for_a(structure: _Structure, a: float) -> float:
     """Scalar zeta whose per-site sum meets e^a - 1 exactly."""
-    count = max(
-        (sum(c for c in counts.values()) for counts in structure.site_counts),
-        default=0,
-    )
+    count = structure.site_sum([1] * len(structure.sizes))
     if count == 0:
         raise NumericalError("no bonds: the weight a fixes no zeta")
     return math.expm1(a) / count
@@ -297,8 +282,7 @@ def _tree_certificate(
 ) -> TreeReport:
     """The tree form at weights W(X) = e^{|beta| ||Phi(X)||} - 1, zeta resolved
     as `gk_criterion` documents."""
-    ab = abs(beta)
-    weights = [math.expm1(ab * w) for w in structure.norms]
+    weights = bond_weights(structure.norms, beta)
     if zeta is None:
         if a is not None:
             zeta = _zeta_for_a(structure, a)
@@ -359,12 +343,7 @@ def anchored_polymer_sum(source, beta: complex, a: float, truncation: int) -> fl
     at `truncation` bonds per polymer), monotone in the truncation.
     """
     if isinstance(source, LatticeModel):
-        r = max(1, source.range())
-        radius = truncation * r
-        sites = itertools.product(
-            *(range(-radius, radius + 1) for _ in range(source.dimension))
-        )
-        ham = assemble_hamiltonian(source, Region.from_sites(sites), boundary="free")
+        ham = source.window(truncation)
         anchor = (0,) * source.dimension
         polymers = enumerate_polymers(ham, truncation, anchor=anchor)
         per_site = {anchor: 0.0}
@@ -374,11 +353,11 @@ def anchored_polymer_sum(source, beta: complex, a: float, truncation: int) -> fl
         per_site = {s: 0.0 for s in ham.sites}
     else:
         raise ConfigError("anchored sums need a Hamiltonian or a LatticeModel")
-    ab = abs(beta)
+    weights = bond_weights(ham.norms, beta)
     for p in polymers:
         w = 1.0
         for i in p.bonds:
-            w *= math.expm1(ab * ham.norms[i]) * math.exp(a * len(ham.bonds[i]))
+            w *= weights[i] * math.exp(a * len(ham.bonds[i]))
         for s in p.support:
             if s in per_site:
                 per_site[s] += w
@@ -606,18 +585,8 @@ class UniversalRadius:
 
 def _c_kappa(source, kappa: float) -> float:
     """sup over sites of sum over bonds through it of e^{-kappa |X|}."""
-    if isinstance(source, LatticeModel):
-        return float(
-            sum(len(off) * math.exp(-kappa * len(off)) for off, _ in source.templates)
-        )
     structure = _structure_of(source)
-    best = 0.0
-    for counts in structure.site_counts:
-        best = max(
-            best,
-            sum(math.exp(-kappa * structure.sizes[i]) * c for i, c in counts.items()),
-        )
-    return best
+    return structure.site_sum([math.exp(-kappa * size) for size in structure.sizes])
 
 
 def universal_radius(source, alpha: float = 1.0, gamma: float = 0.5) -> UniversalRadius:
@@ -749,11 +718,8 @@ def _fp_scan(source, max_bonds=4):
     adjacency = incompatibility_graph(polymers)
 
     def certifies(beta):
-        ab = abs(beta)
-        lam = [
-            math.prod(math.expm1(ab * source.norms[i]) for i in p.bonds)
-            for p in polymers
-        ]
+        weights = bond_weights(source.norms, beta)
+        lam = [math.prod(weights[i] for i in p.bonds) for p in polymers]
         return fp_iterate(polymers, lam, adjacency=adjacency, max_iter=2000).converged
 
     return certifies

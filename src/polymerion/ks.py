@@ -88,10 +88,13 @@ def build_ks_kernel(ham, beta: complex, max_polymer_bonds: int | None = None) ->
 
     With the default truncation every connected bond family enters and
     the kernel is exact; a lower cut keeps the cost bounded on larger
-    volumes at the price of an approximate hierarchy.
+    volumes at the price of an approximate hierarchy. A cut below one
+    bond is refused.
     """
     if max_polymer_bonds is None:
         max_polymer_bonds = len(ham.bonds)
+    elif max_polymer_bonds < 1:
+        raise ConfigError(f"max_polymer_bonds must be at least 1, got {max_polymer_bonds}")
     # Walk the connected bond families before building any polymer, and
     # stop as soon as the walk passes the cap.
     walk = _connected_families(

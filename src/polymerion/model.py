@@ -47,6 +47,7 @@ __all__ = [
     "QUANTUM",
     "as_site",
     "as_bond",
+    "site_set",
     "operator_norm",
     "embed_table",
     "embed_matrix",
@@ -68,6 +69,13 @@ def as_site(coords) -> Site:
     if isinstance(coords, int):
         return (coords,)
     return tuple(int(c) for c in coords)
+
+
+def site_set(x0) -> frozenset[Site]:
+    """Coerce a site or an iterable of sites to a frozenset of sites."""
+    if isinstance(x0, tuple) and x0 and all(isinstance(c, (int, np.integer)) for c in x0):
+        return frozenset([x0])
+    return frozenset(as_site(s) for s in x0)
 
 
 def as_bond(sites) -> Bond:
@@ -253,6 +261,16 @@ class LatticeModel:
                 r = max(r, max(s[axis] for s in offsets) - min(s[axis] for s in offsets))
         return r
 
+    def window(self, max_bonds: int) -> "Hamiltonian":
+        """The free box of radius max_bonds * max(1, range) around the origin.
+
+        It holds every polymer of at most `max_bonds` bonds through the
+        origin, and so every cluster through it within that order budget.
+        """
+        radius = max_bonds * max(1, self.range())
+        sites = itertools.product(*(range(-radius, radius + 1) for _ in range(self.dimension)))
+        return assemble_hamiltonian(self, Region.from_sites(sites), boundary="free")
+
     def bonds_at(self, anchor: Site):
         """Translates of each template anchored (minimum site) at `anchor`."""
         for offsets, data in self.templates:
@@ -323,13 +341,21 @@ class Hamiltonian:
             out.update(self.bonds[i])
         return tuple(sorted(out))
 
+    def volume_sites(self, x0) -> frozenset[Site]:
+        """`site_set(x0)`, refusing any site that is not in the volume."""
+        sites = site_set(x0)
+        outside = sites.difference(self.sites)
+        if outside:
+            raise ConfigError(f"sites {sorted(outside)} are not in the volume")
+        return sites
+
     def restricted_away(self, x0) -> "Hamiltonian":
         """Drop every bond whose support meets the site set `x0`.
 
         The sites stay; under the normalized trace, free sites do not
         change any partition function.
         """
-        x0 = frozenset(as_site(s) for s in x0)
+        x0 = self.volume_sites(x0)
         keep = [i for i, b in enumerate(self.bonds) if x0.isdisjoint(b)]
         return replace(
             self,

@@ -29,7 +29,6 @@ from .model import (
     Hamiltonian,
     Site,
     as_bond,
-    as_site,
     embed_matrix,
     embed_table,
 )
@@ -39,7 +38,6 @@ MAX_DENSE_DIM = 2**20
 __all__ = [
     "Oracle",
     "Observable",
-    "site_set",
     "partition_function",
     "xi_fugacity_exact",
     "gibbs_expectation",
@@ -59,11 +57,6 @@ class Observable:
         b = as_bond(sites)
         return cls(support=b, data=np.asarray(data))
 
-    def norm(self) -> float:
-        if self.data.ndim == 1:
-            return float(np.max(np.abs(self.data)))
-        return float(np.linalg.norm(self.data, 2))
-
 
 def _check_dim(q: int, nsites: int):
     if q**nsites > MAX_DENSE_DIM:
@@ -72,20 +65,23 @@ def _check_dim(q: int, nsites: int):
         )
 
 
-def site_set(x0) -> frozenset[Site]:
-    """Coerce a site or an iterable of sites to a frozenset of sites."""
-    if isinstance(x0, tuple) and x0 and all(isinstance(c, (int, np.integer)) for c in x0):
-        return frozenset([x0])
-    return frozenset(as_site(s) for s in x0)
+def _alternating_sum(ids, term, start=0j):
+    """Sum of (-1)^{|ids| - |sub|} term(sub) over the subfamilies sub of ids.
 
-
-def _volume_sites(ham: Hamiltonian, x0) -> frozenset[Site]:
-    """`site_set(x0)`, refusing any site that is not in the volume of `ham`."""
-    sites = site_set(x0)
-    outside = sites.difference(ham.sites)
-    if outside:
-        raise ConfigError(f"sites {sorted(outside)} are not in the volume")
-    return sites
+    Subfamilies are tuples of the sorted ids, taken by size and then in
+    `itertools.combinations` order, and added to `start` one at a time.
+    More than 20 ids is refused.
+    """
+    ids = tuple(sorted(ids))
+    n = len(ids)
+    if n > 20:
+        raise NumericalError("inclusion-exclusion over more than 2^20 subfamilies")
+    acc = start
+    for r in range(n + 1):
+        sign = (-1) ** (n - r)
+        for sub in itertools.combinations(ids, r):
+            acc = acc + sign * term(sub)
+    return acc
 
 
 def _check_observable(ham: Hamiltonian, obs: Observable):
@@ -118,17 +114,11 @@ class Oracle:
 
     # -- building blocks ----------------------------------------------------
 
-    def _support(self, bond_ids: frozenset[int]) -> tuple[Site, ...]:
-        out: set[Site] = set()
-        for i in bond_ids:
-            out.update(self.ham.bonds[i])
-        return tuple(sorted(out))
-
     def hamiltonian_on(self, bond_ids, support=None) -> tuple[tuple[Site, ...], np.ndarray]:
         """Total operator of the given bonds embedded on `support`."""
         ids = frozenset(bond_ids)
         if support is None:
-            support = self._support(ids)
+            support = self.ham.support(ids)
         q, ham = self.ham.q, self.ham
         _check_dim(q, len(support))
         if ham.kind == CLASSICAL:
@@ -173,7 +163,7 @@ class Oracle:
 
     def z_avoiding(self, x0) -> complex:
         """Partition function with every bond meeting the site set x0 removed."""
-        x0 = _volume_sites(self.ham, x0)
+        x0 = self.ham.volume_sites(x0)
         ids = frozenset(
             i for i, b in enumerate(self.ham.bonds) if x0.isdisjoint(b)
         )
@@ -195,37 +185,20 @@ class Oracle:
         on the union support of B. Vanishes identically when the family is
         not connected.
         """
-        ids = tuple(sorted(frozenset(bond_ids)))
-        if len(ids) > 20:
-            raise NumericalError("inclusion-exclusion over more than 2^20 subfamilies")
-        support = self._support(frozenset(ids))
+        ids = frozenset(bond_ids)
+        support = self.ham.support(ids)
         q = self.ham.q
         _check_dim(q, len(support))
-        if self.ham.kind == CLASSICAL:
-            acc = np.zeros(q ** len(support), dtype=complex)
-        else:
-            dim = q ** len(support)
-            acc = np.zeros((dim, dim), dtype=complex)
-        n = len(ids)
-        for r in range(n + 1):
-            sign = (-1) ** (n - r)
-            for sub in itertools.combinations(ids, r):
-                _, bf = self.boltzmann(sub, support)
-                acc = acc + sign * bf
+        dim = q ** len(support)
+        shape = (dim,) if self.ham.kind == CLASSICAL else (dim, dim)
+        acc = _alternating_sum(
+            ids, lambda sub: self.boltzmann(sub, support)[1], np.zeros(shape, dtype=complex)
+        )
         return support, acc
 
     def rho(self, bond_ids) -> complex:
         """Normalized trace of the fugacity operator, via the Z memo."""
-        ids = tuple(sorted(frozenset(bond_ids)))
-        n = len(ids)
-        if n > 20:
-            raise NumericalError("inclusion-exclusion over more than 2^20 subfamilies")
-        total = 0.0 + 0.0j
-        for r in range(n + 1):
-            sign = (-1) ** (n - r)
-            for sub in itertools.combinations(ids, r):
-                total += sign * self.z(sub)
-        return total
+        return _alternating_sum(frozenset(bond_ids), self.z)
 
     def expectation(self, obs: Observable) -> complex:
         """Gibbs expectation tr(A exp(-beta H)) / Z on the full region."""

@@ -11,17 +11,19 @@ complex beta.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Hamiltonian, Site
-from .oracle import Oracle, site_set
+from .model import Hamiltonian, Site, site_set
+from .oracle import Oracle
 from .ursell import _bits
 
 __all__ = [
     "Polymer",
     "PolymerWeight",
+    "bond_weights",
     "enumerate_polymers",
     "polymer_weights",
     "rho_fugacity",
@@ -148,6 +150,12 @@ def enumerate_polymers(ham: Hamiltonian, max_bonds: int, anchor=None) -> tuple[P
     return tuple(out)
 
 
+def bond_weights(norms, beta: complex) -> list[float]:
+    """W(X) = e^{|beta| ||Phi(X)||} - 1 for each bond norm ||Phi(X)||."""
+    ab = abs(beta)
+    return [math.expm1(ab * w) for w in norms]
+
+
 @dataclass(frozen=True)
 class PolymerWeight:
     """A polymer with its activity and the complex-temperature bound on it."""
@@ -170,15 +178,11 @@ def polymer_weights(
         polymers = enumerate_polymers(ham, max_bonds, anchor=anchor)
     if oracle is None:
         oracle = Oracle(ham, beta)
-    ab = abs(beta)
-    out = []
-    for p in polymers:
-        rho = oracle.rho(p.bonds)
-        bound = 1.0
-        for i in p.bonds:
-            bound *= np.expm1(ab * ham.norms[i])
-        out.append(PolymerWeight(polymer=p, rho=rho, bound=float(bound)))
-    return tuple(out)
+    w = bond_weights(ham.norms, beta)
+    return tuple(
+        PolymerWeight(polymer=p, rho=oracle.rho(p.bonds), bound=math.prod(w[i] for i in p.bonds))
+        for p in polymers
+    )
 
 
 def rho_fugacity(ham: Hamiltonian, beta: complex, bond_ids) -> complex:

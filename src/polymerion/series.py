@@ -47,8 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .model import Hamiltonian, LatticeModel, Region, Site, assemble_hamiltonian
-from .oracle import Observable, Oracle, _check_observable, _volume_sites, site_set
+from .model import Hamiltonian, LatticeModel, Site
+from .oracle import Observable, Oracle, _alternating_sum, _check_observable
 from .polymers import (
     Polymer,
     _connected_families,
@@ -92,9 +92,6 @@ class TruncatedSeries:
     truncation: int
     n_clusters: int
     converged: bool | None = None
-
-    def partial(self, order: int) -> complex:
-        return sum(self.by_order[: order + 1])
 
 
 class _LazyValues:
@@ -376,7 +373,7 @@ def site_pinned_series(
     weight of the cluster support, which no ratio of partition
     functions gives.
     """
-    sites = _volume_sites(ham, site)
+    sites = ham.volume_sites(site)
     if len(sites) != 1:
         raise ConfigError(f"site_pinned_series pins exactly one site, got {len(sites)}")
     polymers, values = _prepare(ham, beta, max_total_bonds, weights)
@@ -440,7 +437,7 @@ def correlation_series(
     negative: removing X0 removes exactly those clusters from log Z, so
     the sum is log Xi - log Xi_{no polymer meeting X0}, order by order.
     """
-    x0 = _volume_sites(ham, x0)
+    x0 = ham.volume_sites(x0)
     polymers, values = _prepare(ham, beta, max_total_bonds, weights)
     xi, kept, adjacency = _families(polymers, values, max_total_bonds)
     xi_away, kept_away, adjacency_away = _families(polymers, values, max_total_bonds, x0)
@@ -462,7 +459,7 @@ def expectation_families(ham: Hamiltonian, x0, max_family_bonds: int):
     pinned walk, counted against `MAX_EXPECTATION_FAMILIES` as they stream.
     """
     m = len(ham.bonds)
-    pin = _pin_mask(ham.bonds, site_set(x0))
+    pin = _pin_mask(ham.bonds, ham.volume_sites(x0))
     walk = _pinned_families(_overlap_masks(ham.bonds), pin, [1] * m, max(max_family_bonds, 0))
     masks = [mask for mask, _ in itertools.islice(walk, MAX_EXPECTATION_FAMILIES + 1)]
     if len(masks) > MAX_EXPECTATION_FAMILIES:
@@ -486,7 +483,6 @@ def expectation_series(
     max_family_bonds: int | None = None,
     g_mode: str = "oracle",
     correlation_truncation: int | None = None,
-    oracle: Oracle | None = None,
 ) -> ExpectationResult:
     """Local expectation through the inclusion-exclusion identity.
 
@@ -502,8 +498,7 @@ def expectation_series(
         raise ConfigError(f"unknown g_mode {g_mode!r}")
     if max_family_bonds is None:
         max_family_bonds = len(ham.bonds)
-    if oracle is None:
-        oracle = Oracle(ham, beta)
+    oracle = Oracle(ham, beta)
     x0 = frozenset(obs.support)
     trace_memo: dict[frozenset[int], complex] = {}
 
@@ -533,16 +528,10 @@ def expectation_series(
     total = 0j
     count = 0
     for ids in expectation_families(ham, x0, max_family_bonds):
-        fam = frozenset(ids)
-        k_val = 0j
-        n = len(ids)
-        for r in range(n + 1):
-            sign = (-1) ** (n - r)
-            for sub in itertools.combinations(ids, r):
-                k_val += sign * weighted(frozenset(sub))
+        k_val = _alternating_sum(ids, lambda sub: weighted(frozenset(sub)))
         if k_val == 0:
             continue
-        sites = x0 | set(ham.support(fam))
+        sites = x0 | set(ham.support(ids))
         total += k_val * g_of(frozenset(sites))
         count += 1
     return ExpectationResult(value=total, n_families=count, g_mode=g_mode)
@@ -560,16 +549,9 @@ def free_energy_density(
     limit of log Z over the volume. The window used is large enough to
     hold every cluster within the order budget.
     """
-    r = max(1, model.range())
-    radius = max_total_bonds * r
-    sites = itertools.product(
-        *(range(-radius, radius + 1) for _ in range(model.dimension))
-    )
-    region = Region.from_sites(sites)
-    ham = assemble_hamiltonian(model, region, boundary="free")
     origin = (0,) * model.dimension
     return site_pinned_series(
-        ham,
+        model.window(max_total_bonds),
         beta,
         origin,
         max_total_bonds,

@@ -244,6 +244,67 @@ def test_ks_output_matches_golden_bytes(tmp_path, golden, doc):
 
 
 @pytest.mark.parametrize(
+    "command, golden, doc",
+    [
+        ("park", "park_d3_alphas.json",
+         {"park": {"dimension": 3, "alphas": [0.5, 1.0, 2.0, 4.0, 8.0, 16.0]}}),
+        ("radius", "radius_universal_model.csv",
+         {"model": {"preset": "heisenberg", "dimension": 2},
+          "radius": {"criterion": "universal", "alpha": 0.8, "gamma": 0.4,
+                     "lo": 0.001, "hi": 1.0, "per_decade": 8}}),
+        ("radius", "radius_universal_region.json",
+         {"model": {"preset": "ising", "dimension": 2, "field": 0.3},
+          "region": {"extent": [2, 3], "boundary": "free"},
+          "radius": {"criterion": "universal", "lo": 0.001, "hi": 1.0, "per_decade": 8}}),
+        ("series", "series_observable_2x3.csv",
+         {"model": {"preset": "ising", "dimension": 2, "field": 0.3},
+          "region": {"extent": [2, 3], "boundary": "free"},
+          "beta": [0.1, 0.02], "series": {"sweep": [2, 4]},
+          "observable": {"sites": [[0, 1]], "data": [[1.0, 0.0], [-1.0, 0.0]]}}),
+        ("series", "series_observable_heisenberg_chain4.json",
+         {"model": {"preset": "heisenberg", "dimension": 1},
+          "region": {"extent": [4], "boundary": "free"},
+          "beta": [0.05, 0.01], "series": {"max_total_bonds": 3, "g_mode": "series"},
+          "observable": {"sites": [[1], [2]],
+                         "data": [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]]}}),
+    ],
+)
+def test_output_matches_golden_bytes(tmp_path, command, golden, doc):
+    # Written before the subfamily sums, bond weights, site sums and the
+    # park scan each moved behind one function.
+    cfg = write_cfg(tmp_path, doc)
+    out = tmp_path / golden
+    assert main([command, "--config", cfg, "--output", str(out)]) == 0
+    with open(os.path.join(GOLDEN, golden), "rb") as fh:
+        assert out.read_bytes() == fh.read()
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("series", chain_cfg(4, 0.2, {"series": {"max_total_bonds": "x"}})),
+        ("series", chain_cfg(4, 0.2, {"series": {"sweep": [2, "x"]}})),
+        ("radius", {"radius": {"criterion": "nn", "dimension": "two"}}),
+        ("radius", {"model": {"preset": "ising", "dimension": 2},
+                    "radius": {"criterion": "universal", "alpha": "one"}}),
+        ("radius", {"model": {"preset": "ising", "dimension": 2},
+                    "radius": {"criterion": "tree", "per_decade": "many"}}),
+        ("park", {"park": {"dimension": "two"}}),
+        ("park", {"park": {"alphas": ["x"]}}),
+        ("table1", {"table": {"dimensions": ["x"]}}),
+        ("exact", chain_cfg(4, 0.2, {"model": {"preset": "ising", "dimension": "one"}})),
+        ("exact", chain_cfg(4, 0.2, {"model": {"preset": "ising", "dimension": 1,
+                                               "field": "strong"}})),
+    ],
+)
+def test_unparsable_numbers_are_config_errors(tmp_path, capsys, command, doc):
+    cfg = write_cfg(tmp_path, doc)
+    assert main([command, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
     "ks",
     [
         {"max_iter": "abc"},
@@ -252,6 +313,8 @@ def test_ks_output_matches_golden_bytes(tmp_path, golden, doc):
         {"max_iter": 0},
         {"a": "nan"},
         {"tol": -1.0},
+        {"max_polymer_bonds": 0},
+        {"max_subset_size": 0},
     ],
 )
 def test_ks_refuses_bad_options(tmp_path, capsys, ks):

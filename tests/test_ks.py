@@ -211,6 +211,16 @@ def test_kernel_cap_fires_before_the_polymers_are_built():
         build_ks_kernel(ham, 0.1)
 
 
+def test_a_cut_below_one_bond_is_refused():
+    ham = ising_chain(3)
+    for cut in (0, -1):
+        with pytest.raises(ConfigError, match="max_polymer_bonds"):
+            build_ks_kernel(ham, 0.3, max_polymer_bonds=cut)
+        with pytest.raises(ConfigError, match="max_polymer_bonds"):
+            ks_solve(ham, 0.3, max_polymer_bonds=cut)
+    assert build_ks_kernel(ham, 0.3, max_polymer_bonds=1).n_polymers == 2
+
+
 def test_unknown_site_set_is_refused():
     sol = ks_solve(ising_chain(3), 0.3)
     assert sol.value([(0,), (2,)]) == sol.g[frozenset([(0,), (2,)])]

@@ -177,3 +177,18 @@ def test_restricted_away_removes_meeting_bonds():
     sub = ham.restricted_away((0,))
     assert len(sub.bonds) == len(ham.bonds) - 1
     assert all((0,) not in b for b in sub.bonds)
+
+
+def test_restricted_away_refuses_sites_it_cannot_place():
+    ham = assemble_hamiltonian(ising_model(2), Region.box([2, 3]), boundary="free")
+    # One 2-d site, as everywhere else a site set is read.
+    sub = ham.restricted_away((0, 1))
+    assert len(sub.bonds) == len(ham.bonds) - 3
+    assert all((0, 1) not in b for b in sub.bonds)
+    with pytest.raises(ConfigError, match="not in the volume"):
+        ham.restricted_away([(9, 9)])
+    with pytest.raises(ConfigError, match="not in the volume"):
+        ham.restricted_away([(0, 0), (9, 9)])
+    chain = assemble_hamiltonian(ising_model(1), Region.box([4]), boundary="free")
+    with pytest.raises(ConfigError, match="not in the volume"):
+        chain.restricted_away((0, 1))

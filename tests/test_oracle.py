@@ -20,6 +20,8 @@ from polymerion import (
     xi_fugacity_exact,
 )
 
+from polymerion.oracle import _alternating_sum
+
 from helpers import chain_interaction, random_beta, random_instance
 
 
@@ -194,3 +196,18 @@ def test_sites_outside_the_volume_are_refused():
     with pytest.raises(ConfigError):
         orc.reduced_correlation((0, 3))
     assert orc.z_avoiding([(0,), (3,)]) == orc.z([1])
+
+
+def test_alternating_sum_keeps_its_order_and_refuses_past_2_20():
+    seen = []
+
+    def term(sub):
+        seen.append(sub)
+        return len(sub) + 1
+
+    # (-1)^{3-r} (r + 1) summed with multiplicity C(3, r): -1 + 6 - 9 + 4 = 0
+    assert _alternating_sum([2, 0, 1], term) == 0
+    assert seen == [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
+    assert _alternating_sum([], term, start=1.5) == 2.5
+    with pytest.raises(NumericalError, match="2\\^20"):
+        _alternating_sum(range(21), term)

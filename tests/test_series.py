@@ -280,6 +280,14 @@ def test_expectation_family_cap(monkeypatch):
         list(expectation_families(ham, [(0, 0)], 7))
 
 
+def test_expectation_families_refuse_sites_outside_the_volume():
+    ham = assemble_hamiltonian(ising_model(2, field_h=0.3), Region.box([2, 3]), boundary="free")
+    with pytest.raises(ConfigError, match="not in the volume"):
+        list(expectation_families(ham, [(9, 9)], 3))
+    with pytest.raises(ConfigError, match="not in the volume"):
+        list(expectation_families(ham, [(0, 0), (9, 9)], 3))
+
+
 def _relabelled_terms(ham, site_map):
     # The bonds of `ham` under new site names, with each operator's axes
     # reordered so that they follow the sorted new names.
