@@ -195,7 +195,7 @@ def _cmd_series(cfg, args) -> int:
     sec = cfg.get("series", {})
     if not isinstance(sec, dict):
         raise ConfigError("'series' must be an object")
-    k = cfgmod.option(sec, "series", "max_total_bonds", int, 6)
+    k = cfgmod.option(sec, "series", "max_total_bonds", int, 6, least=0)
 
     if "region" not in cfg:
         # No finite window: report the thermodynamic free-energy density
@@ -219,7 +219,7 @@ def _cmd_series(cfg, args) -> int:
     obs = _observable(cfg)
     corr = _correlation_sites(cfg)
     g_mode = sec.get("g_mode", "oracle")
-    orders = cfgmod.option(sec, "series", "sweep", int, None, many=True) or [k]
+    orders = cfgmod.option(sec, "series", "sweep", int, None, many=True, least=0) or [k]
 
     def one(b, kk):
         s = free_energy_series(ham, b, kk)
@@ -358,9 +358,7 @@ def _cmd_ks(cfg, args) -> int:
     sec = cfg.get("ks", {})
     if not isinstance(sec, dict):
         raise ConfigError("'ks' must be an object")
-    cap = cfgmod.option(sec, "ks", "max_subset_size", int, 2)
-    if cap < 1:
-        raise ConfigError(f"ks.max_subset_size must be at least 1, got {cap}")
+    cap = cfgmod.option(sec, "ks", "max_subset_size", int, 2, least=1)
     sol = ks_solve(
         ham,
         betas[0],

@@ -70,16 +70,21 @@ def load_config(path: str) -> dict:
 _KINDS = {int: "an integer", float: "a number"}
 
 
-def _cast(raw, where: str, cast):
+def _cast(raw, where: str, cast, least=None):
     try:
-        return cast(raw)
+        value = cast(raw)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where} must be {_KINDS[cast]}, got {raw!r}") from exc
+    if least is not None and not value >= least:
+        raise ConfigError(f"{where} must be at least {least}, got {raw!r}")
+    return value
 
 
-def option(sec: dict, section: str, key: str, cast, default, many: bool = False):
-    """sec[key] passed through `cast` (int or float); an unparsable value is a
-    ConfigError. With `many` the value is a nonempty list, cast entry by entry.
+def option(sec: dict, section: str, key: str, cast, default, many: bool = False,
+           least=None):
+    """sec[key] passed through `cast` (int or float); an unparsable value, or
+    one below `least`, is a ConfigError. With `many` the value is a nonempty
+    list, cast and checked entry by entry.
 
     A missing key gives `default`; with a None default, null means unset.
     """
@@ -88,10 +93,10 @@ def option(sec: dict, section: str, key: str, cast, default, many: bool = False)
         return None
     where = f"{section}.{key}"
     if not many:
-        return _cast(raw, where, cast)
+        return _cast(raw, where, cast, least)
     if not isinstance(raw, list) or not raw:
         raise ConfigError(f"{where} must be a nonempty list, got {raw!r}")
-    return [_cast(v, f"{where}[{i}]", cast) for i, v in enumerate(raw)]
+    return [_cast(v, f"{where}[{i}]", cast, least) for i, v in enumerate(raw)]
 
 
 def parse_scalar(value, where: str = "value") -> complex:

@@ -524,6 +524,13 @@ def _nn_log_objective(d: int):
     return lg
 
 
+def _lattice_dimension(dimension) -> int:
+    d = int(dimension)
+    if d < 1:
+        raise ConfigError(f"dimension must be at least 1, got {d}")
+    return d
+
+
 def nn_radius(dimension: int) -> NNRadius:
     """Maximize zeta / ((1+2 d zeta)^2 (1+zeta)^{4d-2}) over zeta > 0.
 
@@ -531,9 +538,7 @@ def nn_radius(dimension: int) -> NNRadius:
     (8 d^2 - 2 d) z^2 + (6 d - 3) z - 1 = 0, solved independently as a
     cross-check on the golden-section maximizer.
     """
-    d = int(dimension)
-    if d < 1:
-        raise ConfigError("dimension must be at least 1")
+    d = _lattice_dimension(dimension)
     lg = _nn_log_objective(d)
     z, _ = golden_max(lg, 1e-9, 1.0, tol=1e-14)
     # Golden section localizes the argument only to ~sqrt(eps) at a flat
@@ -641,7 +646,7 @@ class ParkScan:
 
 def park_table_value(dimension: int) -> float:
     """Closed-form radius 0.03/d (1 + 0.03/d) used in the comparison table."""
-    x = 0.03 / dimension
+    x = 0.03 / _lattice_dimension(dimension)
     return x * (1.0 + x)
 
 
@@ -652,7 +657,7 @@ def park_compare(dimension: int, alphas=None) -> ParkScan:
         e^alpha y e^y = (e^{alpha/4 - y} - 1)(e^{alpha/4} - e^y)
     on 0 < y < alpha/8. Rows without a bracketed root keep None.
     """
-    d = int(dimension)
+    d = _lattice_dimension(dimension)
     if alphas is None:
         alphas = geometric_grid(0.1, 20.0, per_decade=28)
     rows = []

@@ -7,9 +7,10 @@ product basis), or a Hermitian q^k x q^k matrix for quantum models.
 
 Tensor index convention: local state spaces are ordered by sorting the
 sites lexicographically, and flattened row-major, so the largest site is
-the fastest-varying index. `embed_table` and `embed_matrix` lift a local
+the fastest-varying index. `_site_axes` and `embed_matrix` lift a local
 operator onto a larger site set under this convention; they are the only
-places the convention is spelled out, everything else goes through them.
+places the convention is spelled out, everything else goes through them
+(`embed_table` and `Oracle.hamiltonian_on` through `_site_axes`).
 
 A `Hamiltonian` is the result of assembling an interaction on a finite
 region under one of three boundary conditions:
@@ -107,17 +108,24 @@ def _local_dim(q: int, nsites: int) -> int:
     return q**nsites
 
 
+def _site_axes(table: np.ndarray, support: Bond, sites: Bond, q: int) -> np.ndarray:
+    """A diagonal table on `support` with one axis per site of `sites`.
+
+    The axes of `support` have length q and the others length 1, so the
+    result broadcasts against a (q,) * len(sites) array. `support` and
+    `sites` are both sorted, so no axis permutation is needed.
+    """
+    inside = set(support)
+    return np.asarray(table).reshape(tuple(q if s in inside else 1 for s in sites))
+
+
 def embed_table(table: np.ndarray, support: Bond, sites: Bond, q: int) -> np.ndarray:
     """Embed a diagonal table living on `support` into `sites`.
 
     Returns a vector of length q^len(sites). `support` must be a
     subsequence of `sites` (both sorted).
     """
-    k, n = len(support), len(sites)
-    t = np.asarray(table).reshape((q,) * k)
-    shape = tuple(q if s in set(support) else 1 for s in sites)
-    # support and sites are both sorted, so no axis permutation is needed
-    return np.broadcast_to(t.reshape(shape), (q,) * n).ravel()
+    return np.broadcast_to(_site_axes(table, support, sites, q), (q,) * len(sites)).ravel()
 
 
 def embed_matrix(mat: np.ndarray, support: Bond, sites: Bond, q: int) -> np.ndarray:
@@ -125,24 +133,14 @@ def embed_matrix(mat: np.ndarray, support: Bond, sites: Bond, q: int) -> np.ndar
     k, n = len(support), len(sites)
     if k == n:
         return np.asarray(mat)
-    t = np.asarray(mat).reshape((q,) * (2 * k))
-    extra = [s for s in sites if s not in set(support)]
-    eye = np.eye(q)
-    for _ in extra:
-        t = np.tensordot(t, eye, axes=0)
-    # current axis layout: support rows, support cols, then (row, col) pairs
-    # for each extra site in order
-    row_axis: dict[Site, int] = {}
-    col_axis: dict[Site, int] = {}
-    for i, s in enumerate(support):
-        row_axis[s] = i
-        col_axis[s] = k + i
-    for j, s in enumerate(extra):
-        row_axis[s] = 2 * k + 2 * j
-        col_axis[s] = 2 * k + 2 * j + 1
-    perm = [row_axis[s] for s in sites] + [col_axis[s] for s in sites]
-    dim = _local_dim(q, n)
-    return t.transpose(perm).reshape(dim, dim)
+    a, m = _local_dim(q, k), _local_dim(q, n - k)
+    # One product with the identity on the other sites, axes ordered as
+    # support rows, other rows, support cols, other cols.
+    t = np.asarray(mat).reshape(a, 1, a, 1) * np.eye(m).reshape(1, m, 1, m)
+    inside = set(support)
+    order = list(support) + [s for s in sites if s not in inside]
+    rows = [order.index(s) for s in sites]
+    return t.reshape((q,) * (2 * n)).transpose(rows + [n + r for r in rows]).reshape(a * m, a * m)
 
 
 def _permute_table(table: np.ndarray, old: Bond, site_map: Mapping[Site, Site], q: int):

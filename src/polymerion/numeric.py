@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 
 __all__ = ["bisect_root", "golden_max", "geometric_grid"]
 
@@ -66,7 +66,9 @@ def golden_max(f, lo: float, hi: float, tol: float = 1e-12, maxiter: int = 300):
 
 def geometric_grid(lo: float, hi: float, per_decade: int = 64) -> np.ndarray:
     """Geometrically spaced points from lo to hi, per_decade per factor 10."""
-    if lo <= 0 or hi <= lo:
-        raise NumericalError("geometric grid needs 0 < lo < hi")
+    if not 0 < lo < hi < math.inf:
+        raise ConfigError(f"geometric grid needs 0 < lo < hi < inf, got lo={lo}, hi={hi}")
+    if per_decade < 1:
+        raise ConfigError(f"geometric grid needs per_decade >= 1, got {per_decade}")
     n = max(2, int(math.ceil(math.log10(hi / lo) * per_decade)) + 1)
     return np.geomspace(lo, hi, n)

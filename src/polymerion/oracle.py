@@ -28,6 +28,7 @@ from .model import (
     Bond,
     Hamiltonian,
     Site,
+    _site_axes,
     as_bond,
     embed_matrix,
     embed_table,
@@ -122,14 +123,14 @@ class Oracle:
         q, ham = self.ham.q, self.ham
         _check_dim(q, len(support))
         if ham.kind == CLASSICAL:
-            total = np.zeros(q ** len(support))
+            total = np.zeros((q,) * len(support))
             for i in ids:
-                total = total + embed_table(ham.ops[i], ham.bonds[i], support, q)
-        else:
-            dim = q ** len(support)
-            total = np.zeros((dim, dim), dtype=complex)
-            for i in ids:
-                total = total + embed_matrix(ham.ops[i], ham.bonds[i], support, q)
+                total = total + _site_axes(ham.ops[i], ham.bonds[i], support, q)
+            return support, total.ravel()
+        dim = q ** len(support)
+        total = np.zeros((dim, dim), dtype=complex)
+        for i in ids:
+            total = total + embed_matrix(ham.ops[i], ham.bonds[i], support, q)
         return support, total
 
     def boltzmann(self, bond_ids, support=None) -> tuple[tuple[Site, ...], np.ndarray]:

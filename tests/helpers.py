@@ -7,7 +7,9 @@ reach rounding level at modest orders and the whole randomized suite
 runs in seconds.
 
 `ks_reference` keeps the per-subset hierarchy sweep that `ks_solve`
-replaced, as the bit-for-bit reference of the vectorized solver.
+replaced, as the bit-for-bit reference of the vectorized solver, and
+`embed_matrix_reference` keeps the identity-by-identity embedding that
+`model.embed_matrix` replaced.
 """
 
 from __future__ import annotations
@@ -212,3 +214,30 @@ def ks_reference(sites, kernel, a: float, tol: float, max_iter: int) -> dict:
         "contraction": contraction,
         "converged": residual <= tol,
     }
+
+
+def embed_matrix_reference(mat, support, sites, q: int) -> np.ndarray:
+    """The `tensordot` loop that `embed_matrix` replaced, kept as its reference.
+
+    Appends one identity per site of `sites` outside `support`, then
+    permutes the row and column axes into site order.
+    """
+    k, n = len(support), len(sites)
+    if k == n:
+        return np.asarray(mat)
+    t = np.asarray(mat).reshape((q,) * (2 * k))
+    extra = [s for s in sites if s not in set(support)]
+    eye = np.eye(q)
+    for _ in extra:
+        t = np.tensordot(t, eye, axes=0)
+    # current axis layout: support rows, support cols, then (row, col) pairs
+    # for each extra site in order
+    row_axis, col_axis = {}, {}
+    for i, s in enumerate(support):
+        row_axis[s] = i
+        col_axis[s] = k + i
+    for j, s in enumerate(extra):
+        row_axis[s] = 2 * k + 2 * j
+        col_axis[s] = 2 * k + 2 * j + 1
+    perm = [row_axis[s] for s in sites] + [col_axis[s] for s in sites]
+    return t.transpose(perm).reshape(q**n, q**n)

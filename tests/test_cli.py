@@ -4,6 +4,8 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -11,6 +13,8 @@ from polymerion import Oracle, Region, assemble_hamiltonian, ising_model
 from polymerion.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ISING_D2 = {"preset": "ising", "dimension": 2}
 
 
 def write_cfg(tmp_path, doc, name="cfg.json"):
@@ -279,6 +283,53 @@ def test_output_matches_golden_bytes(tmp_path, command, golden, doc):
         assert out.read_bytes() == fh.read()
 
 
+SINGLE_THREAD = {k: "1" for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
+@pytest.mark.parametrize(
+    "golden, doc",
+    [
+        ("exact_heisenberg_3x3.json",
+         {"model": {"preset": "heisenberg", "dimension": 2},
+          "region": {"extent": [3, 3], "boundary": "free"},
+          "beta": {"start": 0.1, "stop": 0.4, "points": 2},
+          "observable": {"sites": [[0, 0], [1, 1]],
+                         "data": [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]]},
+          "correlation": {"sites": [[1, 1], [2, 1]]}}),
+        ("exact_ising_3x4_grid.csv",
+         {"model": {"preset": "ising", "dimension": 2, "field": 0.3},
+          "region": {"extent": [3, 4], "boundary": "free"},
+          "beta": {"start": 0.1, "stop": 0.4, "points": 4},
+          "observable": {"sites": [[0, 1]], "data": [[1.0, 0.0], [-1.0, 0.0]]},
+          "correlation": {"sites": [[1, 1]]}}),
+        ("exact_xy_ring8_complex.json",
+         {"model": {"preset": "xy", "dimension": 1},
+          "region": {"extent": [8], "boundary": "periodic"},
+          "beta": [0.2, 0.1],
+          "observable": {"sites": [[0], [1]],
+                         "data": [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]]},
+          "correlation": {"sites": [[0], [3]]}}),
+    ],
+)
+def test_exact_output_matches_golden_bytes(tmp_path, golden, doc):
+    # Written before the bond operators were embedded by one broadcast.
+    # Dense eigensolvers and products of 256 rows and more split their sums
+    # over BLAS threads, so their last digits depend on the thread count:
+    # these goldens were written, and are checked, with one BLAS thread.
+    cfg = write_cfg(tmp_path, doc)
+    out = tmp_path / golden
+    env = dict(os.environ, **SINGLE_THREAD)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    argv = ["exact", "--config", cfg, "--output", str(out)]
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys; from polymerion.cli import main; sys.exit(main())"]
+        + argv, env=env, capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    with open(os.path.join(GOLDEN, golden), "rb") as fh:
+        assert out.read_bytes() == fh.read()
+
+
 @pytest.mark.parametrize(
     "command, doc",
     [
@@ -295,6 +346,19 @@ def test_output_matches_golden_bytes(tmp_path, command, golden, doc):
         ("exact", chain_cfg(4, 0.2, {"model": {"preset": "ising", "dimension": "one"}})),
         ("exact", chain_cfg(4, 0.2, {"model": {"preset": "ising", "dimension": 1,
                                                "field": "strong"}})),
+        # Numbers that parse but cannot be meant: each used to end in a
+        # traceback (exit 1), a numerical failure (exit 3), or a grid end
+        # reported as a certified radius.
+        ("park", {"park": {"dimension": 0}}),
+        ("radius", {"radius": {"criterion": "park", "dimension": 0}}),
+        ("series", chain_cfg(3, 0.3, {"series": {"max_total_bonds": -2}})),
+        ("series", chain_cfg(3, 0.3, {"series": {"sweep": [2, -1]}})),
+        ("radius", {"model": ISING_D2, "radius": {"per_decade": 0}}),
+        ("radius", {"model": ISING_D2, "radius": {"criterion": "universal", "per_decade": 0}}),
+        ("radius", {"model": ISING_D2, "radius": {"lo": 0}}),
+        ("radius", {"model": ISING_D2, "radius": {"lo": -1}}),
+        ("radius", {"model": ISING_D2, "radius": {"lo": 0.1, "hi": 0.1}}),
+        ("radius", {"model": ISING_D2, "radius": {"lo": 0.1, "hi": 0.01}}),
     ],
 )
 def test_unparsable_numbers_are_config_errors(tmp_path, capsys, command, doc):

@@ -78,6 +78,15 @@ def test_nn_radius_rejects_bad_dimension():
         nn_radius(0)
 
 
+@pytest.mark.parametrize("d", [0, -1])
+def test_park_forms_reject_bad_dimension(d):
+    # Both divided by 2d (or d) and answered, or raised ZeroDivisionError.
+    with pytest.raises(ConfigError):
+        park_compare(d)
+    with pytest.raises(ConfigError):
+        park_table_value(d)
+
+
 def test_tree_forms_get_monotonically_stronger():
     # At equal weights and zeta the four left-hand sides are ordered, so
     # each form implies every weaker one; margins shrink along the chain.
@@ -320,6 +329,20 @@ def test_fp_scan_refuses_unknown_keywords():
         beta_radius(chain, "fp", lo=0.01, hi=0.1, per_decade=2, form="bracketed")
     scan = beta_radius(chain, "fp", lo=0.01, hi=0.1, per_decade=2, max_bonds=2)
     assert scan.beta_radius == 0.1
+
+
+@pytest.mark.parametrize(
+    "lo, hi, per_decade",
+    [(1e-3, 0.1, 0), (1e-3, 0.1, -2), (0.0, 0.1, 4), (-1.0, 0.1, 4), (0.1, 0.1, 4),
+     (0.1, 0.01, 4), (math.nan, 0.1, 4), (1e-3, math.inf, 4)],
+)
+def test_geometric_grid_refuses_what_it_cannot_sample(lo, hi, per_decade):
+    # per_decade 0 used to give the two ends only, and the scan then
+    # reported lo as a certified radius.
+    with pytest.raises(ConfigError):
+        geometric_grid(lo, hi, per_decade)
+    with pytest.raises(ConfigError):
+        beta_radius(ising_model(2), "tree", lo=lo, hi=hi, per_decade=per_decade)
 
 
 def test_beta_radius_unknown_criterion():

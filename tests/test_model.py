@@ -7,6 +7,7 @@ from polymerion import (
     ConfigError,
     Interaction,
     LatticeModel,
+    Oracle,
     Region,
     WrapError,
     alpha_norm,
@@ -19,7 +20,7 @@ from polymerion import (
 )
 from polymerion.model import embed_matrix, embed_table
 
-from helpers import random_hermitian
+from helpers import embed_matrix_reference, random_hermitian, random_table
 
 
 def test_box_region_counts():
@@ -120,6 +121,58 @@ def test_embed_matrix_is_kron_with_identity(rng):
     assert np.allclose(big, np.kron(np.eye(q), m), atol=1e-14)
     big0 = embed_matrix(m, ((0,),), ((0,), (1,)), q)
     assert np.allclose(big0, np.kron(m, np.eye(q)), atol=1e-14)
+
+
+FOUR_SITES = ((0,), (1,), (2,), (3,))
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize(
+    "support",
+    [((0,),), ((2,),), ((3,),), ((0,), (2,)), ((1,), (3,)), ((0,), (1,), (3,)), FOUR_SITES],
+)
+def test_embed_matrix_matches_the_tensordot_reference(rng, q, support):
+    k = len(support)
+    hermitian = random_hermitian(rng, q, k, 1.0)
+    general = rng.standard_normal((q**k, q**k)) + 1j * rng.standard_normal((q**k, q**k))
+    real = rng.standard_normal((q**k, q**k))
+    for mat in (hermitian, general, real):
+        got = embed_matrix(mat, support, FOUR_SITES, q)
+        want = embed_matrix_reference(mat, support, FOUR_SITES, q)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def _scattered_hamiltonian(rng, q, kind):
+    """Fields, pairs and a triple on four sites, none of them a prefix only."""
+    bonds = [((0,),), ((2,),), ((0,), (1,)), ((1,), (3,)), ((0,), (2,)), ((0,), (2,), (3,))]
+    if kind == "classical":
+        terms = [(b, random_table(rng, q, len(b), 1.0)) for b in bonds]
+    else:
+        terms = [(b, random_hermitian(rng, q, len(b), 1.0)) for b in bonds]
+    inter = Interaction.from_terms(q=q, kind=kind, terms=terms)
+    return assemble_hamiltonian(inter, Region.from_sites(FOUR_SITES), boundary="free")
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("kind", ["classical", "quantum"])
+def test_hamiltonian_on_sums_the_old_embeddings_bit_for_bit(rng, q, kind):
+    ham = _scattered_hamiltonian(rng, q, kind)
+    orc = Oracle(ham, 0.3)
+    n_bonds = len(ham.bonds)
+    for mask in range(1, 1 << n_bonds):
+        ids = frozenset(i for i in range(n_bonds) if (mask >> i) & 1)
+        for support in (None, ham.sites):
+            sites, got = orc.hamiltonian_on(ids, support)
+            dim = q ** len(sites)
+            if kind == "classical":
+                want = np.zeros(dim)
+                for i in ids:
+                    want = want + embed_table(ham.ops[i], ham.bonds[i], sites, q)
+            else:
+                want = np.zeros((dim, dim), dtype=complex)
+                for i in ids:
+                    want = want + embed_matrix_reference(ham.ops[i], ham.bonds[i], sites, q)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_operator_norm_classical_and_quantum(rng):
