@@ -103,27 +103,25 @@ def _write_csv(stream, rows, meta):
         w.writerow(cells)
 
 
-def _emit(cfg: dict, args, rows, meta=None, default_format=None):
-    out = cfg.get("output", {})
-    if not isinstance(out, dict):
-        raise ConfigError("'output' must be an object")
-    path = getattr(args, "output", None) or out.get("path")
-    fmt = getattr(args, "format", None) or out.get("format")
+def _emit(cfg: dict, args, rows, meta, default_format):
+    out = cfgmod.section(cfg, "output")
+    path = args.output or out.get("path")
+    fmt = args.format or out.get("format")
     if fmt is None:
         if path and str(path).endswith(".csv"):
             fmt = "csv"
         elif path and str(path).endswith(".json"):
             fmt = "json"
         else:
-            fmt = default_format or "json"
+            fmt = default_format
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown output format {fmt!r}")
     writer = _write_csv if fmt == "csv" else _write_json
     if path:
         with open(path, "w", newline="") as fh:
-            writer(fh, rows, meta or {})
+            writer(fh, rows, meta)
     else:
-        writer(sys.stdout, rows, meta or {})
+        writer(sys.stdout, rows, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +163,7 @@ def _beta_row(b: complex) -> dict:
 # subcommands
 
 
-def _cmd_exact(cfg, args) -> int:
+def _cmd_exact(cfg):
     ham = cfgmod.build_hamiltonian(cfg)
     betas = cfgmod.beta_values(cfg)
     obs = _observable(cfg)
@@ -186,15 +184,12 @@ def _cmd_exact(cfg, args) -> int:
 
     rows = [one(b) for b in betas]
     meta = {"sites": len(ham.sites), "bonds": len(ham.bonds), "boundary": ham.boundary}
-    _emit(cfg, args, rows, meta)
-    return 0
+    return rows, meta
 
 
-def _cmd_series(cfg, args) -> int:
+def _cmd_series(cfg):
     betas = cfgmod.beta_values(cfg)
-    sec = cfg.get("series", {})
-    if not isinstance(sec, dict):
-        raise ConfigError("'series' must be an object")
+    sec = cfgmod.section(cfg, "series")
     k = cfgmod.option(sec, "series", "max_total_bonds", int, 6, least=0)
 
     if "region" not in cfg:
@@ -211,8 +206,7 @@ def _cmd_series(cfg, args) -> int:
 
         rows = [one_density(b) for b in betas]
         meta = {"quantity": "free_energy_density", "max_total_bonds": k}
-        _emit(cfg, args, rows, meta)
-        return 0
+        return rows, meta
 
     ham = cfgmod.build_hamiltonian(cfg)
     per_site = bool(sec.get("per_site", False))
@@ -247,14 +241,11 @@ def _cmd_series(cfg, args) -> int:
         "boundary": ham.boundary,
         "max_total_bonds": max(orders),
     }
-    _emit(cfg, args, rows, meta)
-    return 0
+    return rows, meta
 
 
-def _cmd_radius(cfg, args) -> int:
-    sec = cfg.get("radius", {})
-    if not isinstance(sec, dict):
-        raise ConfigError("'radius' must be an object")
+def _cmd_radius(cfg):
+    sec = cfgmod.section(cfg, "radius")
     criterion = sec.get("criterion", "tree")
 
     if criterion in ("nn", "park"):
@@ -270,8 +261,7 @@ def _cmd_radius(cfg, args) -> int:
             val = park_table_value(d)
             rows = [{"dimension": d, "beta_star": val}]
             meta = {"criterion": "park", "beta_radius": val}
-        _emit(cfg, args, rows, meta)
-        return 0
+        return rows, meta
 
     if "region" in cfg:
         source = cfgmod.build_hamiltonian(cfg)
@@ -307,14 +297,11 @@ def _cmd_radius(cfg, args) -> int:
             kappa=u.kappa, c_kappa=u.c_kappa, m_alpha=u.m_alpha,
             amplitude=u.amplitude, t_star=u.t_star, beta_star=u.beta_star,
         )
-    _emit(cfg, args, rows, meta)
-    return 0
+    return rows, meta
 
 
-def _cmd_table1(cfg, args) -> int:
-    sec = cfg.get("table", {})
-    if not isinstance(sec, dict):
-        raise ConfigError("'table' must be an object")
+def _cmd_table1(cfg):
+    sec = cfgmod.section(cfg, "table")
     rows = []
     for d in cfgmod.option(sec, "table", "dimensions", int, [2, 3, 4], many=True):
         r = nn_radius(d)
@@ -327,18 +314,11 @@ def _cmd_table1(cfg, args) -> int:
                 "park_bound": park_table_value(r.dimension),
             }
         )
-    _emit(
-        cfg, args, rows,
-        {"objective": "zeta / ((1+2 d zeta)^2 (1+zeta)^(4d-2))"},
-        default_format="csv",
-    )
-    return 0
+    return rows, {"objective": "zeta / ((1+2 d zeta)^2 (1+zeta)^(4d-2))"}
 
 
-def _cmd_park(cfg, args) -> int:
-    sec = cfg.get("park", {})
-    if not isinstance(sec, dict):
-        raise ConfigError("'park' must be an object")
+def _cmd_park(cfg):
+    sec = cfgmod.section(cfg, "park")
     d = cfgmod.option(sec, "park", "dimension", int, 2)
     scan = park_compare(d, cfgmod.option(sec, "park", "alphas", float, None, many=True))
     rows = [
@@ -346,18 +326,15 @@ def _cmd_park(cfg, args) -> int:
         for r in scan.rows
     ]
     meta = {"dimension": d, "sup_y": scan.sup_y, "sup_alpha": scan.sup_alpha}
-    _emit(cfg, args, rows, meta)
-    return 0
+    return rows, meta
 
 
-def _cmd_ks(cfg, args) -> int:
+def _cmd_ks(cfg):
     ham = cfgmod.build_hamiltonian(cfg)
     betas = cfgmod.beta_values(cfg)
     if len(betas) != 1:
         raise ConfigError("the hierarchy solver wants a single beta, not a grid")
-    sec = cfg.get("ks", {})
-    if not isinstance(sec, dict):
-        raise ConfigError("'ks' must be an object")
+    sec = cfgmod.section(cfg, "ks")
     cap = cfgmod.option(sec, "ks", "max_subset_size", int, 2, least=1)
     sol = ks_solve(
         ham,
@@ -383,16 +360,12 @@ def _cmd_ks(cfg, args) -> int:
         "converged": sol.converged,
         "n_polymers": sol.kernel.n_polymers,
     }
-    _emit(cfg, args, rows, meta)
-    return 0
+    return rows, meta
 
 
-def _cmd_validate(cfg, args) -> int:
-    summary = cfgmod.normalized_summary(cfg)
-    stream = sys.stdout
-    json.dump(summary, stream, indent=2)
-    stream.write("\n")
-    return 0
+def _cmd_validate(cfg):
+    json.dump(cfgmod.normalized_summary(cfg), sys.stdout, indent=2)
+    sys.stdout.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +450,7 @@ def _repro_checks():
     return checks
 
 
-def _cmd_repro(cfg, args) -> int:
+def _cmd_repro(cfg):
     failures = 0
     for block in _repro_checks():
         for label, ok in block():
@@ -486,22 +459,24 @@ def _cmd_repro(cfg, args) -> int:
     print(f"{'all checks passed' if failures == 0 else f'{failures} check(s) failed'}")
     if failures:
         raise NumericalError(f"{failures} reproduction check(s) failed")
-    return 0
 
 
 # ---------------------------------------------------------------------------
 # entry point
 
 
+# name: (handler, needs --config, default output format). A handler takes
+# the config and returns (rows, meta) for `_emit`, or None when it has
+# printed its own output.
 _COMMANDS = {
-    "exact": (_cmd_exact, True),
-    "series": (_cmd_series, True),
-    "radius": (_cmd_radius, True),
-    "table1": (_cmd_table1, False),
-    "park": (_cmd_park, False),
-    "ks": (_cmd_ks, True),
-    "repro": (_cmd_repro, False),
-    "validate": (_cmd_validate, True),
+    "exact": (_cmd_exact, True, "json"),
+    "series": (_cmd_series, True, "json"),
+    "radius": (_cmd_radius, True, "json"),
+    "table1": (_cmd_table1, False, "csv"),
+    "park": (_cmd_park, False, "json"),
+    "ks": (_cmd_ks, True, "json"),
+    "repro": (_cmd_repro, False, None),
+    "validate": (_cmd_validate, True, None),
 }
 
 
@@ -511,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="High-temperature cluster expansions for lattice spin systems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, needs_cfg) in _COMMANDS.items():
+    for name, (_, needs_cfg, _) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument(
             "--config", required=needs_cfg, default=None, metavar="FILE",
@@ -524,10 +499,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handler, _ = _COMMANDS[args.command]
+    handler, _, default_format = _COMMANDS[args.command]
     try:
         cfg = cfgmod.load_config(args.config) if args.config else {}
-        return handler(cfg, args)
+        result = handler(cfg)
+        if result is not None:
+            _emit(cfg, args, *result, default_format)
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

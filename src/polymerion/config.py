@@ -29,7 +29,6 @@ from .model import (
     CLASSICAL,
     QUANTUM,
     Hamiltonian,
-    Interaction,
     LatticeModel,
     Region,
     assemble_hamiltonian,
@@ -41,6 +40,7 @@ from .model import (
 
 __all__ = [
     "load_config",
+    "section",
     "option",
     "parse_scalar",
     "parse_array",
@@ -65,6 +65,14 @@ def load_config(path: str) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("top-level config must be a JSON object")
     return cfg
+
+
+def section(cfg: dict, name: str) -> dict:
+    """cfg[name], which must be an object; a missing section is empty."""
+    sec = cfg.get(name, {})
+    if not isinstance(sec, dict):
+        raise ConfigError(f"'{name}' must be an object")
+    return sec
 
 
 _KINDS = {int: "an integer", float: "a number"}
@@ -281,7 +289,5 @@ def normalized_summary(cfg: dict) -> dict:
     for key in ("series", "radius", "observable", "correlation", "ks",
                 "table", "park", "output"):
         if key in cfg:
-            if not isinstance(cfg[key], dict):
-                raise ConfigError(f"'{key}' must be an object")
-            out[key] = dict(cfg[key])
+            out[key] = dict(section(cfg, key))
     return out

@@ -32,7 +32,7 @@ from .errors import ConfigError, NumericalError
 from .model import Hamiltonian, Interaction, LatticeModel, alpha_norm, operator_norm
 from .numeric import bisect_root, geometric_grid, golden_max
 from .polymers import (
-    Polymer,
+    _induced,
     _overlap_masks,
     _site_masks,
     bond_weights,
@@ -181,27 +181,23 @@ class TreeReport:
     zeta: tuple[float, ...]
 
 
-def _tree_lhs(form: str, w: float, size: int, neigh_prod: float, s: float, q: float) -> float:
-    if form == "direct":
-        return w * neigh_prod
-    if form == "bracketed":
-        return w * (1.0 + s) ** size * neigh_prod
-    if form == "per_site_product":
-        return w * q ** (2 * size)
-    if form == "exponential":
-        return w * math.exp(2 * size * s)
-    raise ConfigError(f"unknown tree form {form!r}; choose one of {TREE_FORMS}")
-
-
-def _margins(w, structure: _Structure, zetas, form: str) -> list[float]:
-    """zeta - lhs(form) per bond class, at weights `w`."""
+def _margins(w, structure: _Structure, zetas, form: str) -> tuple[list[float], float]:
+    """zeta - lhs(form) per bond class at weights `w`, and the site sum;
+    each form computes only the products it reads."""
     s = structure.site_sum(zetas)
-    q = structure.site_product(zetas)
-    return [
-        zetas[i]
-        - _tree_lhs(form, w[i], structure.sizes[i], structure.neighbor_product(i, zetas), s, q)
-        for i in range(len(w))
-    ]
+    sizes, n = structure.sizes, range(len(w))
+    if form == "direct":
+        lhs = [w[i] * structure.neighbor_product(i, zetas) for i in n]
+    elif form == "bracketed":
+        lhs = [w[i] * (1.0 + s) ** sizes[i] * structure.neighbor_product(i, zetas) for i in n]
+    elif form == "per_site_product":
+        q = structure.site_product(zetas)
+        lhs = [w[i] * q ** (2 * sizes[i]) for i in n]
+    elif form == "exponential":
+        lhs = [w[i] * math.exp(2 * sizes[i] * s) for i in n]
+    else:
+        raise ConfigError(f"unknown tree form {form!r}; choose one of {TREE_FORMS}")
+    return [zetas[i] - lhs[i] for i in n], s
 
 
 def tree_bound(weights, structure_source, zeta, form: str = "bracketed") -> TreeReport:
@@ -220,8 +216,7 @@ def tree_bound(weights, structure_source, zeta, form: str = "bracketed") -> Tree
     w = [float(x) for x in weights]
     if len(w) != len(structure.sizes):
         raise ConfigError("weights length does not match bond classes")
-    margins = _margins(w, structure, zetas, form)
-    s = structure.site_sum(zetas)
+    margins, s = _margins(w, structure, zetas, form)
     holds = all(m >= 0.0 for m in margins) and bool(w)
     return TreeReport(
         holds=holds,
@@ -238,7 +233,7 @@ def _default_scalar_zeta(weights, structure: _Structure, form: str) -> float:
     """Scalar zeta maximizing the worst margin (coarse grid plus golden)."""
 
     def worst(z: float) -> float:
-        return min(_margins(weights, structure, [z] * len(structure.sizes), form))
+        return min(_margins(weights, structure, [z] * len(structure.sizes), form)[0])
 
     zs = np.geomspace(1e-6, 2.0, 160)
     vals = [worst(z) for z in zs]
@@ -277,6 +272,17 @@ def _zeta_for_a(structure: _Structure, a: float) -> float:
     return math.expm1(a) / count
 
 
+def _tree_structure(source, form: str) -> _Structure:
+    """The bond structure of `source`, refusing what `gk_criterion` and tree
+    scans both refuse: an unknown form, and a source with no anchored sum."""
+    if form not in TREE_FORMS:
+        raise ConfigError(f"unknown tree form {form!r}; choose one of {TREE_FORMS}")
+    structure = _structure_of(source)
+    if isinstance(source, Interaction):
+        raise ConfigError("anchored sums need a Hamiltonian or a LatticeModel")
+    return structure
+
+
 def _tree_certificate(
     structure: _Structure, beta: complex, a=None, zeta=None, form: str = "bracketed"
 ) -> TreeReport:
@@ -311,9 +317,7 @@ def gk_criterion(
     meets e^a - 1; with `zeta` given, a follows from it; with neither,
     a scalar zeta maximizing the worst margin is searched.
     """
-    if form not in TREE_FORMS:
-        raise ConfigError(f"unknown tree form {form!r}; choose one of {TREE_FORMS}")
-    tree = _tree_certificate(_structure_of(source), beta, a, zeta, form)
+    tree = _tree_certificate(_tree_structure(source, form), beta, a, zeta, form)
     anchored = anchored_polymer_sum(source, beta, tree.a, anchored_truncation)
     guarantees = {}
     if tree.holds and form != "direct":
@@ -398,14 +402,7 @@ def _neighbourhood(adjacency, index: int):
     cand_ids = list(_bits(cand_mask))
     if len(cand_ids) > 24:
         raise NumericalError("fixed-point sum over more than 2^24 families refused")
-    index_of = {c: k for k, c in enumerate(cand_ids)}
-    local = []
-    for c in cand_ids:
-        mask = 0
-        for d_ in _bits(adjacency[c] & cand_mask & ~(1 << c)):
-            mask |= 1 << index_of[d_]
-        local.append(mask)
-    return cand_ids, local
+    return cand_ids, _induced(adjacency, cand_ids)
 
 
 def _phi(cand_ids, local, mu) -> float:
@@ -706,11 +703,7 @@ class RadiusScan:
 def _tree_scan(source, a=None, zeta=None, form="bracketed", anchored_truncation=4):
     """`gk_criterion(source, beta, ...).holds` as a function of beta; refuses
     the keywords and sources `gk_criterion` refuses."""
-    if form not in TREE_FORMS:
-        raise ConfigError(f"unknown tree form {form!r}; choose one of {TREE_FORMS}")
-    structure = _structure_of(source)
-    if not isinstance(source, (LatticeModel, Hamiltonian)):
-        raise ConfigError("anchored sums need a Hamiltonian or a LatticeModel")
+    structure = _tree_structure(source, form)
     return lambda beta: _tree_certificate(structure, beta, a, zeta, form).holds
 
 

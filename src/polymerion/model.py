@@ -7,10 +7,12 @@ product basis), or a Hermitian q^k x q^k matrix for quantum models.
 
 Tensor index convention: local state spaces are ordered by sorting the
 sites lexicographically, and flattened row-major, so the largest site is
-the fastest-varying index. `_site_axes` and `embed_matrix` lift a local
-operator onto a larger site set under this convention; they are the only
-places the convention is spelled out, everything else goes through them
-(`embed_table` and `Oracle.hamiltonian_on` through `_site_axes`).
+the fastest-varying index. Four functions spell the convention out:
+`_site_axes` and `embed_matrix` lift a local operator onto a larger site
+set, `_relabel` renames the sites of one (periodic wrapping), and
+`_contract_outside` traces sites out of one (the product boundary).
+Everything else goes through them (`embed_table` and
+`Oracle.hamiltonian_on` through `_site_axes`).
 
 A `Hamiltonian` is the result of assembling an interaction on a finite
 region under one of three boundary conditions:
@@ -143,23 +145,17 @@ def embed_matrix(mat: np.ndarray, support: Bond, sites: Bond, q: int) -> np.ndar
     return t.reshape((q,) * (2 * n)).transpose(rows + [n + r for r in rows]).reshape(a * m, a * m)
 
 
-def _permute_table(table: np.ndarray, old: Bond, site_map: Mapping[Site, Site], q: int):
-    """Relabel the sites of a diagonal table; returns (new_bond, new_table)."""
-    new = tuple(sorted(site_map[s] for s in old))
-    perm = [old.index(next(s for s in old if site_map[s] == t)) for t in new]
-    out = np.asarray(table).reshape((q,) * len(old)).transpose(perm).ravel()
-    return new, out
-
-
-def _permute_matrix(mat: np.ndarray, old: Bond, site_map: Mapping[Site, Site], q: int):
-    """Relabel the sites of a matrix; returns (new_bond, new_matrix)."""
+def _relabel(data: np.ndarray, old: Bond, site_map: Mapping[Site, Site], q: int):
+    """Relabel the sites of a table (ndim 1) or a matrix; returns (new_bond, data)."""
+    arr = np.asarray(data)
     k = len(old)
     new = tuple(sorted(site_map[s] for s in old))
     perm = [old.index(next(s for s in old if site_map[s] == t)) for t in new]
-    full = perm + [k + p for p in perm]
+    if arr.ndim == 1:
+        return new, arr.reshape((q,) * k).transpose(perm).ravel()
     dim = _local_dim(q, k)
-    out = np.asarray(mat).reshape((q,) * (2 * k)).transpose(full).reshape(dim, dim)
-    return new, out
+    full = perm + [k + p for p in perm]
+    return new, arr.reshape((q,) * (2 * k)).transpose(full).reshape(dim, dim)
 
 
 def _validate_term(bond: Bond, data: np.ndarray, q: int, kind: str) -> np.ndarray:
@@ -489,11 +485,7 @@ def assemble_hamiltonian(source, region: Region, boundary: str = "free", theta=N
                     add(bond, np.asarray(data))
                 else:
                     meta["wrapped"] += 1
-                    if kind == CLASSICAL:
-                        nb, arr = _permute_table(data, bond, wrap, q)
-                    else:
-                        nb, arr = _permute_matrix(data, bond, wrap, q)
-                    add(nb, arr)
+                    add(*_relabel(data, bond, wrap, q))
     else:
         margin = source.range() if isinstance(source, LatticeModel) else 0
         want_outside = boundary == "product"

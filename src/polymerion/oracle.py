@@ -35,6 +35,8 @@ from .model import (
 )
 
 MAX_DENSE_DIM = 2**20
+# Quantum operators are dense matrices: 2^12 rows are 256 MiB of complex entries.
+MAX_QUANTUM_DIM = 2**12
 
 __all__ = [
     "Oracle",
@@ -59,11 +61,10 @@ class Observable:
         return cls(support=b, data=np.asarray(data))
 
 
-def _check_dim(q: int, nsites: int):
-    if q**nsites > MAX_DENSE_DIM:
-        raise NumericalError(
-            f"exact oracle refused: q^{nsites} states exceeds {MAX_DENSE_DIM}"
-        )
+def _check_dim(q: int, nsites: int, kind: str):
+    cap = MAX_DENSE_DIM if kind == CLASSICAL else MAX_QUANTUM_DIM
+    if q**nsites > cap:
+        raise NumericalError(f"exact oracle refused: q^{nsites} states exceeds {cap}")
 
 
 def _alternating_sum(ids, term, start=0j):
@@ -121,7 +122,7 @@ class Oracle:
         if support is None:
             support = self.ham.support(ids)
         q, ham = self.ham.q, self.ham
-        _check_dim(q, len(support))
+        _check_dim(q, len(support), self.ham.kind)
         if ham.kind == CLASSICAL:
             total = np.zeros((q,) * len(support))
             for i in ids:
@@ -189,7 +190,7 @@ class Oracle:
         ids = frozenset(bond_ids)
         support = self.ham.support(ids)
         q = self.ham.q
-        _check_dim(q, len(support))
+        _check_dim(q, len(support), self.ham.kind)
         dim = q ** len(support)
         shape = (dim,) if self.ham.kind == CLASSICAL else (dim, dim)
         acc = _alternating_sum(

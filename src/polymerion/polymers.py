@@ -109,6 +109,12 @@ def _connected_families(adj, sizes, max_total: int, rooted: bool):
         yield from rec(1 << root, sizes[root], adj[root] & ~below, below)
 
 
+def _induced(adj, ids) -> list[int]:
+    """The subgraph of `adj` induced on the vertices `ids`, renumbered by
+    their position in `ids`."""
+    return [sum(1 << b for b, u in enumerate(ids) if adj[v] >> u & 1) for v in ids]
+
+
 def _pin_mask(supports, sites) -> int:
     """Bitmask of the supports that meet any of `sites`."""
     at = _site_masks(supports)
@@ -170,14 +176,11 @@ def polymer_weights(
     beta: complex,
     max_bonds: int,
     polymers=None,
-    oracle: Oracle | None = None,
-    anchor=None,
 ) -> tuple[PolymerWeight, ...]:
     """Activities and bounds for every polymer up to the given size."""
     if polymers is None:
-        polymers = enumerate_polymers(ham, max_bonds, anchor=anchor)
-    if oracle is None:
-        oracle = Oracle(ham, beta)
+        polymers = enumerate_polymers(ham, max_bonds)
+    oracle = Oracle(ham, beta)
     w = bond_weights(ham.norms, beta)
     return tuple(
         PolymerWeight(polymer=p, rho=oracle.rho(p.bonds), bound=math.prod(w[i] for i in p.bonds))

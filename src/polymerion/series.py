@@ -52,6 +52,7 @@ from .oracle import Observable, Oracle, _alternating_sum, _check_observable
 from .polymers import (
     Polymer,
     _connected_families,
+    _induced,
     _overlap_masks,
     _pin_mask,
     _pinned_families,
@@ -390,20 +391,14 @@ def site_pinned_series(
         ids = list(_bits(mask))
         support = frozenset().union(*(supports[i] for i in ids))
         weight = 1.0 if per_cluster is None else per_cluster(support)
-        k = len(ids)
-        local = [0] * k
-        for a in range(k):
-            for b in range(a + 1, k):
-                if (adjacency[ids[a]] >> ids[b]) & 1:
-                    local[a] |= 1 << b
-                    local[b] |= 1 << a
+        local = _induced(adjacency, ids)
         id_sizes = [sizes[i] for i in ids]
         for extra in _extra_multiplicities(id_sizes, max_total_bonds - base):
             mult = [1 + e for e in extra]
             order = base + sum(e * s for e, s in zip(extra, id_sizes))
+            # Never 0: the polymers meeting the site overlap pairwise, so a
+            # pinned connected set is connected on its own.
             w = ursell(expand_multiset(local, mult))
-            if w == 0:
-                continue
             term = abs(w) if absolute else w
             for i, mm in zip(ids, mult):
                 v = values[i]

@@ -179,6 +179,7 @@ def ursell_penrose(adj) -> int:
     full = (1 << n) - 1
     if not is_connected(adj, full):
         return 0
+    graph_edges = _edges(adj)
     count = 0
     for edges in _prufer_trees(n):
         if any(not ((adj[i] >> j) & 1) for i, j in edges):
@@ -201,22 +202,14 @@ def ursell_penrose(adj) -> int:
                         nxt.append(w)
             frontier = nxt
         tree = {(min(i, j), max(i, j)) for i, j in edges}
-        ok = True
-        for i in range(n):
-            if not ok:
+        for i, j in graph_edges:
+            if (i, j) in tree:
+                continue
+            du, dv = depth[i], depth[j]
+            lo, hi = (i, j) if du < dv else (j, i)
+            if du == dv or (abs(du - dv) == 1 and lo > parent[hi]):
                 break
-            for j in _bits(adj[i] >> (i + 1) << (i + 1)):
-                if (i, j) in tree:
-                    continue
-                du, dv = depth[i], depth[j]
-                if du == dv:
-                    ok = False
-                    break
-                lo, hi = (i, j) if du < dv else (j, i)
-                if abs(du - dv) == 1 and lo > parent[hi]:
-                    ok = False
-                    break
-        if ok:
+        else:
             count += 1
     return count if (n - 1) % 2 == 0 else -count
 

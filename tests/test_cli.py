@@ -368,6 +368,22 @@ def test_unparsable_numbers_are_config_errors(tmp_path, capsys, command, doc):
     assert "config error" in captured.err and captured.out == ""
 
 
+SECTIONS = [("series", "series"), ("radius", "radius"), ("table1", "table"),
+            ("park", "park"), ("ks", "ks"), ("table1", "output")]
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    SECTIONS + [("validate", name) for _, name in SECTIONS],
+)
+def test_sections_must_be_objects(tmp_path, capsys, command, name):
+    cfg = write_cfg(tmp_path, chain_cfg(4, 0.2, {name: [1, 2]}))
+    assert main([command, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: '{name}' must be an object\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "ks",
     [
@@ -446,6 +462,13 @@ def test_exit_codes(tmp_path, capsys):
     # Volume too large for the dense oracle.
     huge = write_cfg(tmp_path, chain_cfg(21, 0.1), name="huge.json")
     assert main(["exact", "--config", huge]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+    # A quantum volume past the dense-matrix cap is refused before any
+    # matrix is allocated: 2^13 rows would be a 1 GiB complex matrix.
+    spins = chain_cfg(13, 0.1, {"model": {"preset": "heisenberg", "dimension": 1}})
+    spins = write_cfg(tmp_path, spins, name="spins.json")
+    assert main(["exact", "--config", spins]) == 3
     assert "numerical failure" in capsys.readouterr().err
 
     # Partition function overflows at very low temperature.

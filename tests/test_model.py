@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from polymerion import (
     partition_function,
     potts_model,
 )
-from polymerion.model import embed_matrix, embed_table
+from polymerion.model import _relabel, embed_matrix, embed_table
 
 from helpers import embed_matrix_reference, random_hermitian, random_table
 
@@ -173,6 +174,26 @@ def test_hamiltonian_on_sums_the_old_embeddings_bit_for_bit(rng, q, kind):
                 for i in ids:
                     want = want + embed_matrix_reference(ham.ops[i], ham.bonds[i], sites, q)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_relabel_moves_table_and_matrix_axes_alike(rng):
+    # Sites 0, 1, 2 become 5, 3, 4: the new axes, in sorted order, are the
+    # old axes 1, 2, 0.
+    q, old = 3, ((0,), (1,), (2,))
+    site_map = {(0,): (5,), (1,): (3,), (2,): (4,)}
+    table = rng.normal(size=q**3)
+    mat = rng.normal(size=(q**3, q**3)) + 1j * rng.normal(size=(q**3, q**3))
+    new, t = _relabel(table, old, site_map, q)
+    assert new == ((3,), (4,), (5,))
+    new_m, m = _relabel(mat, old, site_map, q)
+    assert new_m == new and m.shape == mat.shape
+    t3, told = t.reshape((q,) * 3), table.reshape((q,) * 3)
+    m6, mold = m.reshape((q,) * 6), mat.reshape((q,) * 6)
+    for a, b, c in itertools.product(range(q), repeat=3):
+        assert t3[a, b, c] == told[c, a, b]
+        for d, e, f in itertools.product(range(q), repeat=3):
+            assert m6[a, b, c, d, e, f] == mold[c, a, b, f, d, e]
+    assert np.array_equal(_relabel(np.diag(table), old, site_map, q)[1], np.diag(t))
 
 
 def test_operator_norm_classical_and_quantum(rng):

@@ -20,7 +20,8 @@ from polymerion import (
     xi_fugacity_exact,
 )
 
-from polymerion.oracle import _alternating_sum
+from polymerion.model import CLASSICAL, QUANTUM
+from polymerion.oracle import _alternating_sum, _check_dim
 
 from helpers import chain_interaction, random_beta, random_instance
 
@@ -170,6 +171,27 @@ def test_oracle_refuses_oversized_state_space():
     )
     with pytest.raises(NumericalError):
         partition_function(ham, 0.1)
+
+
+def test_quantum_cap_bounds_the_matrix_side():
+    # Classical tables may hold 2^20 states; quantum matrices stop at 2^12
+    # rows, since one of 2^20 rows would need 16 TiB.
+    _check_dim(2, 20, CLASSICAL)
+    _check_dim(2, 12, QUANTUM)
+    with pytest.raises(NumericalError, match="exceeds 1048576"):
+        _check_dim(2, 21, CLASSICAL)
+    with pytest.raises(NumericalError, match="exceeds 4096"):
+        _check_dim(2, 13, QUANTUM)
+    with pytest.raises(NumericalError, match="exceeds 4096"):
+        _check_dim(3, 8, QUANTUM)
+    ham = assemble_hamiltonian(heisenberg_model(1), Region.box([13]), boundary="free")
+    orc = Oracle(ham, 0.1)
+    with pytest.raises(NumericalError):
+        orc.z()
+    with pytest.raises(NumericalError):
+        orc.xi(range(len(ham.bonds)))
+    # Smaller families on the same volume still evaluate.
+    assert orc.z([0, 1]) == partition_function(ham, 0.1, [0, 1])
 
 
 def test_overflowing_z_raises_without_numpy_warnings():

@@ -31,7 +31,8 @@ from polymerion import (
     site_pinned_series,
 )
 from polymerion import series
-from polymerion.series import expectation_families
+from polymerion.polymers import _pin_mask, incompatibility_graph
+from polymerion.series import _count_clusters, expectation_families
 
 from helpers import chain_interaction, random_instance, random_observable
 
@@ -477,6 +478,22 @@ def test_cluster_counts_are_pinned():
     assert site_pinned_series(patch, 0.05, (0, 0), 6).n_clusters == 7178
     pins = [enumerate_polymers(patch, 1)[i] for i in (0, 1, 3)]
     assert [pinned_series(patch, 0.05, p, 6).n_clusters for p in pins] == [10012, 8941, 10382]
+
+
+def test_site_walk_weighs_every_cluster_it_counts():
+    # Every multiset the walk visits is connected through the pinned site,
+    # so its Ursell function is nonzero: the walk's count is the rooted
+    # cluster count without the empty set.
+    field = assemble_hamiltonian(ising_model(2, field_h=0.3), Region.box([2, 3]), boundary="free")
+    ring = assemble_hamiltonian(heisenberg_model(1), Region.box([5]), boundary="periodic")
+    cases = [(field, (0, 0), 6, 52639), (ring, (2,), 6, 1526),
+             (ising_model(2).window(3), (0, 0), 3, 488)]
+    for ham, site, k, want in cases:
+        polymers = enumerate_polymers(ham, k)
+        adjacency = incompatibility_graph(polymers)
+        pin = _pin_mask([p.support for p in polymers], [site])
+        walked = site_pinned_series(ham, 0.1, site, k).n_clusters
+        assert walked == _count_clusters(polymers, adjacency, k, pin) - 1 == want
 
 
 def _walk_by_order(ham, beta, k, weights=None):
