@@ -280,7 +280,7 @@ def _cmd_radius(cfg):
         kw["alpha"] = cfgmod.option(sec, "radius", "alpha", float, 1.0)
         kw["gamma"] = cfgmod.option(sec, "radius", "gamma", float, 0.5)
     if criterion == "fp":
-        kw["max_bonds"] = cfgmod.option(sec, "radius", "max_bonds", int, 4)
+        kw["max_bonds"] = cfgmod.option(sec, "radius", "max_bonds", int, 4, least=1)
     scan = beta_radius(
         source,
         criterion=criterion,

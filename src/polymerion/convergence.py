@@ -32,7 +32,6 @@ from .errors import ConfigError, NumericalError
 from .model import Hamiltonian, Interaction, LatticeModel, alpha_norm, operator_norm
 from .numeric import bisect_root, geometric_grid, golden_max
 from .polymers import (
-    _induced,
     _overlap_masks,
     _site_masks,
     bond_weights,
@@ -65,6 +64,7 @@ __all__ = [
 ]
 
 TREE_FORMS = ("direct", "bracketed", "per_site_product", "exponential")
+_NO_BONDS = "the volume has no bonds: there is no expansion to certify"
 
 
 # ---------------------------------------------------------------------------
@@ -266,20 +266,20 @@ class CriterionReport:
 
 def _zeta_for_a(structure: _Structure, a: float) -> float:
     """Scalar zeta whose per-site sum meets e^a - 1 exactly."""
-    count = structure.site_sum([1] * len(structure.sizes))
-    if count == 0:
-        raise NumericalError("no bonds: the weight a fixes no zeta")
-    return math.expm1(a) / count
+    return math.expm1(a) / structure.site_sum([1] * len(structure.sizes))
 
 
 def _tree_structure(source, form: str) -> _Structure:
     """The bond structure of `source`, refusing what `gk_criterion` and tree
-    scans both refuse: an unknown form, and a source with no anchored sum."""
+    scans both refuse: an unknown form, a source with no anchored sum, and a
+    volume with no bonds."""
     if form not in TREE_FORMS:
         raise ConfigError(f"unknown tree form {form!r}; choose one of {TREE_FORMS}")
     structure = _structure_of(source)
     if isinstance(source, Interaction):
         raise ConfigError("anchored sums need a Hamiltonian or a LatticeModel")
+    if not structure.sizes:
+        raise ConfigError(_NO_BONDS)
     return structure
 
 
@@ -395,45 +395,106 @@ class FPReport:
     phi: tuple[float, ...]
 
 
-def _neighbourhood(adjacency, index: int):
-    """Candidates of phi_B0 (B0 and the polymers overlapping it), ascending,
-    with their incompatibility masks renumbered to candidate positions."""
-    cand_mask = adjacency[index] | (1 << index)
-    cand_ids = list(_bits(cand_mask))
-    if len(cand_ids) > 24:
-        raise NumericalError("fixed-point sum over more than 2^24 families refused")
-    return cand_ids, _induced(adjacency, cand_ids)
+def _split(avail: int) -> tuple[int, int]:
+    """The lowest id of a candidate mask, and the mask without it."""
+    low = avail & -avail
+    return low.bit_length() - 1, avail ^ low
 
 
-def _phi(cand_ids, local, mu) -> float:
-    """Sum of prod mu over pairwise-compatible subsets of the candidates."""
-    mu_vals = [float(mu[c]) for c in cand_ids]
-    memo: dict[int, float] = {}
+class _FPDag:
+    """The recursion behind every phi_B0, recorded once as flat arrays.
 
-    def g(avail: int) -> float:
-        if avail == 0:
-            return 1.0
-        hit = memo.get(avail)
-        if hit is not None:
-            return hit
-        low = avail & -avail
-        i = low.bit_length() - 1
-        rest = avail ^ low
-        val = g(rest) + mu_vals[i] * g(rest & ~local[i])
-        memo[avail] = val
-        return val
+    phi_B0 sums prod mu over the compatible subsets of B0's candidates (B0
+    and the polymers overlapping it). Over a candidate mask `avail` of
+    global polymer ids it splits on the lowest id c:
+    g(avail) = g(rest) + mu_c g(rest minus the polymers overlapping c).
+    The masks and their edges depend only on the incompatibility graph, so
+    they are compiled once, and polymers share the masks they reach. Node 0
+    is the empty mask (value 1). Nodes are grouped by popcount and `phi`
+    evaluates a level with one numpy multiply and one add,
+    fl(g_a + fl(mu_c g_b)), in the recursion's rounding.
+    """
 
-    return g((1 << len(cand_ids)) - 1)
+    def __init__(self, adjacency):
+        self.m = len(adjacency)
+        roots = [adjacency[i] | (1 << i) for i in range(self.m)]
+        states = {0}
+        for root in roots:
+            if root.bit_count() > 24:
+                raise NumericalError("fixed-point sum over more than 2^24 families refused")
+            stack = [root]
+            while stack:
+                avail = stack.pop()
+                if avail not in states:
+                    states.add(avail)
+                    c, rest = _split(avail)
+                    stack += (rest, rest & ~adjacency[c])
+        order = sorted(states, key=lambda avail: (avail.bit_count(), avail))
+        node = {avail: n for n, avail in enumerate(order)}
+        self.size = len(order)
+        self.roots = np.array([node[root] for root in roots], dtype=np.intp)
+        self.levels = []
+        start = 1
+        for _, level in itertools.groupby(order[1:], int.bit_count):
+            edges = []
+            for avail in level:
+                c, rest = _split(avail)
+                edges.append((node[rest], node[rest & ~adjacency[c]], c))
+            a, b, c = (np.array(col, dtype=np.intp) for col in zip(*edges))
+            self.levels.append((start, start + len(edges), a, b, c))
+            start += len(edges)
+
+    def phi(self, mu: np.ndarray) -> np.ndarray:
+        """phi_B0(mu) for every polymer B0; past the float range it is inf,
+        as in the recursion, and `fp_iterate` reports that as divergence."""
+        val = np.empty(self.size)
+        val[0] = 1.0
+        with np.errstate(over="ignore"):
+            for start, stop, a, b, c in self.levels:
+                val[start:stop] = val[a] + mu[c] * val[b]
+        return val[self.roots]
+
+
+def _fp_dag(polymers, adjacency) -> _FPDag:
+    """`adjacency` as the fp entry points take it (None, the incompatibility
+    masks of `polymers`, or their `_FPDag`), compiled."""
+    if adjacency is None:
+        adjacency = incompatibility_graph(polymers)
+    dag = adjacency if isinstance(adjacency, _FPDag) else _FPDag(adjacency)
+    if dag.m != len(polymers):
+        raise ConfigError(f"adjacency has {dag.m} polymers, the list {len(polymers)}")
+    return dag
+
+
+def _fp_vector(values, m: int, name: str, nonnegative: bool = False) -> np.ndarray:
+    """One finite float per polymer, as an array; anything else is refused."""
+    try:
+        out = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be a sequence of numbers") from exc
+    if out.shape != (m,):
+        raise ConfigError(f"{name} needs one value per polymer ({m}), got shape {out.shape}")
+    if not np.isfinite(out).all():
+        raise ConfigError(f"{name} must be finite")
+    if nonnegative and (out < 0).any():
+        raise ConfigError(f"{name} bounds an activity and cannot be negative")
+    return out
 
 
 def fp_phi(polymers, index: int, mu, adjacency=None) -> float:
     """phi_B0(mu): sum over compatible families, every member overlapping B0.
 
     The family may contain B0 itself; the empty family contributes 1.
+    `adjacency` is the incompatibility masks of `polymers` or their
+    compiled recursion (built when omitted), evaluated as `fp_iterate`
+    does. An index outside the list, or a `mu` that is not one finite
+    number per polymer, raises `ConfigError`; a neighbourhood of more than
+    24 candidates, in any polymer, raises `NumericalError`.
     """
-    if adjacency is None:
-        adjacency = incompatibility_graph(polymers)
-    return _phi(*_neighbourhood(adjacency, index), mu)
+    dag = _fp_dag(polymers, adjacency)
+    if not (isinstance(index, (int, np.integer)) and 0 <= index < dag.m):
+        raise ConfigError(f"polymer index {index!r} is not in range({dag.m})")
+    return float(dag.phi(_fp_vector(mu, dag.m, "mu"))[index])
 
 
 def fp_iterate(
@@ -450,45 +511,52 @@ def fp_iterate(
     Started from zero the iterates increase toward the minimal fixed
     point when one exists; crossing the divergence cap flags that none
     does. Starting from a certificate mu the iterates decrease.
+
+    The recursion behind phi depends only on the incompatibility graph:
+    it is compiled once into numpy index arrays (or passed compiled as
+    `adjacency`) and each iterate evaluates every phi_B0 level by level,
+    bit for bit as the memoized recursion does. `lam` (nonnegative) and
+    `mu0` need one finite number per polymer, else `ConfigError`. An empty
+    polymer list is a converged fixed point after no iterations.
     """
-    if adjacency is None:
-        adjacency = incompatibility_graph(polymers)
-    m = len(polymers)
-    lam = [float(x) for x in lam]
-    mu = [0.0] * m if mu0 is None else [float(x) for x in mu0]
-    chain = [max(mu, default=0.0)]
-    hoods = [_neighbourhood(adjacency, i) for i in range(m)]
+    dag = _fp_dag(polymers, adjacency)
+    lam = _fp_vector(lam, dag.m, "lam", nonnegative=True)
+    mu = np.zeros(dag.m) if mu0 is None else _fp_vector(mu0, dag.m, "mu0")
+    chain = [max(mu.tolist(), default=0.0)]
+
+    def result(converged: bool, diverged: bool, iterations: int) -> FPResult:
+        return FPResult(
+            converged=converged, diverged=diverged, mu=tuple(mu.tolist()),
+            iterations=iterations, chain=tuple(chain),
+        )
+
+    if dag.m == 0:
+        return result(True, False, 0)
     for it in range(1, max_iter + 1):
-        nxt = [lam[i] * _phi(*hoods[i], mu) for i in range(m)]
-        delta = max(abs(a - b) for a, b in zip(nxt, mu))
+        nxt = lam * dag.phi(mu)
+        delta = float(np.abs(nxt - mu).max())
         mu = nxt
-        chain.append(max(mu, default=0.0))
-        if max(mu) > divergence:
-            return FPResult(
-                converged=False, diverged=True, mu=tuple(mu),
-                iterations=it, chain=tuple(chain),
-            )
-        if delta <= tol * (1.0 + max(mu)):
-            return FPResult(
-                converged=True, diverged=False, mu=tuple(mu),
-                iterations=it, chain=tuple(chain),
-            )
-    return FPResult(
-        converged=False, diverged=False, mu=tuple(mu),
-        iterations=max_iter, chain=tuple(chain),
-    )
+        top = float(mu.max())
+        chain.append(top)
+        if top > divergence:
+            return result(False, True, it)
+        if delta <= tol * (1.0 + top):
+            return result(True, False, it)
+    return result(False, False, max_iter)
 
 
 def fp_criterion(polymers, lam, mu, adjacency=None) -> FPReport:
-    """Does lam * phi(mu) <= mu hold componentwise?"""
-    if adjacency is None:
-        adjacency = incompatibility_graph(polymers)
-    phis = [fp_phi(polymers, i, mu, adjacency) for i in range(len(polymers))]
-    margins = [float(m_) - float(l_) * p for m_, l_, p in zip(mu, lam, phis)]
+    """Does lam * phi(mu) <= mu hold componentwise? Arguments as for
+    `fp_iterate`."""
+    dag = _fp_dag(polymers, adjacency)
+    lam = _fp_vector(lam, dag.m, "lam", nonnegative=True)
+    mu = _fp_vector(mu, dag.m, "mu")
+    phis = dag.phi(mu)
+    margins = mu - lam * phis
     return FPReport(
-        holds=all(x >= 0 for x in margins),
-        margins=tuple(margins),
-        phi=tuple(phis),
+        holds=bool((margins >= 0).all()),
+        margins=tuple(margins.tolist()),
+        phi=tuple(phis.tolist()),
     )
 
 
@@ -712,13 +780,17 @@ def _fp_scan(source, max_bonds=4):
     bounds converge at beta? The polymers and their graph are built once."""
     if not isinstance(source, Hamiltonian):
         raise ConfigError("the fixed-point scan needs a finite Hamiltonian")
+    if not isinstance(max_bonds, (int, np.integer)) or max_bonds < 1:
+        raise ConfigError(f"max_bonds must be an integer of at least 1, got {max_bonds!r}")
+    if not source.bonds:
+        raise ConfigError(_NO_BONDS)
     polymers = enumerate_polymers(source, max_bonds)
-    adjacency = incompatibility_graph(polymers)
+    dag = _FPDag(incompatibility_graph(polymers))
 
     def certifies(beta):
         weights = bond_weights(source.norms, beta)
         lam = [math.prod(weights[i] for i in p.bonds) for p in polymers]
-        return fp_iterate(polymers, lam, adjacency=adjacency, max_iter=2000).converged
+        return fp_iterate(polymers, lam, adjacency=dag, max_iter=2000).converged
 
     return certifies
 
@@ -742,8 +814,10 @@ def beta_radius(
     its `.holds`, but evaluates only the tree certificate: the bond
     structure is built once per scan, and the anchored lower bound, a
     diagnostic that never decides `.holds`, is left to `gk_criterion`.
-    An fp scan takes `max_bonds` (default 4), the largest polymer it
-    iterates on, and refuses any other keyword.
+    An fp scan takes `max_bonds` (default 4, an integer of at least 1),
+    the largest polymer it iterates on, and refuses any other keyword; it
+    compiles the recursion behind phi once per scan. Both scans refuse a
+    volume with no bonds.
     """
     grid = geometric_grid(lo, hi, per_decade)
     if criterion == "tree":

@@ -9,7 +9,9 @@ runs in seconds.
 `ks_reference` keeps the per-subset hierarchy sweep that `ks_solve`
 replaced, as the bit-for-bit reference of the vectorized solver, and
 `embed_matrix_reference` keeps the identity-by-identity embedding that
-`model.embed_matrix` replaced.
+`model.embed_matrix` replaced. `fp_phi_reference` and
+`fp_iterate_reference` keep the memoized per-polymer recursion that the
+compiled fixed-point evaluation replaced.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from polymerion import (
     Region,
     assemble_hamiltonian,
 )
+from polymerion.polymers import _induced
+from polymerion.ursell import _bits
 
 
 def random_table(rng, q: int, nsites: int, scale: float) -> np.ndarray:
@@ -241,3 +245,54 @@ def embed_matrix_reference(mat, support, sites, q: int) -> np.ndarray:
         col_axis[s] = 2 * k + 2 * j + 1
     perm = [row_axis[s] for s in sites] + [col_axis[s] for s in sites]
     return t.transpose(perm).reshape(q**n, q**n)
+
+
+def fp_phi_reference(adjacency, index: int, mu) -> float:
+    """phi_B0(mu) by the memoized recursion `fp_phi` replaced, kept as its
+    reference: candidates renumbered to local positions, one memo per call."""
+    cand_ids = list(_bits(adjacency[index] | (1 << index)))
+    local = _induced(adjacency, cand_ids)
+    mu_vals = [float(mu[c]) for c in cand_ids]
+    memo: dict[int, float] = {}
+
+    def g(avail: int) -> float:
+        if avail == 0:
+            return 1.0
+        hit = memo.get(avail)
+        if hit is not None:
+            return hit
+        low = avail & -avail
+        i = low.bit_length() - 1
+        rest = avail ^ low
+        val = g(rest) + mu_vals[i] * g(rest & ~local[i])
+        memo[avail] = val
+        return val
+
+    return g((1 << len(cand_ids)) - 1)
+
+
+def fp_iterate_reference(adjacency, lam, mu0=None, tol=1e-14, max_iter=10000,
+                         divergence=1e9) -> dict:
+    """The Python-list loop `fp_iterate` replaced, over `fp_phi_reference`.
+
+    Returns the fields of `FPResult` as a dict.
+    """
+    m = len(adjacency)
+    lam = [float(x) for x in lam]
+    mu = [0.0] * m if mu0 is None else [float(x) for x in mu0]
+    chain = [max(mu, default=0.0)]
+    converged = diverged = False
+    it = max_iter
+    for k in range(1, max_iter + 1):
+        nxt = [lam[i] * fp_phi_reference(adjacency, i, mu) for i in range(m)]
+        delta = max(abs(a - b) for a, b in zip(nxt, mu))
+        mu = nxt
+        chain.append(max(mu))
+        if max(mu) > divergence:
+            diverged, it = True, k
+            break
+        if delta <= tol * (1.0 + max(mu)):
+            converged, it = True, k
+            break
+    return {"converged": converged, "diverged": diverged, "mu": tuple(mu),
+            "iterations": it, "chain": tuple(chain)}

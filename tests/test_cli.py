@@ -359,6 +359,11 @@ def test_exact_output_matches_golden_bytes(tmp_path, golden, doc):
         ("radius", {"model": ISING_D2, "radius": {"lo": -1}}),
         ("radius", {"model": ISING_D2, "radius": {"lo": 0.1, "hi": 0.1}}),
         ("radius", {"model": ISING_D2, "radius": {"lo": 0.1, "hi": 0.01}}),
+        # A fixed-point scan without polymers, and a volume without bonds,
+        # ended in an uncaught ValueError.
+        ("radius", chain_cfg(4, 0.1, {"radius": {"criterion": "fp", "max_bonds": 0}})),
+        ("radius", chain_cfg(1, 0.1, {"radius": {"criterion": "fp"}})),
+        ("radius", chain_cfg(1, 0.1, {"radius": {"criterion": "tree"}})),
     ],
 )
 def test_unparsable_numbers_are_config_errors(tmp_path, capsys, command, doc):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,8 @@ from polymerion import (
 )
 from polymerion.convergence import TREE_FORMS, _finite_structure
 from polymerion.numeric import geometric_grid
+
+from helpers import fp_iterate_reference, fp_phi_reference
 
 TABLE = {
     2: (0.0873651, 0.0290245),
@@ -401,6 +404,10 @@ def _fp_iterate_by_fp_phi(polymers, lam, max_iter=2000, tol=1e-14, divergence=1e
 
 
 def test_fp_iterate_matches_a_loop_over_fp_phi():
+    """The iteration agrees with its own loop over the public fp_phi. Both
+    evaluate the same compiled recursion, so this checks the loop, not the
+    recursion; `test_fp_dag_matches_the_recursion_bit_for_bit` checks that
+    against the independent reference."""
     ham = assemble_hamiltonian(ising_model(1), Region.box([5]), boundary="free")
     polys = enumerate_polymers(ham, 4)
     outcomes = []
@@ -410,6 +417,117 @@ def test_fp_iterate_matches_a_loop_over_fp_phi():
         assert (res.mu, res.chain, res.iterations) == _fp_iterate_by_fp_phi(polys, lam)
         outcomes.append((res.converged, res.diverged))
     assert outcomes == [(True, False), (False, True)]
+
+
+# Certified fp thresholds of the benchmark's chains (THRESHOLDS in
+# perfbench/workloads.py), scanned there at max_bonds 4.
+FP_THRESHOLDS = {5: 0.1796, 6: 0.1642, 8: 0.1501}
+
+
+def _fp_fields(res):
+    return {k: getattr(res, k) for k in ("converged", "diverged", "mu", "iterations", "chain")}
+
+
+def test_fp_dag_matches_the_recursion_bit_for_bit():
+    # The compiled evaluation against the memoized recursion it replaced:
+    # every field with ==, on grids that cross each benchmark threshold and
+    # on the demo's scan, from zero and down from a certificate.
+    windows = [(n, FP_THRESHOLDS[n] / 1.2, FP_THRESHOLDS[n] * 1.1, 32) for n in (5, 6, 8)]
+    windows.append((5, 1e-3, 0.2, 32))  # demos/certified_radii.py
+    for n, lo, hi, per_decade in windows:
+        ham = assemble_hamiltonian(ising_model(1, 1.0), Region.box([n]), boundary="free")
+        polys = enumerate_polymers(ham, 4)
+        adj = incompatibility_graph(polys)
+        scan = beta_radius(ham, "fp", lo=lo, hi=hi, per_decade=per_decade, max_bonds=4)
+        flags = []
+        for beta, ok in scan.points:
+            w = [math.expm1(beta * x) for x in ham.norms]
+            lam = [math.prod(w[i] for i in p.bonds) for p in polys]
+            ref = fp_iterate_reference(adj, lam, max_iter=2000)
+            assert _fp_fields(fp_iterate(polys, lam, max_iter=2000)) == ref, (n, beta)
+            assert ok == ref["converged"], (n, beta)
+            flags.append(ok)
+            if ok:
+                start = [2.0 * x + 0.01 for x in ref["mu"]]
+                rep = fp_criterion(polys, lam, start, adjacency=adj)
+                phis = tuple(fp_phi_reference(adj, i, start) for i in range(len(polys)))
+                assert rep.phi == phis
+                assert rep.margins == tuple(m - x * p for m, x, p in zip(start, lam, phis))
+                down = fp_iterate(polys, lam, mu0=start)
+                assert _fp_fields(down) == fp_iterate_reference(adj, lam, mu0=start)
+        assert any(flags) and not all(flags), (n, lo, hi)
+
+
+def test_fp_iterate_flags_an_overflowing_phi_as_divergence():
+    # B0 overlaps two compatible polymers, so phi_B0 holds mu_1 mu_2 = 1e400:
+    # inf without a warning, as in the recursion, and flagged as divergence.
+    polys = [
+        Polymer(bonds=(0,), support=frozenset([(0,), (1,), (2,)])),
+        Polymer(bonds=(1,), support=frozenset([(1,), (5,)])),
+        Polymer(bonds=(2,), support=frozenset([(2,), (6,)])),
+    ]
+    lam, mu0 = [0.5, 0.0, 0.5], [1e200] * 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = fp_iterate(polys, lam, mu0=mu0)
+    assert res.diverged and res.mu[0] == math.inf
+    assert _fp_fields(res) == fp_iterate_reference(incompatibility_graph(polys), lam, mu0=mu0)
+
+
+def _chain(n):
+    return assemble_hamiltonian(ising_model(1), Region.box([n]), boundary="free")
+
+
+@pytest.mark.parametrize("max_bonds", [0, -1, 2.5, "4"])
+def test_fp_scan_refuses_max_bonds_it_cannot_take(max_bonds):
+    # 0 and -1 ended in "max() arg is an empty sequence", 2.5 in a TypeError.
+    with pytest.raises(ConfigError, match="max_bonds"):
+        beta_radius(_chain(4), "fp", lo=0.01, hi=0.1, per_decade=2, max_bonds=max_bonds)
+
+
+def test_scans_refuse_a_volume_without_bonds():
+    # Both scans used to crash on an empty sequence.
+    lone = assemble_hamiltonian(ising_model(1), Region.box([1]))
+    assert not lone.bonds
+    for criterion in ("tree", "fp"):
+        with pytest.raises(ConfigError, match="no bonds"):
+            beta_radius(lone, criterion, lo=0.01, hi=0.1, per_decade=2)
+    with pytest.raises(ConfigError, match="no bonds"):
+        gk_criterion(lone, 0.01)
+
+
+def test_fp_entry_points_on_no_polymers():
+    res = fp_iterate([], [])
+    assert res.converged and not res.diverged
+    assert (res.mu, res.iterations, res.chain) == ((), 0, (0.0,))
+    assert fp_criterion([], [], []).holds
+
+
+_TWO = chain_polymers(2)
+_OK = [0.1, 0.1]
+# Each raised IndexError, ValueError or TypeError, broadcast, or answered.
+MALFORMED_FP_CALLS = {
+    "lam-short": lambda: fp_iterate(_TWO, [0.1]),
+    "lam-long": lambda: fp_criterion(_TWO, [0.1] * 3, _OK),
+    "lam-scalar": lambda: fp_iterate(_TWO, 0.1),
+    "lam-nan": lambda: fp_iterate(_TWO, [0.1, math.nan]),
+    "lam-inf": lambda: fp_criterion(_TWO, [0.1, math.inf], _OK),
+    "lam-negative": lambda: fp_iterate(_TWO, [0.1, -0.1]),
+    "mu0-short": lambda: fp_iterate(_TWO, _OK, mu0=[0.1]),
+    "mu0-nan": lambda: fp_iterate(_TWO, _OK, mu0=[math.nan, 0.1]),
+    "mu-short": lambda: fp_criterion(_TWO, _OK, [0.1]),
+    "mu-text": lambda: fp_phi(_TWO, 0, ["x", 0.1]),
+    "index-high": lambda: fp_phi(_TWO, 2, _OK),
+    "index-negative": lambda: fp_phi(_TWO, -1, _OK),
+    "index-fractional": lambda: fp_phi(_TWO, 0.5, _OK),
+    "adjacency-size": lambda: fp_phi(_TWO, 0, _OK, adjacency=[0, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FP_CALLS))
+def test_fp_entry_points_refuse_malformed_arguments(case):
+    with pytest.raises(ConfigError, match=case.split("-")[0]):
+        MALFORMED_FP_CALLS[case]()
 
 
 def test_finite_structure_matches_pairwise_overlaps():
