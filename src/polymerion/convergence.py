@@ -412,12 +412,17 @@ class _FPDag:
     they are compiled once, and polymers share the masks they reach. Node 0
     is the empty mask (value 1). Nodes are grouped by popcount and `phi`
     evaluates a level with one numpy multiply and one add,
-    fl(g_a + fl(mu_c g_b)), in the recursion's rounding.
+    fl(g_a + fl(mu_c g_b)), in the recursion's rounding; the callers let
+    it overflow to inf (and 0 * inf give NaN) quietly, as Python floats
+    do in the recursion. `ids` picks the
+    polymers whose phi is compiled and returned, in that order (all of
+    them by default).
     """
 
-    def __init__(self, adjacency):
+    def __init__(self, adjacency, ids=None):
         self.m = len(adjacency)
-        roots = [adjacency[i] | (1 << i) for i in range(self.m)]
+        self.ids = range(self.m) if ids is None else ids
+        roots = [adjacency[i] | (1 << i) for i in self.ids]
         states = {0}
         for root in roots:
             if root.bit_count() > 24:
@@ -445,22 +450,23 @@ class _FPDag:
             start += len(edges)
 
     def phi(self, mu: np.ndarray) -> np.ndarray:
-        """phi_B0(mu) for every polymer B0; past the float range it is inf,
-        as in the recursion, and `fp_iterate` reports that as divergence."""
+        """phi_B0(mu) for each compiled polymer B0; past the float range it
+        is inf, as in the recursion, and `fp_iterate` reports that as
+        divergence."""
         val = np.empty(self.size)
         val[0] = 1.0
-        with np.errstate(over="ignore"):
-            for start, stop, a, b, c in self.levels:
-                val[start:stop] = val[a] + mu[c] * val[b]
+        for start, stop, a, b, c in self.levels:
+            val[start:stop] = val[a] + mu[c] * val[b]
         return val[self.roots]
 
 
-def _fp_dag(polymers, adjacency) -> _FPDag:
+def _fp_dag(polymers, adjacency, ids=None) -> _FPDag:
     """`adjacency` as the fp entry points take it (None, the incompatibility
-    masks of `polymers`, or their `_FPDag`), compiled."""
+    masks of `polymers`, or their `_FPDag`), compiled; masks are compiled
+    for `ids` only."""
     if adjacency is None:
         adjacency = incompatibility_graph(polymers)
-    dag = adjacency if isinstance(adjacency, _FPDag) else _FPDag(adjacency)
+    dag = adjacency if isinstance(adjacency, _FPDag) else _FPDag(adjacency, ids)
     if dag.m != len(polymers):
         raise ConfigError(f"adjacency has {dag.m} polymers, the list {len(polymers)}")
     return dag
@@ -485,16 +491,20 @@ def fp_phi(polymers, index: int, mu, adjacency=None) -> float:
     """phi_B0(mu): sum over compatible families, every member overlapping B0.
 
     The family may contain B0 itself; the empty family contributes 1.
-    `adjacency` is the incompatibility masks of `polymers` or their
-    compiled recursion (built when omitted), evaluated as `fp_iterate`
-    does. An index outside the list, or a `mu` that is not one finite
-    number per polymer, raises `ConfigError`; a neighbourhood of more than
-    24 candidates, in any polymer, raises `NumericalError`.
+    `adjacency` is the incompatibility masks of `polymers` (built when
+    omitted), of which only B0's recursion is compiled, or the compiled
+    recursion of all of them; it is evaluated as `fp_iterate` does. An
+    index outside the list, or a `mu` that is not one finite number per
+    polymer, raises `ConfigError`; a neighbourhood of B0 with more than 24
+    candidates raises `NumericalError`.
     """
-    dag = _fp_dag(polymers, adjacency)
-    if not (isinstance(index, (int, np.integer)) and 0 <= index < dag.m):
-        raise ConfigError(f"polymer index {index!r} is not in range({dag.m})")
-    return float(dag.phi(_fp_vector(mu, dag.m, "mu"))[index])
+    m = len(polymers)
+    if not (isinstance(index, (int, np.integer)) and 0 <= index < m):
+        raise ConfigError(f"polymer index {index!r} is not in range({m})")
+    dag = _fp_dag(polymers, adjacency, ids=[index])
+    mu = _fp_vector(mu, dag.m, "mu")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(dag.phi(mu)[dag.ids.index(index)])
 
 
 def fp_iterate(
@@ -517,7 +527,9 @@ def fp_iterate(
     `adjacency`) and each iterate evaluates every phi_B0 level by level,
     bit for bit as the memoized recursion does. `lam` (nonnegative) and
     `mu0` need one finite number per polymer, else `ConfigError`. An empty
-    polymer list is a converged fixed point after no iterations.
+    polymer list is a converged fixed point after no iterations. An
+    iterate holding a NaN (an infinite phi times a zero lam) diverged;
+    `chain` records the largest of its entries that are numbers.
     """
     dag = _fp_dag(polymers, adjacency)
     lam = _fp_vector(lam, dag.m, "lam", nonnegative=True)
@@ -532,16 +544,17 @@ def fp_iterate(
 
     if dag.m == 0:
         return result(True, False, 0)
-    for it in range(1, max_iter + 1):
-        nxt = lam * dag.phi(mu)
-        delta = float(np.abs(nxt - mu).max())
-        mu = nxt
-        top = float(mu.max())
-        chain.append(top)
-        if top > divergence:
-            return result(False, True, it)
-        if delta <= tol * (1.0 + top):
-            return result(True, False, it)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, max_iter + 1):
+            nxt = lam * dag.phi(mu)
+            delta = float(np.abs(nxt - mu).max())
+            mu = nxt
+            top = float(np.fmax.reduce(mu))
+            chain.append(top)
+            if top > divergence or np.isnan(mu).any():
+                return result(False, True, it)
+            if delta <= tol * (1.0 + top):
+                return result(True, False, it)
     return result(False, False, max_iter)
 
 
@@ -551,8 +564,9 @@ def fp_criterion(polymers, lam, mu, adjacency=None) -> FPReport:
     dag = _fp_dag(polymers, adjacency)
     lam = _fp_vector(lam, dag.m, "lam", nonnegative=True)
     mu = _fp_vector(mu, dag.m, "mu")
-    phis = dag.phi(mu)
-    margins = mu - lam * phis
+    with np.errstate(over="ignore", invalid="ignore"):
+        phis = dag.phi(mu)
+        margins = mu - lam * phis
     return FPReport(
         holds=bool((margins >= 0).all()),
         margins=tuple(margins.tolist()),
@@ -790,6 +804,8 @@ def _fp_scan(source, max_bonds=4):
     def certifies(beta):
         weights = bond_weights(source.norms, beta)
         lam = [math.prod(weights[i] for i in p.bonds) for p in polymers]
+        if not all(map(math.isfinite, lam)):
+            return False  # an infinite activity bound certifies nothing
         return fp_iterate(polymers, lam, adjacency=dag, max_iter=2000).converged
 
     return certifies
@@ -816,7 +832,8 @@ def beta_radius(
     diagnostic that never decides `.holds`, is left to `gk_criterion`.
     An fp scan takes `max_bonds` (default 4, an integer of at least 1),
     the largest polymer it iterates on, and refuses any other keyword; it
-    compiles the recursion behind phi once per scan. Both scans refuse a
+    compiles the recursion behind phi once per scan, and a point whose
+    activity bounds overflow a float is not certified. Both scans refuse a
     volume with no bonds.
     """
     grid = geometric_grid(lo, hi, per_decade)

@@ -8,6 +8,7 @@ import scipy.special
 from polymerion import (
     ConfigError,
     Interaction,
+    NumericalError,
     Oracle,
     Polymer,
     PolymerWeight,
@@ -472,6 +473,61 @@ def test_fp_iterate_flags_an_overflowing_phi_as_divergence():
         res = fp_iterate(polys, lam, mu0=mu0)
     assert res.diverged and res.mu[0] == math.inf
     assert _fp_fields(res) == fp_iterate_reference(incompatibility_graph(polys), lam, mu0=mu0)
+
+
+def test_fp_iterate_flags_a_nan_iterate_as_divergence():
+    # The same overflow on a hub with lam 0 that is not first in the list:
+    # mu_hub = 0 * inf is NaN. numpy's max is then NaN, which neither
+    # crossed the cap nor converged; the loop ran all its iterations.
+    leaf1 = Polymer(bonds=(1,), support=frozenset([(1,), (5,)]))
+    hub = Polymer(bonds=(0,), support=frozenset([(0,), (1,), (2,)]))
+    leaf2 = Polymer(bonds=(2,), support=frozenset([(2,), (6,)]))
+    polys = [leaf1, hub, leaf2]
+    lam, mu0 = [0.5, 0.0, 0.5], [1e200] * 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = fp_iterate(polys, lam, mu0=mu0)
+        rep = fp_criterion(polys, lam, mu0)
+    assert res.diverged and res.iterations == 1 and math.isnan(res.mu[1])
+    assert not rep.holds and rep.phi[1] == math.inf and math.isnan(rep.margins[1])
+    ref = fp_iterate_reference(incompatibility_graph(polys), lam, mu0=mu0)
+    got = _fp_fields(res)
+    assert [float(x).hex() for x in got.pop("mu")] == [float(x).hex() for x in ref.pop("mu")]
+    assert got == ref
+    # With every lam 0 the iterate is [0, NaN, 0]: no entry crossed the
+    # cap, and the NaN still makes it diverge.
+    res = fp_iterate(polys, [0.0] * 3, mu0=mu0)
+    assert res.diverged and res.iterations == 1 and res.chain[-1] == 0.0
+
+
+def test_fp_scan_past_the_float_range_of_the_activity_bounds():
+    # J = 100 makes expm1(beta J) ** 4 overflow at beta near 1.8, inside the
+    # default window: those points are not certified, as the loop that
+    # iterated the infinite bound to divergence said, and the scan answers.
+    ham = assemble_hamiltonian(ising_model(1, 100.0), Region.box([5]), boundary="free")
+    polys = enumerate_polymers(ham, 4)
+    adj = incompatibility_graph(polys)
+    scan = beta_radius(ham, "fp", per_decade=8)
+    overflowed = 0
+    for beta, ok in scan.points:
+        w = [math.expm1(beta * x) for x in ham.norms]
+        lam = [math.prod(w[i] for i in p.bonds) for p in polys]
+        overflowed += not all(map(math.isfinite, lam))
+        assert ok == fp_iterate_reference(adj, lam, max_iter=2000)["converged"], beta
+    assert overflowed and scan.beta_radius is not None
+
+
+def test_fp_phi_compiles_only_its_own_neighbourhood():
+    # A hub overlapping 25 leaves is past the 2^24 refusal; a polymer apart
+    # from it still has its phi, and the hub's own is refused.
+    leaves = [Polymer(bonds=(i,), support=frozenset([(i,), (100 + i,)])) for i in range(25)]
+    hub = Polymer(bonds=(25,), support=frozenset((i,) for i in range(25)))
+    apart = Polymer(bonds=(26,), support=frozenset([(500,)]))
+    polys = [*leaves, hub, apart]
+    mu = [0.01] * len(polys)
+    assert fp_phi(polys, 26, mu) == fp_phi_reference(incompatibility_graph(polys), 26, mu) == 1.01
+    with pytest.raises(NumericalError):
+        fp_phi(polys, 25, mu)
 
 
 def _chain(n):
