@@ -79,6 +79,9 @@ _KINDS = {int: "an integer", float: "a number"}
 
 
 def _cast(raw, where: str, cast, least=None):
+    # int() would truncate 2.5 and read true as 1 without a word.
+    if cast is int and (isinstance(raw, bool) or isinstance(raw, float) and not raw.is_integer()):
+        raise ConfigError(f"{where} must be {_KINDS[cast]}, got {raw!r}")
     try:
         value = cast(raw)
     except (TypeError, ValueError, OverflowError) as exc:

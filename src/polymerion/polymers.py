@@ -72,7 +72,13 @@ def _overlap_masks(supports) -> list[int]:
 
 
 def _connected_families(adj, sizes, max_total: int, rooted: bool):
-    """Connected subsets as (bitmask of ids, total size), each exactly once.
+    """Connected subsets as (bitmask of ids, total size, size key), each
+    exactly once.
+
+    The size key packs the subset's histogram of sizes: it is the sum of
+    1 << (width * size) over its vertices, with width =
+    max_total.bit_length(), so no field overflows within the budget;
+    `_size_histogram` unpacks it.
 
     With `rooted` only subsets containing vertex 0 are produced (vertex 0
     is then the pin and contributes size 0). A vertex too large for the
@@ -85,28 +91,36 @@ def _connected_families(adj, sizes, max_total: int, rooted: bool):
             fits[size] |= 1 << v
     for r in range(1, max_total + 1):
         fits[r] |= fits[r - 1]
+    width = max_total.bit_length()
+    unit = [1 << (width * size) for size in sizes]
 
-    def rec(sett: int, total: int, cand: int, banned: int):
-        yield sett, total
+    def rec(sett: int, total: int, key: int, cand: int, banned: int):
+        yield sett, total, key
         cand &= fits[max_total - total]
-        processed = 0
         while cand:
             low = cand & -cand
             cand ^= low
             v = low.bit_length() - 1
-            nb = banned | processed
-            newcand = (cand | (adj[v] & ~nb)) & ~sett & ~low
-            yield from rec(sett | low, total + sizes[v], newcand, nb)
-            processed |= low
+            newcand = (cand | (adj[v] & ~banned)) & ~sett & ~low
+            yield from rec(sett | low, total + sizes[v], key + unit[v], newcand, banned)
+            banned |= low
 
     if rooted:
-        yield from rec(1, sizes[0], adj[0] & ~1, 1)
+        yield from rec(1, sizes[0], unit[0], adj[0] & ~1, 1)
         return
     for root in range(len(sizes)):
         if sizes[root] > max_total:
             continue
         below = (1 << (root + 1)) - 1
-        yield from rec(1 << root, sizes[root], adj[root] & ~below, below)
+        yield from rec(1 << root, sizes[root], unit[root], adj[root] & ~below, below)
+
+
+def _size_histogram(key: int, max_total: int) -> list[int]:
+    """Unpack a size key of the walk at budget `max_total`: entry s is the
+    number of vertices of size s in the subset."""
+    width = max_total.bit_length()
+    field = (1 << width) - 1
+    return [(key >> (width * s)) & field for s in range(max_total + 1)]
 
 
 def _induced(adj, ids) -> list[int]:
@@ -127,14 +141,15 @@ def _pin_mask(supports, sites) -> int:
 def _pinned_families(adj, pin: int, sizes, max_total: int):
     """Sets that are connected once a pin vertex meeting `pin` is added.
 
-    Yields (bitmask of ids, total size) as `_connected_families` does,
-    with the pin's own bit removed; the empty set comes first, as mask 0.
+    Yields (bitmask of ids, total size, size key) as `_connected_families`
+    does, with the pin's own bit removed; the empty set comes first, as
+    mask 0. The pin adds 1 to the key's size-0 field.
     The pin is vertex 0 of the shifted graph. It is the root, already in
     every set the walk grows, so the other rows may leave out its bit.
     """
     shifted = [pin << 1] + [a << 1 for a in adj]
-    for sett, total in _connected_families(shifted, [0] + sizes, max_total, rooted=True):
-        yield sett >> 1, total
+    for sett, total, key in _connected_families(shifted, [0] + sizes, max_total, rooted=True):
+        yield sett >> 1, total, key
 
 
 def enumerate_polymers(ham: Hamiltonian, max_bonds: int, anchor=None) -> tuple[Polymer, ...]:
@@ -146,7 +161,7 @@ def enumerate_polymers(ham: Hamiltonian, max_bonds: int, anchor=None) -> tuple[P
     adj = _overlap_masks(ham.bonds)
     anchor_set = site_set(anchor) if anchor is not None else None
     out = []
-    for mask, _ in _connected_families(adj, [1] * len(adj), max_bonds, rooted=False):
+    for mask, _, _ in _connected_families(adj, [1] * len(adj), max_bonds, rooted=False):
         ids = tuple(_bits(mask))
         support = frozenset(s for i in ids for s in ham.bonds[i])
         if anchor_set is not None and anchor_set.isdisjoint(support):

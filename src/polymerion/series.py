@@ -42,7 +42,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -56,6 +58,7 @@ from .polymers import (
     _overlap_masks,
     _pin_mask,
     _pinned_families,
+    _size_histogram,
     enumerate_polymers,
     incompatibility_graph,
 )
@@ -96,18 +99,22 @@ class TruncatedSeries:
 
 
 class _LazyValues:
-    """Polymer activities computed on first use, sharing one oracle memo."""
+    """Polymer activities computed on first use, sharing one oracle memo.
 
-    def __init__(self, oracle: Oracle, polymers):
+    Activities are memoized by bond family in `memo`, which polymer lists
+    of several truncations on the same oracle may share.
+    """
+
+    def __init__(self, oracle: Oracle, polymers, memo=None):
         self._oracle = oracle
         self._polymers = polymers
-        self._cache: dict[int, complex] = {}
+        self._memo: dict[tuple[int, ...], complex] = {} if memo is None else memo
 
     def __getitem__(self, i: int) -> complex:
-        hit = self._cache.get(i)
+        bonds = self._polymers[i].bonds
+        hit = self._memo.get(bonds)
         if hit is None:
-            hit = self._oracle.rho(self._polymers[i].bonds)
-            self._cache[i] = hit
+            hit = self._memo[bonds] = self._oracle.rho(bonds)
         return hit
 
 
@@ -219,29 +226,27 @@ def _count_clusters(polymers, adjacency, max_total: int, pin: int | None = None)
     at an external vertex meeting those polymers (the empty set counts
     once), and the pin itself takes no multiplicity.
 
-    The polymers come sorted by size (`_families` keeps them so) and
-    `_bits` ascends, so each set's size tuple is already sorted and
-    serves as the memo key as it is.
+    The sets are tallied by the packed size key the walk carries. The
+    number of multiplicity vectors depends only on that histogram of
+    sizes, so it is computed once per distinct key.
     """
     sizes = [len(p.bonds) for p in polymers]
     if pin is None:
         walk = _connected_families(adjacency, sizes, max_total, rooted=False)
     else:
         walk = _pinned_families(adjacency, pin, sizes, max_total)
-    memo: dict[tuple[tuple[int, ...], int], int] = {}
     count = 0
-    for sett, base in walk:
-        set_sizes = tuple(sizes[i] for i in _bits(sett))
-        slack = max_total - base
-        hit = memo.get((set_sizes, slack))
-        if hit is None:
-            # ways[u]: the vectors of extra copies weighing exactly u bonds
-            ways = [1] + [0] * slack
-            for size in set_sizes:
+    for key, sets in Counter(map(itemgetter(2), walk)).items():
+        # held[s] polymers of s bonds; the pin, of size 0, takes no multiplicity.
+        held = _size_histogram(key, max_total)
+        slack = max_total - sum(s * n for s, n in enumerate(held))
+        # ways[u]: the vectors of extra copies weighing exactly u bonds
+        ways = [1] + [0] * slack
+        for size in range(1, slack + 1):
+            for _ in range(held[size]):
                 for u in range(size, slack + 1):
                     ways[u] += ways[u - size]
-            memo[set_sizes, slack] = hit = sum(ways)
-        count += hit
+        count += sets * sum(ways)
     return count
 
 
@@ -284,12 +289,15 @@ def adaptive_free_energy_series(
 ) -> TruncatedSeries:
     """Raise the truncation until the last two order increments are tiny.
 
+    Every round enumerates its own polymers, and all rounds share one
+    oracle and one activity memo, so no activity is computed twice.
     Clusters are counted only for the truncation that is returned.
     """
+    oracle, memo = Oracle(ham, beta), {}
     k = min(start, cap)
     while True:
-        polymers, values = _prepare(ham, beta, k, None)
-        xi, kept, adjacency = _families(polymers, values, k)
+        polymers = list(enumerate_polymers(ham, k))
+        xi, kept, adjacency = _families(polymers, _LazyValues(oracle, polymers, memo), k)
         by_order = _log_series(xi)
         scale = max(1.0, abs(sum(by_order)))
         converged = all(abs(t) <= tol * scale for t in by_order[-2:])
@@ -385,7 +393,7 @@ def site_pinned_series(
     pin = _pin_mask(supports, sites)
     by_order = [0j] * (max_total_bonds + 1)
     count = 0
-    for mask, base in _pinned_families(adjacency, pin, sizes, max_total_bonds):
+    for mask, base, _ in _pinned_families(adjacency, pin, sizes, max_total_bonds):
         if not mask:
             continue
         ids = list(_bits(mask))
@@ -456,7 +464,7 @@ def expectation_families(ham: Hamiltonian, x0, max_family_bonds: int):
     m = len(ham.bonds)
     pin = _pin_mask(ham.bonds, ham.volume_sites(x0))
     walk = _pinned_families(_overlap_masks(ham.bonds), pin, [1] * m, max(max_family_bonds, 0))
-    masks = [mask for mask, _ in itertools.islice(walk, MAX_EXPECTATION_FAMILIES + 1)]
+    masks = [mask for mask, _, _ in itertools.islice(walk, MAX_EXPECTATION_FAMILIES + 1)]
     if len(masks) > MAX_EXPECTATION_FAMILIES:
         raise NumericalError(
             f"more than {MAX_EXPECTATION_FAMILIES} bond families; lower max_family_bonds"

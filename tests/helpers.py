@@ -11,7 +11,9 @@ replaced, as the bit-for-bit reference of the vectorized solver, and
 `embed_matrix_reference` keeps the identity-by-identity embedding that
 `model.embed_matrix` replaced. `fp_phi_reference` and
 `fp_iterate_reference` keep the memoized per-polymer recursion that the
-compiled fixed-point evaluation replaced.
+compiled fixed-point evaluation replaced. `count_clusters_reference`
+keeps the cluster count that built a size tuple for every connected set,
+as the reference of the count by packed size keys.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from polymerion import (
     Region,
     assemble_hamiltonian,
 )
-from polymerion.polymers import _induced
+from polymerion.polymers import _connected_families, _induced, _pinned_families
 from polymerion.ursell import _bits
 
 
@@ -296,3 +298,28 @@ def fp_iterate_reference(adjacency, lam, mu0=None, tol=1e-14, max_iter=10000,
             break
     return {"converged": converged, "diverged": diverged, "mu": tuple(mu),
             "iterations": it, "chain": tuple(chain)}
+
+
+def count_clusters_reference(polymers, adjacency, max_total: int, pin=None) -> int:
+    """The cluster count `series._count_clusters` replaced, kept as its
+    reference: one size tuple per connected set, memoized with the slack."""
+    sizes = [len(p.bonds) for p in polymers]
+    if pin is None:
+        walk = _connected_families(adjacency, sizes, max_total, rooted=False)
+    else:
+        walk = _pinned_families(adjacency, pin, sizes, max_total)
+    memo: dict[tuple[tuple[int, ...], int], int] = {}
+    count = 0
+    for sett, base, _ in walk:
+        set_sizes = tuple(sizes[i] for i in _bits(sett))
+        slack = max_total - base
+        hit = memo.get((set_sizes, slack))
+        if hit is None:
+            # ways[u]: the vectors of extra copies weighing exactly u bonds
+            ways = [1] + [0] * slack
+            for size in set_sizes:
+                for u in range(size, slack + 1):
+                    ways[u] += ways[u - size]
+            memo[set_sizes, slack] = hit = sum(ways)
+        count += hit
+    return count

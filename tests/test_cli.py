@@ -364,6 +364,11 @@ def test_exact_output_matches_golden_bytes(tmp_path, golden, doc):
         ("radius", chain_cfg(4, 0.1, {"radius": {"criterion": "fp", "max_bonds": 0}})),
         ("radius", chain_cfg(1, 0.1, {"radius": {"criterion": "fp"}})),
         ("radius", chain_cfg(1, 0.1, {"radius": {"criterion": "tree"}})),
+        # An integer option given a fraction or a boolean: int() truncated
+        # 2.5 to 2 and read true as 1, and the command exited 0.
+        ("radius", chain_cfg(4, 0.1, {"radius": {"criterion": "fp", "max_bonds": 2.5}})),
+        ("radius", {"model": ISING_D2, "radius": {"per_decade": 2.5}}),
+        ("series", chain_cfg(3, 0.3, {"series": {"max_total_bonds": True}})),
     ],
 )
 def test_unparsable_numbers_are_config_errors(tmp_path, capsys, command, doc):
@@ -371,6 +376,12 @@ def test_unparsable_numbers_are_config_errors(tmp_path, capsys, command, doc):
     assert main([command, "--config", cfg]) == 2
     captured = capsys.readouterr()
     assert "config error" in captured.err and captured.out == ""
+
+
+def test_integral_floats_are_read_as_integers(tmp_path, capsys):
+    docs = [chain_cfg(4, 0.1, {"radius": {"criterion": "fp", "max_bonds": m}}) for m in (2, 2.0)]
+    outs = [run_json(capsys, ["radius", "--config", write_cfg(tmp_path, d)]) for d in docs]
+    assert outs[0] == outs[1]
 
 
 SECTIONS = [("series", "series"), ("radius", "radius"), ("table1", "table"),

@@ -31,10 +31,10 @@ from polymerion import (
     site_pinned_series,
 )
 from polymerion import series
-from polymerion.polymers import _pin_mask, incompatibility_graph
+from polymerion.polymers import Polymer, _pin_mask, incompatibility_graph
 from polymerion.series import _count_clusters, expectation_families
 
-from helpers import chain_interaction, random_instance, random_observable
+from helpers import chain_interaction, count_clusters_reference, random_instance, random_observable
 
 
 def small_chain(beta_scale=1.0):
@@ -80,6 +80,15 @@ def test_adaptive_series_reports_convergence():
         assert got.truncation > 4
         fixed = free_energy_series(ham, beta, got.truncation)
         assert got == dataclasses.replace(fixed, converged=got.converged)
+
+
+def test_adaptive_series_is_the_fixed_truncation_series(rng):
+    # The rounds share one activity memo; the result must not depend on it.
+    for i in range(12):
+        label, ham, beta = random_instance(rng, i)
+        got = adaptive_free_energy_series(ham, beta, tol=1e-12)
+        fixed = free_energy_series(ham, beta, got.truncation)
+        assert got == dataclasses.replace(fixed, converged=got.converged), label
 
 
 def test_by_site_shares_sum_to_total():
@@ -478,6 +487,18 @@ def test_cluster_counts_are_pinned():
     assert site_pinned_series(patch, 0.05, (0, 0), 6).n_clusters == 7178
     pins = [enumerate_polymers(patch, 1)[i] for i in (0, 1, 3)]
     assert [pinned_series(patch, 0.05, p, 6).n_clusters for p in pins] == [10012, 8941, 10382]
+
+
+def test_cluster_count_packs_33_polymers_of_one_size():
+    # On a path of 33 one-bond polymers at order 33 the whole path is one
+    # set of 33 polymers of one size, past what a 5-bit field holds. A set
+    # of L polymers leaves slack 33 - L, filled in C(33, L) ways.
+    n = 33
+    polymers = [Polymer(bonds=(v,), support=frozenset({v, v + 1})) for v in range(n)]
+    adj = incompatibility_graph(polymers)
+    want = sum((n + 1 - size) * math.comb(n, size) for size in range(1, n + 1))
+    assert count_clusters_reference(polymers, adj, n) == want
+    assert _count_clusters(polymers, adj, n) == want
 
 
 def test_site_walk_weighs_every_cluster_it_counts():
