@@ -79,8 +79,8 @@ _KINDS = {int: "an integer", float: "a number"}
 
 
 def _cast(raw, where: str, cast, least=None):
-    # int() would truncate 2.5 and read true as 1 without a word.
-    if cast is int and (isinstance(raw, bool) or isinstance(raw, float) and not raw.is_integer()):
+    # int() would truncate 2.5, and int() or float() read true as 1, without a word.
+    if isinstance(raw, bool) or cast is int and isinstance(raw, float) and not raw.is_integer():
         raise ConfigError(f"{where} must be {_KINDS[cast]}, got {raw!r}")
     try:
         value = cast(raw)
@@ -178,12 +178,10 @@ def build_model(cfg: dict) -> LatticeModel:
     kind = sec.get("kind")
     if kind not in (CLASSICAL, QUANTUM):
         raise ConfigError("explicit model needs kind 'classical' or 'quantum'")
-    q = sec.get("q")
-    if not isinstance(q, int) or q < 2:
-        raise ConfigError("explicit model needs integer q >= 2")
-    d = sec.get("dimension")
-    if not isinstance(d, int) or d < 1:
-        raise ConfigError("explicit model needs integer dimension >= 1")
+    q = option(sec, "model", "q", int, None, least=2)
+    d = option(sec, "model", "dimension", int, None, least=1)
+    if q is None or d is None:
+        raise ConfigError("explicit model needs integer q >= 2 and dimension >= 1")
     terms = sec.get("terms")
     if not isinstance(terms, list) or not terms:
         raise ConfigError("explicit model needs a nonempty 'terms' list")
@@ -203,12 +201,8 @@ def build_region(cfg: dict, dimension: int):
     sec = cfg.get("region")
     if not isinstance(sec, dict):
         raise ConfigError("config needs a 'region' object")
-    extent = sec.get("extent")
-    if (
-        not isinstance(extent, list)
-        or len(extent) != dimension
-        or not all(isinstance(x, int) and x >= 1 for x in extent)
-    ):
+    extent = option(sec, "region", "extent", int, None, many=True, least=1)
+    if extent is None or len(extent) != dimension:
         raise ConfigError(f"region.extent must list {dimension} positive integers")
     boundary = sec.get("boundary", "free")
     if boundary not in ("free", "periodic", "product"):
@@ -235,14 +229,11 @@ def beta_values(cfg: dict) -> list[complex]:
     if sec is None:
         raise ConfigError("config needs a 'beta' entry")
     if isinstance(sec, dict):
-        try:
-            start = float(sec["start"])
-            stop = float(sec["stop"])
-            points = int(sec["points"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError("beta grid needs numeric start, stop, points") from exc
-        if points < 1:
-            raise ConfigError("beta grid needs points >= 1")
+        start = option(sec, "beta", "start", float, None)
+        stop = option(sec, "beta", "stop", float, None)
+        points = option(sec, "beta", "points", int, None, least=1)
+        if None in (start, stop, points):
+            raise ConfigError("beta grid needs numeric start, stop, points")
         scale = sec.get("scale", "linear")
         if scale == "linear":
             grid = np.linspace(start, stop, points)

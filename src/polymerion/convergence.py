@@ -230,18 +230,18 @@ def tree_bound(weights, structure_source, zeta, form: str = "bracketed") -> Tree
 
 
 def _default_scalar_zeta(weights, structure: _Structure, form: str) -> float:
-    """Scalar zeta maximizing the worst margin (coarse grid plus golden)."""
+    """Scalar zeta maximizing the worst margin, by one golden-section search.
+
+    At a scalar zeta each margin is zeta - w_i f_i(zeta), with f_i a
+    product of powers (1 + zeta)^n and (1 + S zeta)^n (n >= 0, S the
+    largest per-site count) or exp(c zeta) with c >= 0: convex and
+    increasing. So every margin is concave, and so is their minimum.
+    """
 
     def worst(z: float) -> float:
         return min(_margins(weights, structure, [z] * len(structure.sizes), form)[0])
 
-    zs = np.geomspace(1e-6, 2.0, 160)
-    vals = [worst(z) for z in zs]
-    k = int(np.argmax(vals))
-    lo = zs[max(0, k - 1)]
-    hi = zs[min(len(zs) - 1, k + 1)]
-    z, _ = golden_max(worst, lo, hi, tol=1e-13)
-    return float(z)
+    return float(golden_max(worst, 1e-6, 2.0, tol=1e-13)[0])
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .model import Hamiltonian, Site, site_set
 from .oracle import Oracle
-from .ursell import _bits
+from .ursell import _bits, is_connected
 
 __all__ = [
     "Polymer",
@@ -156,17 +156,21 @@ def enumerate_polymers(ham: Hamiltonian, max_bonds: int, anchor=None) -> tuple[P
     """All polymers of at most `max_bonds` bonds, in canonical order.
 
     With `anchor` (a site or iterable of sites) only polymers whose
-    support meets the anchor set are kept.
+    support meets the anchor set are kept: the walk is pinned at the bonds
+    meeting it, and a pinned set joined only through the pin (possible
+    for several anchor sites) is not a polymer.
     """
-    adj = _overlap_masks(ham.bonds)
-    anchor_set = site_set(anchor) if anchor is not None else None
+    adj, unit = _overlap_masks(ham.bonds), [1] * len(ham.bonds)
+    if anchor is None:
+        walk = _connected_families(adj, unit, max_bonds, rooted=False)
+    else:
+        pin = _pin_mask(ham.bonds, site_set(anchor))
+        pinned = _pinned_families(adj, pin, unit, max(max_bonds, 0))
+        walk = (f for f in pinned if is_connected(adj, f[0]))
     out = []
-    for mask, _, _ in _connected_families(adj, [1] * len(adj), max_bonds, rooted=False):
+    for mask, _, _ in walk:
         ids = tuple(_bits(mask))
-        support = frozenset(s for i in ids for s in ham.bonds[i])
-        if anchor_set is not None and anchor_set.isdisjoint(support):
-            continue
-        out.append(Polymer(bonds=ids, support=support))
+        out.append(Polymer(bonds=ids, support=frozenset(s for i in ids for s in ham.bonds[i])))
     out.sort(key=lambda p: (len(p.bonds), p.bonds))
     return tuple(out)
 

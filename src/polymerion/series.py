@@ -48,6 +48,7 @@ from operator import itemgetter
 
 import numpy as np
 
+from .config import _cast
 from .errors import ConfigError, NumericalError
 from .model import Hamiltonian, LatticeModel, Site
 from .oracle import Observable, Oracle, _alternating_sum, _check_observable
@@ -138,6 +139,7 @@ def _extra_multiplicities(sizes: list[int], slack: int):
 
 
 def _prepare(ham: Hamiltonian, beta: complex, max_total: int, weights):
+    _cast(max_total, "max_total_bonds", int, least=0)
     if weights is not None:
         polymers = [w.polymer for w in weights]
         values = [w.rho for w in weights]
@@ -293,8 +295,9 @@ def adaptive_free_energy_series(
     oracle and one activity memo, so no activity is computed twice.
     Clusters are counted only for the truncation that is returned.
     """
+    k = min(_cast(start, "start", int, least=0), _cast(cap, "cap", int, least=0))
+    _cast(step, "step", int, least=1)
     oracle, memo = Oracle(ham, beta), {}
-    k = min(start, cap)
     while True:
         polymers = list(enumerate_polymers(ham, k))
         xi, kept, adjacency = _families(polymers, _LazyValues(oracle, polymers, memo), k)
@@ -463,7 +466,8 @@ def expectation_families(ham: Hamiltonian, x0, max_family_bonds: int):
     """
     m = len(ham.bonds)
     pin = _pin_mask(ham.bonds, ham.volume_sites(x0))
-    walk = _pinned_families(_overlap_masks(ham.bonds), pin, [1] * m, max(max_family_bonds, 0))
+    cut = _cast(max_family_bonds, "max_family_bonds", int, least=0)
+    walk = _pinned_families(_overlap_masks(ham.bonds), pin, [1] * m, cut)
     masks = [mask for mask, _, _ in itertools.islice(walk, MAX_EXPECTATION_FAMILIES + 1)]
     if len(masks) > MAX_EXPECTATION_FAMILIES:
         raise NumericalError(

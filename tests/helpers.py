@@ -14,6 +14,8 @@ replaced, as the bit-for-bit reference of the vectorized solver, and
 compiled fixed-point evaluation replaced. `count_clusters_reference`
 keeps the cluster count that built a size tuple for every connected set,
 as the reference of the count by packed size keys.
+`default_scalar_zeta_reference` keeps the grid-plus-golden search for the
+default tree-form zeta that one golden-section search replaced.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ from polymerion import (
     Region,
     assemble_hamiltonian,
 )
+from polymerion.convergence import _margins
+from polymerion.numeric import golden_max
 from polymerion.polymers import _connected_families, _induced, _pinned_families
 from polymerion.ursell import _bits
 
@@ -323,3 +327,20 @@ def count_clusters_reference(polymers, adjacency, max_total: int, pin=None) -> i
             memo[set_sizes, slack] = hit = sum(ways)
         count += hit
     return count
+
+
+def default_scalar_zeta_reference(weights, structure, form: str) -> float:
+    """The default scalar zeta as `convergence._default_scalar_zeta` found it
+    before: the best of 160 geometric grid points, refined by golden
+    section between its two neighbours."""
+
+    def worst(z: float) -> float:
+        return min(_margins(weights, structure, [z] * len(structure.sizes), form)[0])
+
+    zs = np.geomspace(1e-6, 2.0, 160)
+    vals = [worst(z) for z in zs]
+    k = int(np.argmax(vals))
+    lo = zs[max(0, k - 1)]
+    hi = zs[min(len(zs) - 1, k + 1)]
+    z, _ = golden_max(worst, lo, hi, tol=1e-13)
+    return float(z)

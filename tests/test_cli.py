@@ -15,6 +15,9 @@ from polymerion.cli import main
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 ISING_D2 = {"preset": "ising", "dimension": 2}
+# An explicit q = 3 model with one two-site term.
+EXPLICIT = {"kind": "classical", "q": 3, "dimension": 1, "terms": [
+    {"sites": [[0], [1]], "data": [[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 1.0]]}]}
 
 
 def write_cfg(tmp_path, doc, name="cfg.json"):
@@ -369,6 +372,16 @@ def test_exact_output_matches_golden_bytes(tmp_path, golden, doc):
         ("radius", chain_cfg(4, 0.1, {"radius": {"criterion": "fp", "max_bonds": 2.5}})),
         ("radius", {"model": ISING_D2, "radius": {"per_decade": 2.5}}),
         ("series", chain_cfg(3, 0.3, {"series": {"max_total_bonds": True}})),
+        # The beta grid, the extent and the explicit model's q and dimension
+        # were read without `option`: 2.5 points gave two, true one point at
+        # beta 1.0, and an extent [true, 3] a 1x3 box, each with exit 0.
+        ("exact", chain_cfg(4, {"start": 0.1, "stop": 0.2, "points": 2.5})),
+        ("exact", chain_cfg(4, {"start": 0.1, "stop": 0.2, "points": True})),
+        ("exact", chain_cfg(4, {"start": True, "stop": 0.2, "points": 1})),
+        ("exact", {"model": ISING_D2, "region": {"extent": [True, 3]}, "beta": 0.1}),
+        ("exact", {"model": dict(EXPLICIT, dimension=True), "region": {"extent": [3]},
+                   "beta": 0.1}),
+        ("exact", {"model": dict(EXPLICIT, q=3.5), "region": {"extent": [3]}, "beta": 0.1}),
     ],
 )
 def test_unparsable_numbers_are_config_errors(tmp_path, capsys, command, doc):
@@ -382,6 +395,13 @@ def test_integral_floats_are_read_as_integers(tmp_path, capsys):
     docs = [chain_cfg(4, 0.1, {"radius": {"criterion": "fp", "max_bonds": m}}) for m in (2, 2.0)]
     outs = [run_json(capsys, ["radius", "--config", write_cfg(tmp_path, d)]) for d in docs]
     assert outs[0] == outs[1]
+    docs = [
+        {"model": dict(EXPLICIT, q=q, dimension=d), "region": {"extent": [n]},
+         "beta": {"start": 0.1, "stop": 0.2, "points": p}}
+        for q, d, n, p in ((3, 1, 3, 2), (3.0, 1.0, 3.0, 2.0))
+    ]
+    outs = [run_json(capsys, ["exact", "--config", write_cfg(tmp_path, d)]) for d in docs]
+    assert outs[0] == outs[1] and len(outs[0]["rows"]) == 2
 
 
 SECTIONS = [("series", "series"), ("radius", "radius"), ("table1", "table"),

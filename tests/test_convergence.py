@@ -21,6 +21,7 @@ from polymerion import (
     fp_iterate,
     fp_phi,
     gk_criterion,
+    heisenberg_model,
     incompatibility_graph,
     ising_model,
     nn_radius,
@@ -28,13 +29,21 @@ from polymerion import (
     park_table_value,
     pinned_series,
     polymer_weights,
+    potts_model,
     tree_bound,
     universal_radius,
+    xy_model,
 )
-from polymerion.convergence import TREE_FORMS, _finite_structure
+from polymerion.convergence import (
+    TREE_FORMS,
+    _default_scalar_zeta,
+    _finite_structure,
+    _structure_of,
+)
 from polymerion.numeric import geometric_grid
+from polymerion.polymers import bond_weights
 
-from helpers import fp_iterate_reference, fp_phi_reference
+from helpers import default_scalar_zeta_reference, fp_iterate_reference, fp_phi_reference
 
 TABLE = {
     2: (0.0873651, 0.0290245),
@@ -126,6 +135,42 @@ def test_gk_criterion_matches_table_radius_at_default_zeta():
         star = nn_radius(d).beta_star
         assert gk_criterion(ising_model(d), 0.999 * star).holds
         assert not gk_criterion(ising_model(d), 1.001 * star).holds
+
+
+def test_default_zeta_search_matches_the_grid_reference():
+    # One golden-section search replaced a 160-point grid and a bracketed
+    # refinement. The worst margin is concave in a scalar zeta, so both
+    # find the same maximum, up to its flatness: same flags, and a worst
+    # margin no lower than the reference's, on both sides of each
+    # threshold. A search over too short a range loses the margin.
+    sources = [
+        ising_model(2, field_h=0.3),
+        heisenberg_model(2),
+        xy_model(1),
+        potts_model(3, 2),
+        assemble_hamiltonian(ising_model(2, field_h=0.3), Region.box([3, 3])),
+        assemble_hamiltonian(heisenberg_model(2), Region.box([2, 3])),
+        assemble_hamiltonian(xy_model(1), Region.box([6]), boundary="periodic"),
+        assemble_hamiltonian(potts_model(3, 2), Region.box([2, 3])),
+    ]
+    for source in sources:
+        structure = _structure_of(source)
+        for form in TREE_FORMS:
+
+            def report(beta, search):
+                w = bond_weights(structure.norms, beta)
+                return tree_bound(w, structure, search(w, structure, form), form)
+
+            lo, hi = 1e-4, 1.0
+            for _ in range(30):
+                mid = math.sqrt(lo * hi)
+                lo, hi = (mid, hi) if report(mid, _default_scalar_zeta).holds else (lo, mid)
+            for beta in (lo / 2, lo * 0.999, hi * 1.001, hi * 2):
+                new = report(beta, _default_scalar_zeta)
+                ref = report(beta, default_scalar_zeta_reference)
+                assert new.holds == ref.holds == (beta < lo), (source, form, beta)
+                worst = min(ref.margins)
+                assert min(new.margins) >= worst - 1e-12 * max(1.0, abs(worst)), (form, beta)
 
 
 def test_gk_anchored_lower_bound_stays_below_certificate():

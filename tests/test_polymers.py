@@ -16,6 +16,7 @@ from polymerion import (
     polymer_weights,
     rho_fugacity,
 )
+from polymerion.model import site_set
 from polymerion.polymers import _overlap_masks, zeta_transform
 
 from helpers import random_table
@@ -58,11 +59,24 @@ def test_canonical_order_and_support():
 
 
 def test_anchor_filter_keeps_meeting_polymers_only():
-    ham = free_ising([4])
-    polys = enumerate_polymers(ham, 3, anchor=(0,))
-    assert all((0,) in p.support for p in polys)
-    allp = enumerate_polymers(ham, 3)
-    assert len(polys) == sum(1 for p in allp if (0,) in p.support)
+    # The anchored walk is pinned at the bonds meeting the anchor set; its
+    # output must be the full enumeration filtered by the anchor, tuple for
+    # tuple. Two far-apart anchor sites pin sets joined only through the
+    # pin, such as the two end bonds of the chain, which are no polymer.
+    patch = assemble_hamiltonian(ising_model(2, field_h=0.3), Region.box([3, 3]))
+    chain = free_ising([6])
+    cases = [
+        (patch, (1, 1), [(0, 0), (0, 1)], [(0, 0), (2, 2)], (9, 9)),
+        (chain, (2,), [(2,), (3,)], [(0,), (5,)], (9,)),
+    ]
+    for ham, one, adjacent, apart, outside in cases:
+        for anchor in (one, adjacent, apart, outside, [one, outside]):
+            sites = site_set(anchor)
+            for k in (0, 1, 2, 3, 4):
+                want = tuple(
+                    p for p in enumerate_polymers(ham, k) if not sites.isdisjoint(p.support)
+                )
+                assert enumerate_polymers(ham, k, anchor=anchor) == want, (anchor, k)
 
 
 def test_mobius_and_zeta_transforms_invert(rng):

@@ -173,6 +173,35 @@ def test_site_pinned_series_pins_exactly_one_site():
         site_pinned_series(ham, 0.2, [(0,), (1,)], 4)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda ham: free_energy_series(ham, 0.3, -1),
+        lambda ham: correlation_series(ham, 0.3, [(0,)], -1),
+        lambda ham: pinned_series(ham, 0.3, enumerate_polymers(ham, 1)[0], -1),
+        lambda ham: free_energy_by_site(ham, 0.3, -1),
+        lambda ham: site_pinned_series(ham, 0.3, (0,), -1),
+        lambda ham: adaptive_free_energy_series(ham, 0.3, start=-2),
+        lambda ham: expectation_series(
+            ham, 0.3, Observable.make([(0,)], np.array([1.0, -1.0])), max_family_bonds=-1
+        ),
+    ],
+    ids=["free_energy", "correlation", "pinned", "by_site", "site_pinned", "adaptive",
+         "expectation"],
+)
+def test_negative_truncations_are_refused(call):
+    # Each used to fail with a bare IndexError, or (the expectation) to
+    # answer as if the cut were 0.
+    with pytest.raises(ConfigError, match="at least 0"):
+        call(small_chain())
+
+
+def test_adaptive_series_refuses_a_step_below_one():
+    # At step 0 the truncation never rises: with tol 0 the loop never ended.
+    with pytest.raises(ConfigError, match="step must be at least 1"):
+        adaptive_free_energy_series(small_chain(), 0.3, tol=0.0, step=0)
+
+
 def test_correlation_series_is_exp_of_series_difference():
     ham = small_chain()
     beta = 0.28
