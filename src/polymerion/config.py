@@ -31,6 +31,7 @@ from .model import (
     Hamiltonian,
     LatticeModel,
     Region,
+    _real_if_exact,
     assemble_hamiltonian,
     heisenberg_model,
     ising_model,
@@ -138,10 +139,7 @@ def parse_array(data, where: str = "data") -> np.ndarray:
             return [walk(v) for v in node]
         raise ConfigError(f"{where} has a non-numeric entry")
 
-    arr = np.array(walk(data), dtype=complex)
-    if np.abs(arr.imag).max(initial=0.0) == 0.0:
-        return arr.real.copy()
-    return arr
+    return _real_if_exact(np.array(walk(data), dtype=complex))
 
 
 def _site(v, where: str):

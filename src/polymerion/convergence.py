@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import _cast
 from .errors import ConfigError, NumericalError
 from .model import Hamiltonian, Interaction, LatticeModel, alpha_norm, operator_norm
 from .numeric import bisect_root, geometric_grid, golden_max
@@ -344,8 +345,10 @@ def anchored_polymer_sum(source, beta: complex, a: float, truncation: int) -> fl
     """sup_x sum over polymers through x of prod W(X) e^{a|X|}, enumerated.
 
     A lower bound on the anchored sum the tree criterion caps (it is cut
-    at `truncation` bonds per polymer), monotone in the truncation.
+    at `truncation` bonds per polymer), monotone in the truncation. A
+    negative truncation is refused.
     """
+    truncation = _cast(truncation, "anchored_truncation", int, least=0)
     if isinstance(source, LatticeModel):
         ham = source.window(truncation)
         anchor = (0,) * source.dimension

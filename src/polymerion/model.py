@@ -106,6 +106,18 @@ def operator_norm(data: np.ndarray) -> float:
     return float(np.linalg.norm(data, 2))
 
 
+def _real_if_exact(arr: np.ndarray) -> np.ndarray:
+    """A float64 copy of a complex array whose imaginary part is exactly zero.
+
+    Any other array is returned as it is. Real operators let the oracle
+    run the real symmetric eigensolvers, at a fraction of the cost of
+    the complex Hermitian ones.
+    """
+    if np.iscomplexobj(arr) and np.abs(arr.imag).max(initial=0.0) == 0.0:
+        return arr.real.copy()
+    return arr
+
+
 def _local_dim(q: int, nsites: int) -> int:
     return q**nsites
 
@@ -179,6 +191,7 @@ def _validate_term(bond: Bond, data: np.ndarray, q: int, kind: str) -> np.ndarra
         scale = max(1.0, float(np.max(np.abs(arr))))
         if np.max(np.abs(arr - arr.conj().T)) > 1e-12 * scale:
             raise ConfigError(f"matrix on {bond} is not Hermitian")
+        arr = _real_if_exact(arr)
     else:
         raise ConfigError(f"unknown kind {kind!r}")
     arr.setflags(write=False)
@@ -312,6 +325,11 @@ class Hamiltonian:
     effective operator and its norm aligned by index. `meta` records how
     many bonds were interior, wrapped, contracted against the boundary
     state, merged on colliding supports, or dropped as numerically zero.
+
+    `ops` are read-only arrays. Classical tables are float64. A quantum
+    matrix is float64 when its imaginary part is exactly zero after
+    assembly (Heisenberg, XY, any real custom term) and complex128
+    otherwise, so one Hamiltonian may hold both.
     """
 
     q: int
@@ -499,6 +517,7 @@ def assemble_hamiltonian(source, region: Region, boundary: str = "free", theta=N
                 meta["contracted"] += 1
                 add(keep, arr)
 
+    acc = {bond: _real_if_exact(arr) for bond, arr in acc.items()}
     bonds, ops, norms = [], [], []
     peak = max((operator_norm(a) for a in acc.values()), default=0.0)
     for bond in sorted(acc, key=lambda b: (len(b), b)):

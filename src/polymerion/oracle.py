@@ -35,7 +35,8 @@ from .model import (
 )
 
 MAX_DENSE_DIM = 2**20
-# Quantum operators are dense matrices: 2^12 rows are 256 MiB of complex entries.
+# Quantum operators are dense matrices: 2^12 rows are 256 MiB of complex
+# entries, half that when every term is real.
 MAX_QUANTUM_DIM = 2**12
 
 __all__ = [
@@ -113,6 +114,9 @@ class Oracle:
         self.beta = complex(beta)
         self._z: dict[frozenset[int], complex] = {}
         self._all = frozenset(range(len(ham.bonds)))
+        # Dense operators take the ops' own dtype: float64 when every
+        # term is exactly real, so eigh runs the real symmetric solver.
+        self._dtype = np.result_type(float, *{op.dtype for op in ham.ops})
 
     # -- building blocks ----------------------------------------------------
 
@@ -129,7 +133,7 @@ class Oracle:
                 total = total + _site_axes(ham.ops[i], ham.bonds[i], support, q)
             return support, total.ravel()
         dim = q ** len(support)
-        total = np.zeros((dim, dim), dtype=complex)
+        total = np.zeros((dim, dim), dtype=self._dtype)
         for i in ids:
             total = total + embed_matrix(ham.ops[i], ham.bonds[i], support, q)
         return support, total

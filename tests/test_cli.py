@@ -242,7 +242,9 @@ def test_ks_json_reports_contraction_metadata(tmp_path, capsys):
     ],
 )
 def test_ks_output_matches_golden_bytes(tmp_path, golden, doc):
-    # The goldens were written by the per-subset sweep the solver replaced.
+    # The goldens were written by the per-subset sweep the solver replaced;
+    # the Heisenberg one was rewritten when exactly-real quantum operators
+    # began to be stored, and diagonalized, as real matrices.
     cfg = write_cfg(tmp_path, doc)
     out = tmp_path / golden
     assert main(["ks", "--config", cfg, "--output", str(out)]) == 0
@@ -278,7 +280,9 @@ def test_ks_output_matches_golden_bytes(tmp_path, golden, doc):
 )
 def test_output_matches_golden_bytes(tmp_path, command, golden, doc):
     # Written before the subfamily sums, bond weights, site sums and the
-    # park scan each moved behind one function.
+    # park scan each moved behind one function. The Heisenberg chain was
+    # rewritten when exactly-real quantum operators began to be stored,
+    # and diagonalized, as real matrices.
     cfg = write_cfg(tmp_path, doc)
     out = tmp_path / golden
     assert main([command, "--config", cfg, "--output", str(out)]) == 0
@@ -315,7 +319,10 @@ SINGLE_THREAD = {k: "1" for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MK
     ],
 )
 def test_exact_output_matches_golden_bytes(tmp_path, golden, doc):
-    # Written before the bond operators were embedded by one broadcast.
+    # The Ising grid was written before the bond operators were embedded by
+    # one broadcast. The Heisenberg and XY goldens were rewritten when
+    # exactly-real quantum operators began to be stored, and diagonalized,
+    # as real matrices.
     # Dense eigensolvers and products of 256 rows and more split their sums
     # over BLAS threads, so their last digits depend on the thread count:
     # these goldens were written, and are checked, with one BLAS thread.

@@ -200,6 +200,19 @@ def test_gk_criterion_on_finite_hamiltonian():
     assert direct <= rep.site_sum + 1e-12
 
 
+@pytest.mark.parametrize(
+    "source",
+    [assemble_hamiltonian(ising_model(1), Region.box([4]), boundary="free"), ising_model(1)],
+)
+def test_anchored_sums_refuse_a_negative_truncation(source):
+    for bad in (-1, 2.5, True):
+        with pytest.raises(ConfigError, match="anchored_truncation"):
+            gk_criterion(source, 0.02, a=0.1, anchored_truncation=bad)
+        with pytest.raises(ConfigError, match="anchored_truncation"):
+            anchored_polymer_sum(source, 0.02, 0.1, bad)
+    assert gk_criterion(source, 0.02, a=0.1, anchored_truncation=0).anchored_lower == 0.0
+
+
 def chain_polymers(n_overlapping):
     """Single-bond polymers that pairwise share one site."""
     shared = (0,)

@@ -18,8 +18,10 @@ from polymerion import (
     operator_norm,
     partition_function,
     potts_model,
+    xy_model,
 )
-from polymerion.model import _relabel, embed_matrix, embed_table
+from polymerion.config import build_model
+from polymerion.model import QUANTUM, _relabel, embed_matrix, embed_table
 
 from helpers import embed_matrix_reference, random_hermitian, random_table
 
@@ -234,10 +236,10 @@ def test_heisenberg_and_potts_presets():
 def test_term_validation_errors():
     with pytest.raises(ConfigError):
         Interaction.from_terms(q=2, kind="classical", terms=[(((0,),), np.zeros(3))])
-    with pytest.raises(ConfigError):
-        Interaction.from_terms(
-            q=2, kind="quantum", terms=[(((0,),), np.array([[0.0, 1.0], [0.0, 0.0]]))]
-        )
+    # A term that fails only through its imaginary part: the cast must not hide it.
+    for data in (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0, 1j], [1j, 0]])):
+        with pytest.raises(ConfigError, match="not Hermitian"):
+            Interaction.from_terms(q=2, kind="quantum", terms=[(((0,),), data)])
     with pytest.raises(ConfigError):
         Interaction.from_terms(
             q=2,
@@ -266,3 +268,69 @@ def test_restricted_away_refuses_sites_it_cannot_place():
     chain = assemble_hamiltonian(ising_model(1), Region.box([4]), boundary="free")
     with pytest.raises(ConfigError, match="not in the volume"):
         chain.restricted_away((0, 1))
+
+
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+PAIR = (((0,), (1,)), ((1,), (2,)))
+# A Hermitian pair term with no real part: sx sy - sy sx.
+DM = np.kron(PAULI_X, PAULI_Y) - np.kron(PAULI_Y, PAULI_X)
+# A boundary state with imaginary coherences; it turns sigma . sigma into -0.5 sy.
+COHERENT = np.array([[0.5, 0.25j], [-0.25j, 0.5]])
+
+
+def test_exactly_real_quantum_terms_are_stored_as_float64():
+    for model in (heisenberg_model(2, 0.7), xy_model(1, -1.3)):
+        assert [data.dtype for _, data in model.templates] == [np.float64] * model.dimension
+    zz = np.kron(PAULI_Z, PAULI_Z)
+    inter = Interaction.from_terms(2, QUANTUM, [(PAIR[0], zz), (PAIR[1], DM)])
+    assert [inter.terms[b].dtype for b in PAIR] == [np.float64, np.complex128]
+    assert np.array_equal(inter.terms[PAIR[0]], zz.real)
+    assert not inter.terms[PAIR[0]].flags.writeable
+    # Config terms written as [re, im] pairs go the same way.
+    model = build_model({"model": {"kind": "quantum", "q": 2, "dimension": 1, "terms": [
+        {"sites": [[0], [1]], "data": [[[v, 0.0] for v in row] for row in zz.real.tolist()]},
+        {"sites": [[0]], "data": [[0, [0, -1]], [[0, 1], 0]]},
+    ]}})
+    assert sorted(str(data.dtype) for _, data in model.templates) == ["complex128", "float64"]
+
+
+@pytest.mark.parametrize(
+    "extent, boundary, theta",
+    [([4], "free", None), ([2], "periodic", None), ([5], "periodic", None),
+     ([3], "product", np.diag([0.7, 0.3]))],
+)
+def test_assembled_real_operators_are_float64(extent, boundary, theta):
+    # Merged (periodic, extent 2) and contracted (product) operators are
+    # cast where assembly finalizes them.
+    ham = assemble_hamiltonian(heisenberg_model(1), Region.box(extent), boundary, theta)
+    assert ham.ops and all(op.dtype == np.float64 for op in ham.ops)
+    if boundary == "periodic" and extent == [2]:
+        assert ham.meta["merged"] == 1
+    if boundary == "product":
+        assert ham.meta["contracted"] == 2 and len(ham.bonds) == len(extent) + 3
+
+
+def test_imaginary_parts_keep_an_operator_complex():
+    ham = assemble_hamiltonian(heisenberg_model(1), Region.box([3]), "product", COHERENT)
+    kinds = {len(b): op.dtype for b, op in zip(ham.bonds, ham.ops)}
+    assert kinds == {1: np.complex128, 2: np.float64}
+    site_term = ham.ops[ham.bond_index([(0,)])]
+    assert np.allclose(site_term, -0.5 * PAULI_Y)
+    inter = Interaction.from_terms(2, QUANTUM, [(PAIR[0], DM)])
+    ham = assemble_hamiltonian(inter, Region.box([3]))
+    assert [op.dtype for op in ham.ops] == [np.complex128]
+
+
+@pytest.mark.parametrize("coupling", [1.0, 0.7, -1.3, 2.0, 1 / 3])
+def test_preset_norms_are_bit_equal_to_their_complex_values(coupling):
+    # Radius scans compare grid points exactly, so the cast must not move a norm.
+    for model in (heisenberg_model(1, coupling), xy_model(2, coupling)):
+        for _, data in model.templates:
+            assert operator_norm(data) == operator_norm(data.astype(complex))
+        extents = ([2] * model.dimension, [3] * model.dimension)
+        for extent, boundary in itertools.product(extents, ("free", "periodic", "product")):
+            theta = np.diag([0.7, 0.3]) if boundary == "product" else None
+            ham = assemble_hamiltonian(model, Region.box(extent), boundary, theta)
+            assert list(ham.norms) == [operator_norm(op.astype(complex)) for op in ham.ops]

@@ -1,5 +1,7 @@
+import itertools
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,12 +14,14 @@ from polymerion import (
     Oracle,
     Region,
     assemble_hamiltonian,
+    enumerate_polymers,
     gibbs_expectation,
     heisenberg_model,
     ising_model,
     partition_function,
     reduced_correlation_exact,
     xi_fugacity_exact,
+    xy_model,
 )
 
 from polymerion.model import CLASSICAL, QUANTUM
@@ -233,3 +237,97 @@ def test_alternating_sum_keeps_its_order_and_refuses_past_2_20():
     assert _alternating_sum([], term, start=1.5) == 2.5
     with pytest.raises(NumericalError, match="2\\^20"):
         _alternating_sum(range(21), term)
+
+
+# -- exactly-real operators take the real symmetric solvers ----------------
+
+ZZ = np.diag([1.0, -1.0, -1.0, 1.0])
+# Hermitian with an imaginary coherence: 0.5 + 0.5 sz - 0.5 sy.
+SITE_OBS = np.array([[1.0, 0.5j], [-0.5j, 0.0]])
+# A boundary state with imaginary coherences; it turns sigma . sigma into -0.5 sy.
+COHERENT = np.array([[0.5, 0.25j], [-0.25j, 0.5]])
+REAL_CASES = {
+    "heisenberg-free-2x3": (heisenberg_model(2), [2, 3], "free", None),
+    "xy-ring-5": (xy_model(1, 0.8), [5], "periodic", None),
+    "heisenberg-torus-2x2": (heisenberg_model(2, -0.6), [2, 2], "periodic", None),
+    "heisenberg-product-4": (heisenberg_model(1, 0.9), [4], "product", np.diag([0.7, 0.3])),
+}
+
+
+def _complex_copy(ham):
+    """The same Hamiltonian with every operator stored as complex128."""
+    return replace(ham, ops=tuple(op.astype(complex) for op in ham.ops))
+
+
+def _subfamilies(ids):
+    return [s for r in range(len(ids) + 1) for s in itertools.combinations(ids, r)]
+
+
+@pytest.mark.parametrize("case", sorted(REAL_CASES))
+@pytest.mark.parametrize("beta", [0.3, 0.2 - 0.15j])
+def test_real_operators_agree_with_their_complex_copies(case, beta):
+    model, extent, boundary, theta = REAL_CASES[case]
+    ham = assemble_hamiltonian(model, Region.box(extent), boundary, theta)
+    real, cplx = Oracle(ham, beta), Oracle(_complex_copy(ham), beta)
+    every = range(len(ham.bonds))
+    assert real.hamiltonian_on(every)[1].dtype == np.float64
+    assert cplx.hamiltonian_on(every)[1].dtype == np.complex128
+
+    def close(got, want, scale):
+        assert abs(got - want) <= 1e-13 * scale
+
+    for ids in _subfamilies(every):
+        close(real.z(ids), cplx.z(ids), abs(cplx.z(ids)))
+    # An activity is an alternating sum of partition functions near 1, so
+    # its rounding is relative to the sum of their sizes, not to itself.
+    for p in enumerate_polymers(ham, 3):
+        subs = _subfamilies(p.bonds)
+        close(real.rho(p.bonds), cplx.rho(p.bonds), sum(abs(cplx.z(s)) for s in subs))
+        support, want = cplx.xi(p.bonds)
+        scale = sum(np.abs(cplx.boltzmann(s, support)[1]).max() for s in subs)
+        assert np.abs(real.xi(p.bonds)[1] - want).max() <= 1e-13 * scale
+    sites = ham.sites
+    for obs in (Observable.make(sites[:2], ZZ), Observable.make(sites[:1], SITE_OBS)):
+        want = cplx.expectation(obs)
+        close(real.expectation(obs), want, abs(want))
+    for x0 in [sites[:1], sites[1:3], sites[-1:]]:
+        want = cplx.reduced_correlation(x0)
+        close(real.reduced_correlation(x0), want, abs(want))
+
+
+def test_one_complex_term_keeps_the_oracle_complex_and_its_values():
+    # A real operator of a Hamiltonian that also holds a complex one is
+    # embedded as complex, so such a Hamiltonian gives the values it gave
+    # when every operator was stored complex, bit for bit.
+    ham = assemble_hamiltonian(heisenberg_model(1), Region.box([3]), "product", COHERENT)
+    pair = ham.bond_index([(0,), (1,)])
+    assert ham.ops[pair].dtype == np.float64
+    for beta in (0.3, 0.2 - 0.15j):
+        mixed, cplx = Oracle(ham, beta), Oracle(_complex_copy(ham), beta)
+        assert mixed.hamiltonian_on([pair])[1].dtype == np.complex128
+        for ids in _subfamilies(range(len(ham.bonds))):
+            assert mixed.z(ids) == cplx.z(ids)
+            assert mixed.rho(ids) == cplx.rho(ids)
+        obs = Observable.make(ham.sites[:2], ZZ)
+        assert mixed.expectation(obs) == cplx.expectation(obs)
+        assert mixed.reduced_correlation(ham.sites[1:2]) == cplx.reduced_correlation(ham.sites[1:2])
+
+
+def test_real_heisenberg_z_matches_an_mpmath_reference():
+    mp = pytest.importorskip("mpmath")
+    ham = assemble_hamiltonian(heisenberg_model(2), Region.box([2, 3]))
+    _, h = Oracle(ham, 0.0).hamiltonian_on(range(len(ham.bonds)))
+    assert h.dtype == np.float64
+    # sigma . sigma keeps the number of up spins, so H splits into blocks by it.
+    blocks = {}
+    for i in range(h.shape[0]):
+        blocks.setdefault(bin(i).count("1"), []).append(i)
+    with mp.workdps(30):
+        energies = []
+        for idx in blocks.values():
+            block = mp.matrix([[h[i, j] for j in idx] for i in idx])
+            energies.extend(mp.eigsy(block, eigvals_only=True))
+        for beta in (0.3, 0.2 - 0.15j):
+            want = complex(mp.fsum(mp.exp(-mp.mpc(beta) * e) for e in energies) / h.shape[0])
+            for orc in (Oracle(ham, beta), Oracle(_complex_copy(ham), beta)):
+                assert abs(orc.z() - want) <= 4e-15 * abs(want)
