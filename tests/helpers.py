@@ -36,6 +36,10 @@ from polymerion.numeric import golden_max
 from polymerion.polymers import _connected_families, _induced, _pinned_families
 from polymerion.ursell import _bits
 
+# A qubit boundary state with imaginary coherences: contracting sigma . sigma
+# against it leaves the single-site term -0.5 sigma_y, which is not real.
+COHERENT = np.array([[0.5, 0.25j], [-0.25j, 0.5]])
+
 
 def random_table(rng, q: int, nsites: int, scale: float) -> np.ndarray:
     """Real interaction table with entries uniform in [-scale, scale]."""

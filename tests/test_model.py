@@ -23,7 +23,7 @@ from polymerion import (
 from polymerion.config import build_model
 from polymerion.model import QUANTUM, _relabel, embed_matrix, embed_table
 
-from helpers import embed_matrix_reference, random_hermitian, random_table
+from helpers import COHERENT, embed_matrix_reference, random_hermitian, random_table
 
 
 def test_box_region_counts():
@@ -276,8 +276,6 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAIR = (((0,), (1,)), ((1,), (2,)))
 # A Hermitian pair term with no real part: sx sy - sy sx.
 DM = np.kron(PAULI_X, PAULI_Y) - np.kron(PAULI_Y, PAULI_X)
-# A boundary state with imaginary coherences; it turns sigma . sigma into -0.5 sy.
-COHERENT = np.array([[0.5, 0.25j], [-0.25j, 0.5]])
 
 
 def test_exactly_real_quantum_terms_are_stored_as_float64():
@@ -309,7 +307,7 @@ def test_assembled_real_operators_are_float64(extent, boundary, theta):
     if boundary == "periodic" and extent == [2]:
         assert ham.meta["merged"] == 1
     if boundary == "product":
-        assert ham.meta["contracted"] == 2 and len(ham.bonds) == len(extent) + 3
+        assert ham.meta["contracted"] == 2 and len(ham.bonds) == 4
 
 
 def test_imaginary_parts_keep_an_operator_complex():

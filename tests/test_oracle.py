@@ -27,7 +27,7 @@ from polymerion import (
 from polymerion.model import CLASSICAL, QUANTUM
 from polymerion.oracle import _alternating_sum, _check_dim
 
-from helpers import chain_interaction, random_beta, random_instance
+from helpers import COHERENT, chain_interaction, random_beta, random_instance
 
 
 def ising_chain(n, coupling=1.0, field_h=0.0):
@@ -244,8 +244,6 @@ def test_alternating_sum_keeps_its_order_and_refuses_past_2_20():
 ZZ = np.diag([1.0, -1.0, -1.0, 1.0])
 # Hermitian with an imaginary coherence: 0.5 + 0.5 sz - 0.5 sy.
 SITE_OBS = np.array([[1.0, 0.5j], [-0.5j, 0.0]])
-# A boundary state with imaginary coherences; it turns sigma . sigma into -0.5 sy.
-COHERENT = np.array([[0.5, 0.25j], [-0.25j, 0.5]])
 REAL_CASES = {
     "heisenberg-free-2x3": (heisenberg_model(2), [2, 3], "free", None),
     "xy-ring-5": (xy_model(1, 0.8), [5], "periodic", None),
