@@ -11,7 +11,10 @@ Traces are normalized: tr = Tr / dim for quantum models, the uniform
 product average for classical ones. With this normalization the
 partition function of a bond subset only depends on the sites its bonds
 touch, which is what makes the subset memo in `Oracle` shareable across
-polymers.
+polymers. It also factorizes: bonds that share no site act on separate
+tensor factors, so Z of a bond set is the product of Z over its
+connected components (bonds joined by shared sites), and only connected
+sets are diagonalized.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .model import (
     embed_matrix,
     embed_table,
 )
+from .ursell import _bits, _components, _overlap_masks
 
 MAX_DENSE_DIM = 2**20
 # Quantum operators are dense matrices: 2^12 rows are 256 MiB of complex
@@ -106,7 +110,10 @@ class Oracle:
     """Exact quantities for one assembled Hamiltonian at one temperature.
 
     Partition functions of bond subsets are memoized by the subset of
-    bond indices, computed on the union of their supports.
+    bond indices. A connected subset is computed on the union of its
+    supports; any other subset is the product of its components' values.
+    Bond ids are integers in range(len(ham.bonds)); anything else is a
+    ConfigError.
     """
 
     def __init__(self, ham: Hamiltonian, beta: complex):
@@ -114,15 +121,32 @@ class Oracle:
         self.beta = complex(beta)
         self._z: dict[frozenset[int], complex] = {}
         self._all = frozenset(range(len(ham.bonds)))
+        self._adj = _overlap_masks(ham.bonds)
+        self._bit = {i: 1 << i for i in range(len(ham.bonds))}
         # Dense operators take the ops' own dtype: float64 when every
         # term is exactly real, so eigh runs the real symmetric solver.
         self._dtype = np.result_type(float, *{op.dtype for op in ham.ops})
 
     # -- building blocks ----------------------------------------------------
 
+    def _mask(self, ids) -> int:
+        """Bitmask of a set of bond ids, refusing any id that is not an
+        integer in range(len(ham.bonds)) (booleans included)."""
+        mask = 0
+        for i in ids:
+            # True == 1 and 1.0 == 1 as dict keys, so the type is checked first.
+            bit = self._bit.get(i) if type(i) is int or isinstance(i, np.integer) else None
+            if bit is None:
+                raise ConfigError(
+                    f"bond ids must be integers in range({len(self._bit)}), got {i!r}"
+                )
+            mask |= bit
+        return mask
+
     def hamiltonian_on(self, bond_ids, support=None) -> tuple[tuple[Site, ...], np.ndarray]:
         """Total operator of the given bonds embedded on `support`."""
         ids = frozenset(bond_ids)
+        self._mask(ids)
         if support is None:
             support = self.ham.support(ids)
         q, ham = self.ham.q, self.ham
@@ -149,19 +173,27 @@ class Oracle:
     # -- partition functions ------------------------------------------------
 
     def z(self, bond_ids=None) -> complex:
-        """Normalized-trace partition function of a bond subset."""
+        """Normalized-trace partition function of a bond subset.
+
+        A subset of several components is the product of their memoized
+        values, taken in the order of their lowest bond id. The ids are
+        checked on a memo miss only, so no bad key is ever stored.
+        """
         ids = self._all if bond_ids is None else frozenset(bond_ids)
         hit = self._z.get(ids)
         if hit is not None:
             return hit
-        if not ids:
-            self._z[ids] = 1.0 + 0.0j
-            return self._z[ids]
-        support, total = self.hamiltonian_on(ids)
-        energies = total if self.ham.kind == CLASSICAL else np.linalg.eigvalsh(total)
-        # An overflow is reported by the NumericalError below, not by numpy.
-        with np.errstate(over="ignore", invalid="ignore"):
-            val = complex(np.mean(np.exp(-self.beta * energies)))
+        parts = _components(self._adj, self._mask(ids))
+        if len(parts) == 1:
+            support, total = self.hamiltonian_on(ids)
+            energies = total if self.ham.kind == CLASSICAL else np.linalg.eigvalsh(total)
+            # An overflow is reported by the NumericalError below, not by numpy.
+            with np.errstate(over="ignore", invalid="ignore"):
+                val = complex(np.mean(np.exp(-self.beta * energies)))
+        else:
+            val = self.z(_bits(parts[0])) if parts else 1.0 + 0.0j
+            for part in parts[1:]:
+                val = val * self.z(_bits(part))
         if not cmath.isfinite(val):
             raise NumericalError(f"partition function is not finite at beta = {self.beta}")
         self._z[ids] = val
@@ -188,10 +220,12 @@ class Oracle:
         """Inclusion-exclusion fugacity operator of a bond family.
 
         sum over subfamilies B' of B of (-1)^{|B| - |B'|} exp(-beta H_{B'}),
-        on the union support of B. Vanishes identically when the family is
-        not connected.
+        on the union support of B. For a family that is not connected it is
+        the tensor product of its components' fugacity operators, so its
+        normalized trace `rho` is the product of theirs.
         """
         ids = frozenset(bond_ids)
+        self._mask(ids)
         support = self.ham.support(ids)
         q = self.ham.q
         _check_dim(q, len(support), self.ham.kind)
@@ -204,7 +238,9 @@ class Oracle:
 
     def rho(self, bond_ids) -> complex:
         """Normalized trace of the fugacity operator, via the Z memo."""
-        return _alternating_sum(frozenset(bond_ids), self.z)
+        ids = frozenset(bond_ids)
+        self._mask(ids)
+        return _alternating_sum(ids, self.z)
 
     def expectation(self, obs: Observable) -> complex:
         """Gibbs expectation tr(A exp(-beta H)) / Z on the full region."""

@@ -18,7 +18,7 @@ import numpy as np
 
 from .model import Hamiltonian, Site, site_set
 from .oracle import Oracle
-from .ursell import _bits, is_connected
+from .ursell import _bits, _overlap_masks, _site_masks, is_connected
 
 __all__ = [
     "Polymer",
@@ -43,32 +43,6 @@ class Polymer:
 
     def __len__(self) -> int:
         return len(self.bonds)
-
-
-def _site_masks(supports) -> dict[Site, int]:
-    """Per site, the bitmask of the supports that contain it."""
-    at: dict[Site, int] = {}
-    for i, support in enumerate(supports):
-        for s in support:
-            at[s] = at.get(s, 0) | (1 << i)
-    return at
-
-
-def _overlap_masks(supports) -> list[int]:
-    """Bitmask adjacency of overlapping supports: bit j of mask[i] set when
-    supports i and j share a site (i != j).
-
-    One pass collects the polymers at each site, a second ORs those masks
-    over each support, so the work is O(sum of support sizes).
-    """
-    at = _site_masks(supports)
-    masks = []
-    for i, support in enumerate(supports):
-        mask = 0
-        for s in support:
-            mask |= at[s]
-        masks.append(mask & ~(1 << i))
-    return masks
 
 
 def _connected_families(adj, sizes, max_total: int, rooted: bool):

@@ -18,6 +18,10 @@ Three routes are implemented and cross-checked against each other:
 
 `ursell` dispatches: closed forms for complete graphs and trees, the
 subset recursion otherwise, with a cache keyed by the adjacency masks.
+
+The bitmask graph primitives the other modules share live here too:
+bit iteration, the overlap masks of a list of supports, and the split
+of a vertex set into connected components, which `is_connected` uses.
 """
 
 from __future__ import annotations
@@ -49,22 +53,60 @@ def _bits(mask: int):
         mask ^= low
 
 
-def is_connected(adj, mask: int | None = None) -> bool:
-    """Is the sub graph induced by `mask` (default: all vertices) connected?"""
-    if mask is None:
-        mask = (1 << len(adj)) - 1
-    if mask == 0:
-        return False
-    start = mask & -mask
-    seen = start
-    frontier = start
+def _site_masks(supports) -> dict:
+    """Per site, the bitmask of the supports that contain it."""
+    at: dict = {}
+    for i, support in enumerate(supports):
+        for s in support:
+            at[s] = at.get(s, 0) | (1 << i)
+    return at
+
+
+def _overlap_masks(supports) -> list[int]:
+    """Bitmask adjacency of overlapping supports: bit j of mask[i] set when
+    supports i and j share a site (i != j).
+
+    One pass collects the supports at each site, a second ORs those masks
+    over each support, so the work is O(sum of support sizes).
+    """
+    at = _site_masks(supports)
+    masks = []
+    for i, support in enumerate(supports):
+        mask = 0
+        for s in support:
+            mask |= at[s]
+        masks.append(mask & ~(1 << i))
+    return masks
+
+
+def _component(adj, mask: int) -> int:
+    """The vertices of `mask` reachable from its lowest vertex within it."""
+    seen = frontier = mask & -mask
     while frontier:
         nxt = 0
         for v in _bits(frontier):
             nxt |= adj[v] & mask & ~seen
         seen |= nxt
         frontier = nxt
-    return seen == mask
+    return seen
+
+
+def _components(adj, mask: int) -> list[int]:
+    """The connected components of the sub graph induced by `mask`, as
+    bitmasks, in the order of their lowest vertex."""
+    out = []
+    while mask:
+        part = _component(adj, mask)
+        out.append(part)
+        mask ^= part
+    return out
+
+
+def is_connected(adj, mask: int | None = None) -> bool:
+    """Is the sub graph induced by `mask` (default: all vertices) connected?"""
+    if mask is None:
+        mask = (1 << len(adj)) - 1
+    return mask != 0 and _component(adj, mask) == mask
 
 
 def _edges(adj) -> list[tuple[int, int]]:

@@ -16,6 +16,8 @@ keeps the cluster count that built a size tuple for every connected set,
 as the reference of the count by packed size keys.
 `default_scalar_zeta_reference` keeps the grid-plus-golden search for the
 default tree-form zeta that one golden-section search replaced.
+`z_direct_reference` keeps the partition function of a bond set computed
+on its whole support, as the reference of the product over components.
 """
 
 from __future__ import annotations
@@ -28,10 +30,12 @@ from polymerion import (
     Interaction,
     LatticeModel,
     Observable,
+    Oracle,
     Region,
     assemble_hamiltonian,
 )
 from polymerion.convergence import _margins
+from polymerion.model import CLASSICAL
 from polymerion.numeric import golden_max
 from polymerion.polymers import _connected_families, _induced, _pinned_families
 from polymerion.ursell import _bits
@@ -348,3 +352,16 @@ def default_scalar_zeta_reference(weights, structure, form: str) -> float:
     hi = zs[min(len(zs) - 1, k + 1)]
     z, _ = golden_max(worst, lo, hi, tol=1e-13)
     return float(z)
+
+
+def z_direct_reference(ham, beta, ids) -> complex:
+    """Z of a bond set as `Oracle.z` computed it before it factored over
+    components: one dense operator on the whole support, then `eigvalsh`
+    (quantum) or the table mean (classical), with no finiteness check."""
+    ids = frozenset(ids)
+    if not ids:
+        return 1.0 + 0.0j
+    _, total = Oracle(ham, beta).hamiltonian_on(ids)
+    energies = total if ham.kind == CLASSICAL else np.linalg.eigvalsh(total)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return complex(np.mean(np.exp(-complex(beta) * energies)))

@@ -244,7 +244,9 @@ def test_ks_json_reports_contraction_metadata(tmp_path, capsys):
 def test_ks_output_matches_golden_bytes(tmp_path, golden, doc):
     # The goldens were written by the per-subset sweep the solver replaced;
     # the Heisenberg one was rewritten when exactly-real quantum operators
-    # began to be stored, and diagonalized, as real matrices.
+    # began to be stored, and diagonalized, as real matrices. Both were
+    # rewritten when the oracle began to take Z of a disconnected bond set
+    # as the product over its components.
     cfg = write_cfg(tmp_path, doc)
     out = tmp_path / golden
     assert main(["ks", "--config", cfg, "--output", str(out)]) == 0
@@ -282,7 +284,9 @@ def test_output_matches_golden_bytes(tmp_path, command, golden, doc):
     # Written before the subfamily sums, bond weights, site sums and the
     # park scan each moved behind one function. The Heisenberg chain was
     # rewritten when exactly-real quantum operators began to be stored,
-    # and diagonalized, as real matrices.
+    # and diagonalized, as real matrices. Both series goldens were
+    # rewritten when the oracle began to take Z of a disconnected bond set
+    # as the product over its components.
     cfg = write_cfg(tmp_path, doc)
     out = tmp_path / golden
     assert main([command, "--config", cfg, "--output", str(out)]) == 0
@@ -322,7 +326,9 @@ def test_exact_output_matches_golden_bytes(tmp_path, golden, doc):
     # The Ising grid was written before the bond operators were embedded by
     # one broadcast. The Heisenberg and XY goldens were rewritten when
     # exactly-real quantum operators began to be stored, and diagonalized,
-    # as real matrices.
+    # as real matrices. The XY one was rewritten again when the oracle
+    # began to take Z of a disconnected bond set (here the one behind its
+    # correlation) as the product over its components.
     # Dense eigensolvers and products of 256 rows and more split their sums
     # over BLAS threads, so their last digits depend on the thread count:
     # these goldens were written, and are checked, with one BLAS thread.

@@ -1,5 +1,7 @@
+import cmath
 import itertools
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -20,14 +22,22 @@ from polymerion import (
     ising_model,
     partition_function,
     reduced_correlation_exact,
+    rho_fugacity,
     xi_fugacity_exact,
     xy_model,
 )
 
 from polymerion.model import CLASSICAL, QUANTUM
 from polymerion.oracle import _alternating_sum, _check_dim
+from polymerion.ursell import _bits, _components, _overlap_masks
 
-from helpers import COHERENT, chain_interaction, random_beta, random_instance
+from helpers import (
+    COHERENT,
+    chain_interaction,
+    random_beta,
+    random_instance,
+    z_direct_reference,
+)
 
 
 def ising_chain(n, coupling=1.0, field_h=0.0):
@@ -329,3 +339,127 @@ def test_real_heisenberg_z_matches_an_mpmath_reference():
             want = complex(mp.fsum(mp.exp(-mp.mpc(beta) * e) for e in energies) / h.shape[0])
             for orc in (Oracle(ham, beta), Oracle(_complex_copy(ham), beta)):
                 assert abs(orc.z() - want) <= 4e-15 * abs(want)
+
+
+# -- a bond set that splits is the product of its components -----------------
+
+
+def _factor_volumes(rng):
+    """random_instance volumes, each at its beta and at a real beta of the
+    same size, then the real-operator presets and an Ising patch with field."""
+    for index in range(24):
+        label, ham, beta = random_instance(rng, index)
+        yield label, ham, beta
+        yield label, ham, complex(abs(beta))
+    cases = dict(REAL_CASES)
+    cases["ising-field-2x3"] = (ising_model(2, field_h=0.3), [2, 3], "free", None)
+    for case, (model, extent, boundary, theta) in sorted(cases.items()):
+        ham = assemble_hamiltonian(model, Region.box(extent), boundary, theta)
+        for beta in (0.3, 0.2 - 0.15j):
+            yield case, ham, beta
+
+
+def test_z_is_the_product_over_components_and_matches_the_direct_value(rng):
+    # Connected sets keep the dense path bit for bit; a set that splits is
+    # the product of its components' values, lowest bond first, within
+    # rounding of the value computed on its whole support.
+    split = {CLASSICAL: 0, QUANTUM: 0}
+    for label, ham, beta in _factor_volumes(rng):
+        adj = _overlap_masks(ham.bonds)
+        subsets = _subfamilies(range(len(ham.bonds)))
+        warm, cold = Oracle(ham, beta), Oracle(ham, beta)
+        for ids in subsets:
+            got, want = warm.z(ids), z_direct_reference(ham, beta, ids)
+            parts = _components(adj, sum(1 << i for i in ids))
+            if len(parts) <= 1:
+                assert got == want, (label, ids)
+                continue
+            split[ham.kind] += 1
+            assert abs(got - want) <= 1e-13 * abs(want), (label, ids)
+            prod = warm.z(_bits(parts[0]))
+            for part in parts[1:]:
+                prod = prod * warm.z(_bits(part))
+            assert got == prod, (label, ids)
+        # The value does not depend on which sets the memo already holds.
+        for ids in reversed(subsets):
+            assert cold.z(ids) == warm.z(ids), (label, ids)
+    assert split[CLASSICAL] >= 500 and split[QUANTUM] >= 500
+
+
+def test_overflowing_product_of_finite_components_raises():
+    # Two 4-bond Ising chains at beta = 115: each Z is cosh(115)^4, about
+    # 3e198, and their product leaves the float range.
+    ham = ising_chain(10)
+    left = [ham.bond_index([(i,), (i + 1,)]) for i in range(4)]
+    right = [ham.bond_index([(i,), (i + 1,)]) for i in range(5, 9)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warm = Oracle(ham, 115.0)
+        for part in (left, right):
+            z = warm.z(part)
+            assert cmath.isfinite(z) and abs(z) > 1e198
+        for orc in (warm, Oracle(ham, 115.0)):
+            with pytest.raises(NumericalError, match="not finite"):
+                orc.z(left + right)
+
+
+def test_the_dense_cap_applies_to_each_connected_component():
+    # 13 spins are past the 2^12-row cap, but with the bond between sites
+    # 5 and 6 left out the set is a 6-chain and a 7-chain: two matrices of
+    # 64 and 128 rows.
+    model = heisenberg_model(1)
+    ham = assemble_hamiltonian(model, Region.box([13]), boundary="free")
+    cut = ham.bond_index([(5,), (6,)])
+    ids = [i for i in range(len(ham.bonds)) if i != cut]
+    got = Oracle(ham, 0.1).z(ids)
+    pieces = [
+        partition_function(assemble_hamiltonian(model, Region.box([n]), boundary="free"), 0.1)
+        for n in (6, 7)
+    ]
+    assert abs(got - pieces[0] * pieces[1]) <= 1e-13 * abs(got)
+    # The connected full volume is still refused before any matrix exists:
+    # its 2^13 rows would take 512 MiB.
+    tracemalloc.start()
+    try:
+        with pytest.raises(NumericalError, match="exceeds 4096"):
+            Oracle(ham, 0.1).z()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+BAD_IDS = [-1, 3, 1.5, True, False, np.bool_(True), "0", None]
+
+
+@pytest.mark.parametrize("bad", BAD_IDS, ids=repr)
+def test_bond_ids_outside_the_hamiltonian_are_refused(bad):
+    # A 4-chain has bonds 0, 1, 2. Before, -1 read the last bond and 3
+    # raised a bare IndexError. The good id beside a bad one is 2, since a
+    # set cannot hold both 0 and False (or 1 and True).
+    ham = ising_chain(4)
+    spin = Observable.make([(0,)], np.array([1.0, -1.0]))
+    calls = [
+        lambda orc: orc.z([bad]),
+        lambda orc: orc.z([2, bad]),
+        lambda orc: orc.rho([bad, 2]),
+        lambda orc: orc.xi([bad]),
+        lambda orc: orc.hamiltonian_on([bad]),
+        lambda orc: orc.weighted_trace(spin, [bad], ham.sites),
+    ]
+    for call in calls:
+        orc = Oracle(ham, 0.3)
+        with pytest.raises(ConfigError, match="bond ids"):
+            call(orc)
+        assert orc._z == {}
+    for wrapper in (partition_function, xi_fugacity_exact, rho_fugacity):
+        with pytest.raises(ConfigError, match="bond ids"):
+            wrapper(ham, 0.3, [bad])
+
+
+def test_numpy_integer_bond_ids_are_accepted():
+    ham = ising_chain(4)
+    for ids in (np.array([0, 2]), [np.int32(0), np.uint8(2)]):
+        assert Oracle(ham, 0.3).z(ids) == Oracle(ham, 0.3).z([0, 2])
+        assert Oracle(ham, 0.3).rho(ids) == Oracle(ham, 0.3).rho([0, 2])
+        assert np.array_equal(Oracle(ham, 0.3).xi(ids)[1], Oracle(ham, 0.3).xi([0, 2])[1])
