@@ -168,9 +168,12 @@ def _cmd_exact(cfg):
     betas = cfgmod.beta_values(cfg)
     obs = _observable(cfg)
     corr = _correlation_sites(cfg)
+    orc = None
 
     def one(b):
-        orc = Oracle(ham, b)
+        nonlocal orc
+        # Each beta's oracle shares the spectra of the one before it.
+        orc = Oracle(ham, b) if orc is None else orc.at(b)
         z = orc.z()
         row = _beta_row(b)
         row["z"] = complex(z)

@@ -15,6 +15,16 @@ polymers. It also factorizes: bonds that share no site act on separate
 tensor factors, so Z of a bond set is the product of Z over its
 connected components (bonds joined by shared sites), and only connected
 sets are diagonalized.
+
+The spectrum of a bond set does not depend on beta. Z and Gibbs traces
+are sums over it: over the energy table of a classical set, or over the
+eigenvalues and eigenvectors of a quantum matrix. A quantum matrix of
+`_SPLIT_DIM` rows or more is split into the connected components of its
+own nonzero pattern (the sectors of any conserved quantity it has), and
+its spectrum is memoized per (bond set, support), so Z, expectations
+and the oracles that `Oracle.at` makes for other betas share it. A
+smaller matrix is one block and is built again when asked, as before:
+splitting or keeping it costs more than it saves.
 """
 
 from __future__ import annotations
@@ -42,6 +52,13 @@ MAX_DENSE_DIM = 2**20
 # Quantum operators are dense matrices: 2^12 rows are 256 MiB of complex
 # entries, half that when every term is real.
 MAX_QUANTUM_DIM = 2**12
+# Quantum matrices of this many rows or more are diagonalized block by
+# block, and their spectra kept. On Heisenberg patches with one BLAS
+# thread, the split and the blocks' eigvalsh took 0.21 ms against 0.17 ms
+# for the whole matrix at 64 rows, 0.51 against 0.67 ms at 128 rows and
+# 4.1 against 16 ms at 512 rows.
+_SPLIT_DIM = 128
+_INT = frozenset({int})
 
 __all__ = [
     "Oracle",
@@ -106,6 +123,71 @@ def _check_observable(ham: Hamiltonian, obs: Observable):
         raise ConfigError(f"quantum observables must be {states}x{states} matrices")
 
 
+def _pattern_blocks(total: np.ndarray) -> list[np.ndarray]:
+    """Rows of the connected components of a square matrix's nonzero
+    pattern, each ascending, in the order of their lowest row.
+
+    Every row starts as its own label; each round takes the least label
+    among a row's neighbours, then jumps each label to its own label.
+    Labels only fall and always name a row of the same component, so at
+    the fixed point they are the component minima.
+    """
+    dim = total.shape[0]
+    pattern = total != 0
+    np.fill_diagonal(pattern, True)
+    rows, cols = np.nonzero(pattern)
+    starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+    label = np.arange(dim)
+    while True:
+        low = np.minimum.reduceat(label[cols], starts)
+        low = low[low]
+        if np.array_equal(low, label):
+            break
+        label = low
+    order = np.argsort(label, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
+
+
+class _Spectrum:
+    """A quantum H_B on one support, by blocks.
+
+    `groups` holds (rows, stack) pairs: the row indices of the blocks of
+    one size, shape (blocks, size), and their matrices stacked, so one
+    eigensolver call takes every block of that size. A matrix that is not
+    split is one group, (None, the matrix). Eigenvalues for Z come from
+    `eigvalsh`; `eigh` pairs, with their own eigenvalues, are taken when
+    a trace first asks for them.
+    """
+
+    __slots__ = ("dim", "groups", "_energies", "_pairs")
+
+    def __init__(self, total: np.ndarray):
+        self.dim = total.shape[0]
+        self._energies = self._pairs = None
+        blocks = _pattern_blocks(total) if self.dim >= _SPLIT_DIM else []
+        if len(blocks) <= 1:
+            self.groups = [(None, total)]
+            return
+        by_size: dict[int, list] = {}
+        for rows in blocks:
+            by_size.setdefault(len(rows), []).append(rows)
+        self.groups = []
+        for same in by_size.values():
+            rows = np.array(same)
+            self.groups.append((rows, total[rows[:, :, None], rows[:, None, :]]))
+
+    def energies(self) -> np.ndarray:
+        if self._energies is None:
+            parts = [np.linalg.eigvalsh(stack).ravel() for _, stack in self.groups]
+            self._energies = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return self._energies
+
+    def eigh(self) -> list:
+        if self._pairs is None:
+            self._pairs = [np.linalg.eigh(stack) for _, stack in self.groups]
+        return self._pairs
+
+
 class Oracle:
     """Exact quantities for one assembled Hamiltonian at one temperature.
 
@@ -120,14 +202,39 @@ class Oracle:
         self.ham = ham
         self.beta = complex(beta)
         self._z: dict[frozenset[int], complex] = {}
+        self._spectra: dict = {}
         self._all = frozenset(range(len(ham.bonds)))
-        self._adj = _overlap_masks(ham.bonds)
+        self._adj = None
         self._bit = {i: 1 << i for i in range(len(ham.bonds))}
         # Dense operators take the ops' own dtype: float64 when every
         # term is exactly real, so eigh runs the real symmetric solver.
         self._dtype = np.result_type(float, *{op.dtype for op in ham.ops})
 
+    def at(self, beta: complex) -> "Oracle":
+        """An oracle for the same Hamiltonian at another beta that shares
+        this one's memoized spectra (and its bond overlaps, once built), so
+        a beta grid diagonalizes each large bond set once. Its values equal
+        those of a fresh oracle."""
+        other = Oracle(self.ham, beta)
+        other._spectra, other._adj = self._spectra, self._adj
+        return other
+
     # -- building blocks ----------------------------------------------------
+
+    def _ids(self, bond_ids) -> frozenset:
+        """The checked frozenset of `bond_ids`, refused as in `_mask`.
+        Plain ints in range pass two set checks; anything else gets the
+        full one."""
+        try:
+            ids = frozenset(bond_ids)
+        except TypeError:
+            raise ConfigError(
+                f"bond ids must be an iterable of integers in range({len(self._bit)}), "
+                f"got {bond_ids!r}"
+            ) from None
+        if not (ids <= self._all and _INT.issuperset(map(type, ids))):
+            self._mask(ids)
+        return ids
 
     def _mask(self, ids) -> int:
         """Bitmask of a set of bond ids, refusing any id that is not an
@@ -145,8 +252,7 @@ class Oracle:
 
     def hamiltonian_on(self, bond_ids, support=None) -> tuple[tuple[Site, ...], np.ndarray]:
         """Total operator of the given bonds embedded on `support`."""
-        ids = frozenset(bond_ids)
-        self._mask(ids)
+        ids = self._ids(bond_ids)
         if support is None:
             support = self.ham.support(ids)
         q, ham = self.ham.q, self.ham
@@ -162,6 +268,21 @@ class Oracle:
             total = total + embed_matrix(ham.ops[i], ham.bonds[i], support, q)
         return support, total
 
+    def _spectrum(self, ids: frozenset, support):
+        """The spectrum of H_B on `support`: its energy table (classical)
+        or its `_Spectrum` (quantum). Quantum ones of `_SPLIT_DIM` rows or
+        more are memoized; smaller ones, and tables, cost less to build
+        again than to keep. `ids` are checked."""
+        if self.ham.kind == CLASSICAL:
+            return self.hamiltonian_on(ids, support)[1]
+        if self.ham.q ** len(support) < _SPLIT_DIM:
+            return _Spectrum(self.hamiltonian_on(ids, support)[1])
+        key = (ids, support)
+        spectrum = self._spectra.get(key)
+        if spectrum is None:
+            spectrum = self._spectra[key] = _Spectrum(self.hamiltonian_on(ids, support)[1])
+        return spectrum
+
     def boltzmann(self, bond_ids, support=None) -> tuple[tuple[Site, ...], np.ndarray]:
         """exp(-beta H_B) on `support` (table for classical, matrix for quantum)."""
         support, total = self.hamiltonian_on(bond_ids, support)
@@ -175,29 +296,45 @@ class Oracle:
     def z(self, bond_ids=None) -> complex:
         """Normalized-trace partition function of a bond subset.
 
-        A subset of several components is the product of their memoized
-        values, taken in the order of their lowest bond id. The ids are
-        checked on a memo miss only, so no bad key is ever stored.
+        A connected subset sums exp(-beta E) over its spectrum; one of
+        several components is the product of their memoized values, taken
+        in the order of their lowest bond id. The ids are checked before
+        the memo is read.
         """
-        ids = self._all if bond_ids is None else frozenset(bond_ids)
+        ids = self._all if bond_ids is None else self._ids(bond_ids)
         hit = self._z.get(ids)
         if hit is not None:
             return hit
-        parts = _components(self._adj, self._mask(ids))
+        mask = self._mask(ids)
+        # One bond is connected; the overlaps are built for the first set
+        # of several, since many oracles never meet one.
+        if mask & (mask - 1):
+            if self._adj is None:
+                self._adj = _overlap_masks(self.ham.bonds)
+            parts = _components(self._adj, mask)
+        else:
+            parts = [mask] if mask else []
         if len(parts) == 1:
-            support, total = self.hamiltonian_on(ids)
-            energies = total if self.ham.kind == CLASSICAL else np.linalg.eigvalsh(total)
+            spectrum = self._spectrum(ids, self.ham.support(ids))
+            energies = spectrum if self.ham.kind == CLASSICAL else spectrum.energies()
             # An overflow is reported by the NumericalError below, not by numpy.
             with np.errstate(over="ignore", invalid="ignore"):
                 val = complex(np.mean(np.exp(-self.beta * energies)))
         else:
-            val = self.z(_bits(parts[0])) if parts else 1.0 + 0.0j
+            val = self._z_of(_bits(parts[0])) if parts else 1.0 + 0.0j
             for part in parts[1:]:
-                val = val * self.z(_bits(part))
+                val = val * self._z_of(_bits(part))
         if not cmath.isfinite(val):
             raise NumericalError(f"partition function is not finite at beta = {self.beta}")
         self._z[ids] = val
         return val
+
+    def _z_of(self, bond_ids) -> complex:
+        """`z` of ids already checked: the memo is read here, and only a
+        miss goes through `z` (the id check runs on every call of `z`)."""
+        ids = frozenset(bond_ids)
+        hit = self._z.get(ids)
+        return self.z(ids) if hit is None else hit
 
     def z_avoiding(self, x0) -> complex:
         """Partition function with every bond meeting the site set x0 removed."""
@@ -224,8 +361,7 @@ class Oracle:
         the tensor product of its components' fugacity operators, so its
         normalized trace `rho` is the product of theirs.
         """
-        ids = frozenset(bond_ids)
-        self._mask(ids)
+        ids = self._ids(bond_ids)
         support = self.ham.support(ids)
         q = self.ham.q
         _check_dim(q, len(support), self.ham.kind)
@@ -238,9 +374,7 @@ class Oracle:
 
     def rho(self, bond_ids) -> complex:
         """Normalized trace of the fugacity operator, via the Z memo."""
-        ids = frozenset(bond_ids)
-        self._mask(ids)
-        return _alternating_sum(ids, self.z)
+        return _alternating_sum(self._ids(bond_ids), self._z_of)
 
     def expectation(self, obs: Observable) -> complex:
         """Gibbs expectation tr(A exp(-beta H)) / Z on the full region."""
@@ -251,15 +385,25 @@ class Oracle:
         return self.weighted_trace(obs, self._all, self.ham.sites) / z
 
     def weighted_trace(self, obs: Observable, bond_ids, support) -> complex:
-        """tr(A exp(-beta H_B)) on a fixed support (not divided by Z)."""
+        """tr(A exp(-beta H_B)) on a fixed support (not divided by Z).
+
+        Quantum: the sum over blocks of e^{-beta E_k} (V^H A V)_kk, so only
+        the diagonal blocks of A enter, and no exp(-beta H) is formed.
+        """
+        ids = self._ids(bond_ids)
         support = tuple(sorted(set(support) | set(obs.support)))
-        _, bf = self.boltzmann(bond_ids, support)
+        spectrum = self._spectrum(ids, support)
         q = self.ham.q
         if self.ham.kind == CLASSICAL:
             a = embed_table(obs.data.astype(complex), obs.support, support, q)
-            return complex(np.mean(a * bf))
-        a = embed_matrix(obs.data.astype(complex), obs.support, support, q)
-        return complex(np.trace(a @ bf) / bf.shape[0])
+            return complex(np.mean(a * np.exp(-self.beta * spectrum)))
+        a = embed_matrix(obs.data.astype(np.result_type(float, obs.data)), obs.support, support, q)
+        acc = 0j
+        for (rows, _), (w, v) in zip(spectrum.groups, spectrum.eigh()):
+            block = a if rows is None else a[rows[:, :, None], rows[:, None, :]]
+            diag = np.sum(v.conj() * (block @ v), axis=-2)
+            acc += np.sum(np.exp(-self.beta * w) * diag)
+        return complex(acc / spectrum.dim)
 
 
 # -- one-shot wrappers (tests and small scripts; heavy callers hold an Oracle)

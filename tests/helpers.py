@@ -18,6 +18,9 @@ as the reference of the count by packed size keys.
 default tree-form zeta that one golden-section search replaced.
 `z_direct_reference` keeps the partition function of a bond set computed
 on its whole support, as the reference of the product over components.
+`weighted_trace_reference` keeps the Gibbs trace through one `eigh` of
+the whole matrix and the matrix exp(-beta H), as the reference of the
+trace over the blocked spectrum.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from polymerion import (
     assemble_hamiltonian,
 )
 from polymerion.convergence import _margins
-from polymerion.model import CLASSICAL
+from polymerion.model import CLASSICAL, embed_matrix
 from polymerion.numeric import golden_max
 from polymerion.polymers import _connected_families, _induced, _pinned_families
 from polymerion.ursell import _bits
@@ -365,3 +368,14 @@ def z_direct_reference(ham, beta, ids) -> complex:
     energies = total if ham.kind == CLASSICAL else np.linalg.eigvalsh(total)
     with np.errstate(over="ignore", invalid="ignore"):
         return complex(np.mean(np.exp(-complex(beta) * energies)))
+
+
+def weighted_trace_reference(ham, beta, obs, ids, support) -> complex:
+    """tr(A exp(-beta H_B)) / dim as `Oracle.weighted_trace` computed it
+    before the blocked spectrum: `boltzmann` (one `eigh` of the whole
+    matrix, then (v * e^{-beta w}) v^H), and the trace of A times it.
+    Quantum Hamiltonians only; the classical route did not change."""
+    support = tuple(sorted(set(support) | set(obs.support)))
+    _, bf = Oracle(ham, beta).boltzmann(ids, support)
+    a = embed_matrix(obs.data.astype(complex), obs.support, support, ham.q)
+    return complex(np.trace(a @ bf) / bf.shape[0])

@@ -246,7 +246,9 @@ def test_ks_output_matches_golden_bytes(tmp_path, golden, doc):
     # the Heisenberg one was rewritten when exactly-real quantum operators
     # began to be stored, and diagonalized, as real matrices. Both were
     # rewritten when the oracle began to take Z of a disconnected bond set
-    # as the product over its components.
+    # as the product over its components. The Heisenberg chain was
+    # rewritten again when quantum Gibbs traces began to be summed over
+    # the eigenvectors, with no exp(-beta H) matrix.
     cfg = write_cfg(tmp_path, doc)
     out = tmp_path / golden
     assert main(["ks", "--config", cfg, "--output", str(out)]) == 0
@@ -286,7 +288,9 @@ def test_output_matches_golden_bytes(tmp_path, command, golden, doc):
     # rewritten when exactly-real quantum operators began to be stored,
     # and diagonalized, as real matrices. Both series goldens were
     # rewritten when the oracle began to take Z of a disconnected bond set
-    # as the product over its components.
+    # as the product over its components. The Heisenberg chain was
+    # rewritten again when quantum Gibbs traces began to be summed over
+    # the eigenvectors, with no exp(-beta H) matrix.
     cfg = write_cfg(tmp_path, doc)
     out = tmp_path / golden
     assert main([command, "--config", cfg, "--output", str(out)]) == 0
@@ -328,7 +332,9 @@ def test_exact_output_matches_golden_bytes(tmp_path, golden, doc):
     # exactly-real quantum operators began to be stored, and diagonalized,
     # as real matrices. The XY one was rewritten again when the oracle
     # began to take Z of a disconnected bond set (here the one behind its
-    # correlation) as the product over its components.
+    # correlation) as the product over its components. Both were rewritten
+    # again when matrices of 128 rows and more began to be diagonalized
+    # block by block, and Gibbs traces summed over the eigenvectors.
     # Dense eigensolvers and products of 256 rows and more split their sums
     # over BLAS threads, so their last digits depend on the thread count:
     # these goldens were written, and are checked, with one BLAS thread.

@@ -28,14 +28,16 @@ from polymerion import (
 )
 
 from polymerion.model import CLASSICAL, QUANTUM
-from polymerion.oracle import _alternating_sum, _check_dim
+from polymerion.oracle import _SPLIT_DIM, _Spectrum, _alternating_sum, _check_dim, _pattern_blocks
 from polymerion.ursell import _bits, _components, _overlap_masks
 
 from helpers import (
     COHERENT,
     chain_interaction,
     random_beta,
+    random_hermitian,
     random_instance,
+    weighted_trace_reference,
     z_direct_reference,
 )
 
@@ -429,14 +431,15 @@ def test_the_dense_cap_applies_to_each_connected_component():
     assert peak < 2**20
 
 
-BAD_IDS = [-1, 3, 1.5, True, False, np.bool_(True), "0", None]
+BAD_IDS = [-1, 3, 1.5, 1.0, np.float64(1.0), True, False, np.bool_(True), "0", None, [0]]
 
 
 @pytest.mark.parametrize("bad", BAD_IDS, ids=repr)
 def test_bond_ids_outside_the_hamiltonian_are_refused(bad):
     # A 4-chain has bonds 0, 1, 2. Before, -1 read the last bond and 3
-    # raised a bare IndexError. The good id beside a bad one is 2, since a
-    # set cannot hold both 0 and False (or 1 and True).
+    # raised a bare IndexError, and [0] a bare TypeError. The good id
+    # beside a bad one is 2, since a set cannot hold both 0 and False (or
+    # 1 and True).
     ham = ising_chain(4)
     spin = Observable.make([(0,)], np.array([1.0, -1.0]))
     calls = [
@@ -452,9 +455,20 @@ def test_bond_ids_outside_the_hamiltonian_are_refused(bad):
         with pytest.raises(ConfigError, match="bond ids"):
             call(orc)
         assert orc._z == {}
+    # True == 1 and 1.0 == 1 as memo keys: a warm memo refuses them too.
+    warm = Oracle(ham, 0.3)
+    warm.rho([0, 1, 2])
+    for call in calls:
+        with pytest.raises(ConfigError, match="bond ids"):
+            call(warm)
     for wrapper in (partition_function, xi_fugacity_exact, rho_fugacity):
         with pytest.raises(ConfigError, match="bond ids"):
             wrapper(ham, 0.3, [bad])
+    # A bare id in place of a collection of them (z(None) means every bond).
+    if bad is not None and not isinstance(bad, (str, list)):
+        for method in ("z", "rho", "xi", "hamiltonian_on"):
+            with pytest.raises(ConfigError, match="bond ids"):
+                getattr(Oracle(ham, 0.3), method)(bad)
 
 
 def test_numpy_integer_bond_ids_are_accepted():
@@ -463,3 +477,124 @@ def test_numpy_integer_bond_ids_are_accepted():
         assert Oracle(ham, 0.3).z(ids) == Oracle(ham, 0.3).z([0, 2])
         assert Oracle(ham, 0.3).rho(ids) == Oracle(ham, 0.3).rho([0, 2])
         assert np.array_equal(Oracle(ham, 0.3).xi(ids)[1], Oracle(ham, 0.3).xi([0, 2])[1])
+
+
+# -- one blocked spectrum per bond set ---------------------------------------
+
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+# The pattern of a two-site operator that keeps the number of up spins.
+SZ_PATTERN = np.array([[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, 1, 0], [0, 0, 0, 1]])
+
+
+def _split_volumes(rng):
+    """Quantum volumes of at least `_SPLIT_DIM` rows, each with its beta."""
+    yield "heisenberg-free-3x3", assemble_hamiltonian(heisenberg_model(2), Region.box([3, 3])), 0.3
+    yield "xy-ring-8", assemble_hamiltonian(xy_model(1), Region.box([8]), "periodic"), 0.2 - 0.15j
+    yield "heisenberg-product-8", assemble_hamiltonian(
+        heisenberg_model(1, 0.9), Region.box([8]), "product", np.diag([0.7, 0.3])
+    ), -0.25 + 0.1j
+    # Complex Hermitian with no conserved quantity: one dense block.
+    inter = chain_interaction(rng, 2, "quantum", 7, 0.1, with_fields=True)
+    region = Region.from_sites((i,) for i in range(7))
+    yield "random-chain-7", assemble_hamiltonian(inter, region, "free"), random_beta(rng)
+    # Complex Hermitian that keeps the number of up spins: complex blocks.
+    term = random_hermitian(rng, 2, 2, 0.1) * SZ_PATTERN
+    inter = Interaction.from_terms(
+        q=2, kind="quantum", terms=[(((i,), (i + 1,)), term) for i in range(7)]
+    )
+    region = Region.from_sites((i,) for i in range(8))
+    yield "random-sz-chain-8", assemble_hamiltonian(inter, region, "free"), random_beta(rng)
+
+
+def test_blocked_spectrum_matches_the_whole_matrix(rng):
+    # Z, expectations, Gibbs traces on part of the bonds and correlations
+    # against one eigvalsh or eigh of the whole matrix. sigma_x and the
+    # complex SITE_OBS are not block-diagonal in the up-spin sectors, so
+    # the off-block entries of A that the blocked trace drops are tested.
+    # An expectation that vanishes by symmetry is compared on the scale
+    # of A, whose norm is about 1.
+    for label, ham, beta in _split_volumes(rng):
+        assert ham.q ** len(ham.sites) >= _SPLIT_DIM
+        orc, every, sites = Oracle(ham, beta), range(len(ham.bonds)), ham.sites
+        z = z_direct_reference(ham, beta, every)
+        assert abs(orc.z() - z) <= 1e-13 * abs(z), label
+        away = [i for i, b in enumerate(ham.bonds) if sites[3] not in b]
+        for obs in (
+            Observable.make(sites[:2], ZZ),
+            Observable.make(sites[-1:], SIGMA_X),
+            Observable.make(sites[2:3], SITE_OBS),
+        ):
+            want = weighted_trace_reference(ham, beta, obs, every, sites) / z
+            assert abs(orc.expectation(obs) - want) <= 1e-13 * max(abs(want), 1.0), label
+            want = weighted_trace_reference(ham, beta, obs, away, sites)
+            got = orc.weighted_trace(obs, away, sites)
+            assert abs(got - want) <= 1e-13 * max(abs(want), 1.0), label
+        for x0 in (sites[:1], sites[1:3]):
+            x0 = set(x0)
+            ids = [i for i, b in enumerate(ham.bonds) if x0.isdisjoint(b)]
+            want = z_direct_reference(ham, beta, ids) / z
+            assert abs(orc.reduced_correlation(x0) - want) <= 1e-13 * abs(want), label
+
+
+def test_oracles_sharing_spectra_across_beta_match_fresh_ones(monkeypatch):
+    # One volume above the split size, one below, one classical. The fresh
+    # oracle asks in another order, so no value depends on what the
+    # shared spectra already hold. The later betas build no quantum matrix
+    # of the split size or more.
+    builds = []
+    build = Oracle.hamiltonian_on
+    monkeypatch.setattr(
+        Oracle, "hamiltonian_on", lambda self, *args: builds.append(args) or build(self, *args)
+    )
+    cases = [
+        (xy_model(1), [8], "periodic"),
+        (heisenberg_model(2), [2, 3], "free"),
+        (ising_model(2, field_h=0.3), [3, 3], "free"),
+    ]
+    for model, extent, boundary in cases:
+        ham = assemble_hamiltonian(model, Region.box(extent), boundary)
+        sites = ham.sites
+        obs = (Observable.make(sites[:1], np.array([1.0, -1.0])) if ham.kind == CLASSICAL
+               else Observable.make(sites[:2], ZZ))
+        orc = None
+        for beta in (0.3, 0.2 - 0.15j, -0.25):
+            first = orc is None
+            orc = Oracle(ham, beta) if first else orc.at(beta)
+            before = len(builds)
+            got = [orc.z(), orc.expectation(obs), orc.reduced_correlation(sites[1:3])]
+            large = [args for args in builds[before:]
+                     if ham.kind == QUANTUM and ham.q ** len(args[1]) >= _SPLIT_DIM]
+            assert first or large == []
+            fresh = Oracle(ham, beta)
+            corr = fresh.reduced_correlation(sites[1:3])
+            assert [fresh.z(), fresh.expectation(obs), corr] == got
+            pair = [1, 2]
+            assert fresh.weighted_trace(obs, pair, sites) == orc.weighted_trace(obs, pair, sites)
+            assert fresh.rho([0, 1]) == orc.rho([0, 1])
+
+
+def test_heisenberg_3x3_splits_into_its_sz_sectors():
+    ham = assemble_hamiltonian(heisenberg_model(2), Region.box([3, 3]))
+    _, h = Oracle(ham, 0.0).hamiltonian_on(range(len(ham.bonds)))
+    blocks = [r for rows, _ in _Spectrum(h).groups for r in rows]
+    assert sorted(map(len, blocks)) == [1, 1, 9, 9, 36, 36, 84, 84, 126, 126]
+    for rows in blocks:
+        assert len({bin(int(i)).count("1") for i in rows}) == 1
+    # Below the split size a matrix stays whole, on the path it always took.
+    ham = assemble_hamiltonian(heisenberg_model(2), Region.box([2, 3]))
+    _, h = Oracle(ham, 0.0).hamiltonian_on(range(len(ham.bonds)))
+    assert [rows for rows, _ in _Spectrum(h).groups] == [None]
+    assert np.array_equal(_Spectrum(h).energies(), np.linalg.eigvalsh(h))
+
+
+def test_pattern_blocks_are_the_connected_components(rng):
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    for n, p in [(1, 0.0), (9, 0.0), (40, 0.03), (64, 0.08), (90, 0.3)]:
+        pattern = rng.random((n, n)) < p
+        pattern |= pattern.T
+        got = _pattern_blocks(np.where(pattern, 1.0 + rng.random((n, n)), 0.0))
+        _, labels = csgraph.connected_components(pattern, directed=False)
+        want = {}
+        for i, lab in enumerate(labels):
+            want.setdefault(lab, []).append(i)
+        assert [list(rows) for rows in got] == sorted(want.values())
