@@ -58,7 +58,6 @@ MAX_QUANTUM_DIM = 2**12
 # for the whole matrix at 64 rows, 0.51 against 0.67 ms at 128 rows and
 # 4.1 against 16 ms at 512 rows.
 _SPLIT_DIM = 128
-_INT = frozenset({int})
 
 __all__ = [
     "Oracle",
@@ -223,8 +222,8 @@ class Oracle:
 
     def _ids(self, bond_ids) -> frozenset:
         """The checked frozenset of `bond_ids`, refused as in `_mask`.
-        Plain ints in range pass two set checks; anything else gets the
-        full one."""
+        Plain ints in range pass a type check and a subset check; anything
+        else gets the full one."""
         try:
             ids = frozenset(bond_ids)
         except TypeError:
@@ -232,8 +231,13 @@ class Oracle:
                 f"bond ids must be an iterable of integers in range({len(self._bit)}), "
                 f"got {bond_ids!r}"
             ) from None
-        if not (ids <= self._all and _INT.issuperset(map(type, ids))):
-            self._mask(ids)
+        for i in ids:
+            if type(i) is not int:
+                self._mask(ids)
+                break
+        else:
+            if not ids <= self._all:
+                self._mask(ids)
         return ids
 
     def _mask(self, ids) -> int:
@@ -268,13 +272,10 @@ class Oracle:
             total = total + embed_matrix(ham.ops[i], ham.bonds[i], support, q)
         return support, total
 
-    def _spectrum(self, ids: frozenset, support):
-        """The spectrum of H_B on `support`: its energy table (classical)
-        or its `_Spectrum` (quantum). Quantum ones of `_SPLIT_DIM` rows or
-        more are memoized; smaller ones, and tables, cost less to build
-        again than to keep. `ids` are checked."""
-        if self.ham.kind == CLASSICAL:
-            return self.hamiltonian_on(ids, support)[1]
+    def _spectrum(self, ids: frozenset, support) -> "_Spectrum":
+        """The `_Spectrum` of a quantum H_B on `support`, memoized from
+        `_SPLIT_DIM` rows on; a smaller one costs less to build again than
+        to keep. `ids` are checked."""
         if self.ham.q ** len(support) < _SPLIT_DIM:
             return _Spectrum(self.hamiltonian_on(ids, support)[1])
         key = (ids, support)
@@ -315,8 +316,13 @@ class Oracle:
         else:
             parts = [mask] if mask else []
         if len(parts) == 1:
-            spectrum = self._spectrum(ids, self.ham.support(ids))
-            energies = spectrum if self.ham.kind == CLASSICAL else spectrum.energies()
+            support = self.ham.support(ids)
+            if self.ham.kind == CLASSICAL:
+                energies = self.hamiltonian_on(ids, support)[1]
+            elif self.ham.q ** len(support) < _SPLIT_DIM:
+                energies = np.linalg.eigvalsh(self.hamiltonian_on(ids, support)[1])
+            else:
+                energies = self._spectrum(ids, support).energies()
             # An overflow is reported by the NumericalError below, not by numpy.
             with np.errstate(over="ignore", invalid="ignore"):
                 val = complex(np.mean(np.exp(-self.beta * energies)))
@@ -392,11 +398,11 @@ class Oracle:
         """
         ids = self._ids(bond_ids)
         support = tuple(sorted(set(support) | set(obs.support)))
-        spectrum = self._spectrum(ids, support)
         q = self.ham.q
         if self.ham.kind == CLASSICAL:
             a = embed_table(obs.data.astype(complex), obs.support, support, q)
-            return complex(np.mean(a * np.exp(-self.beta * spectrum)))
+            return complex(np.mean(a * np.exp(-self.beta * self.hamiltonian_on(ids, support)[1])))
+        spectrum = self._spectrum(ids, support)
         a = embed_matrix(obs.data.astype(np.result_type(float, obs.data)), obs.support, support, q)
         acc = 0j
         for (rows, _), (w, v) in zip(spectrum.groups, spectrum.eigh()):
