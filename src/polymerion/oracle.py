@@ -2,10 +2,14 @@
 
 Everything here is brute force on the full product space: partition
 functions through eigenvalues or vectorized exponentials, Gibbs
-expectations through dense matrices, operator fugacities through subset
-inclusion-exclusion. The point is to be unarguably correct on volumes
-small enough to afford it; the series machinery is tested against this
-module, never the other way around.
+expectations through dense matrices. Quantum fugacities are subset
+inclusion-exclusions over the partition-function memo. Classical terms
+commute, so there the inclusion-exclusion collapses to the Mayer product
+prod_X (e^{-beta Phi_X} - 1) over the family, built from one `expm1`
+table per bond; it needs no subfamily and loses no digits to
+cancellation. The point is to be unarguably correct on volumes small
+enough to afford it; the series machinery is tested against this module,
+never the other way around.
 
 Traces are normalized: tr = Tr / dim for quantum models, the uniform
 product average for classical ones. With this normalization the
@@ -193,8 +197,9 @@ class Oracle:
     Partition functions of bond subsets are memoized by the subset of
     bond indices. A connected subset is computed on the union of its
     supports; any other subset is the product of its components' values.
-    Bond ids are integers in range(len(ham.bonds)); anything else is a
-    ConfigError.
+    Classical activities use a table e^{-beta Phi_X} - 1 per bond, built
+    on first use and kept. Bond ids are integers in range(len(ham.bonds));
+    anything else is a ConfigError.
     """
 
     def __init__(self, ham: Hamiltonian, beta: complex):
@@ -202,6 +207,7 @@ class Oracle:
         self.beta = complex(beta)
         self._z: dict[frozenset[int], complex] = {}
         self._spectra: dict = {}
+        self._mayer_tables: dict[int, np.ndarray] = {}
         self._all = frozenset(range(len(ham.bonds)))
         self._adj = None
         self._bit = {i: 1 << i for i in range(len(ham.bonds))}
@@ -359,28 +365,68 @@ class Oracle:
 
     # -- fugacities and expectations ----------------------------------------
 
-    def xi(self, bond_ids) -> tuple[tuple[Site, ...], np.ndarray]:
-        """Inclusion-exclusion fugacity operator of a bond family.
+    def _mayer(self, ids, support) -> np.ndarray:
+        """prod over the bonds of `ids`, ascending, of e^{-beta Phi_X} - 1,
+        as a classical table with the axes of `support` (see `_site_axes`).
 
-        sum over subfamilies B' of B of (-1)^{|B| - |B'|} exp(-beta H_{B'}),
-        on the union support of B. For a family that is not connected it is
-        the tensor product of its components' fugacity operators, so its
-        normalized trace `rho` is the product of theirs.
+        The caller has checked `ids`, runs this under `np.errstate` and
+        checks that the result is finite. Refused past the dense cap on
+        `support`.
+        """
+        ham, q, tables = self.ham, self.ham.q, self._mayer_tables
+        _check_dim(q, len(support), CLASSICAL)
+        acc = None
+        for i in sorted(ids):
+            table = tables.get(i)
+            if table is None:
+                table = tables[i] = np.expm1(-self.beta * ham.ops[i])
+            factor = _site_axes(table, ham.bonds[i], support, q)
+            acc = factor if acc is None else acc * factor
+        return np.ones((), dtype=complex) if acc is None else acc
+
+    def xi(self, bond_ids) -> tuple[tuple[Site, ...], np.ndarray]:
+        """Fugacity operator of a bond family, on the union support of B.
+
+        Quantum: sum over subfamilies B' of B of (-1)^{|B| - |B'|}
+        exp(-beta H_{B'}). Classical: the same sum factorizes into the Mayer
+        product prod_{X in B} (e^{-beta Phi_X} - 1), which is what is built.
+        For a family that is not connected it is the tensor product of its
+        components' fugacity operators, so its normalized trace `rho` is
+        the product of theirs.
         """
         ids = self._ids(bond_ids)
         support = self.ham.support(ids)
+        if self.ham.kind == CLASSICAL:
+            # An overflow is reported by the NumericalError below, not by numpy.
+            with np.errstate(over="ignore", invalid="ignore"):
+                table = self._mayer(ids, support)
+            if not np.isfinite(table).all():
+                raise NumericalError(f"fugacity is not finite at beta = {self.beta}")
+            return support, table.flatten()
         q = self.ham.q
         _check_dim(q, len(support), self.ham.kind)
         dim = q ** len(support)
-        shape = (dim,) if self.ham.kind == CLASSICAL else (dim, dim)
         acc = _alternating_sum(
-            ids, lambda sub: self.boltzmann(sub, support)[1], np.zeros(shape, dtype=complex)
+            ids, lambda sub: self.boltzmann(sub, support)[1], np.zeros((dim, dim), dtype=complex)
         )
         return support, acc
 
     def rho(self, bond_ids) -> complex:
-        """Normalized trace of the fugacity operator, via the Z memo."""
-        return _alternating_sum(self._ids(bond_ids), self._z_of)
+        """Normalized trace of the fugacity operator.
+
+        Quantum: the inclusion-exclusion over the Z memo, refused past 20
+        bonds. Classical: the mean of the Mayer product over the support of
+        the family, refused only past the dense cap on that support.
+        """
+        ids = self._ids(bond_ids)
+        if self.ham.kind != CLASSICAL:
+            return _alternating_sum(ids, self._z_of)
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = self._mayer(ids, self.ham.support(ids))
+            val = complex(table.sum()) / table.size
+        if not cmath.isfinite(val):
+            raise NumericalError(f"activity is not finite at beta = {self.beta}")
+        return val
 
     def expectation(self, obs: Observable) -> complex:
         """Gibbs expectation tr(A exp(-beta H)) / Z on the full region."""

@@ -3,10 +3,11 @@
 Two bonds are linked when their supports share a site; a polymer is a
 family of bonds whose link graph is connected. Two polymers are
 compatible when their supports are disjoint. The activity of a polymer
-is the normalized trace of its inclusion-exclusion fugacity, computed
-through the oracle's shared partition-function memo, together with the
-product bound prod_X (e^{|beta| ||Phi(X)||} - 1) that controls it for
-complex beta.
+is the normalized trace of its fugacity, taken from the oracle: for
+quantum bonds an inclusion-exclusion over the shared partition-function
+memo, for classical ones the mean of the Mayer product
+prod_X (e^{-beta Phi(X)} - 1). It comes with the product bound
+prod_X (e^{|beta| ||Phi(X)||} - 1) that controls it for complex beta.
 """
 
 from __future__ import annotations

@@ -50,7 +50,7 @@ import numpy as np
 
 from .config import _cast
 from .errors import ConfigError, NumericalError
-from .model import Hamiltonian, LatticeModel, Site
+from .model import CLASSICAL, Hamiltonian, LatticeModel, Site, _site_axes
 from .oracle import Observable, Oracle, _alternating_sum, _check_observable
 from .polymers import (
     Polymer,
@@ -495,7 +495,9 @@ def expectation_series(
 
     <A> = sum over bond families B (components meeting supp A) of
     K(A, B) g(supp A union supp B), with K the Möbius transform of the
-    A-weighted Boltzmann traces. At max_family_bonds == len(ham.bonds)
+    A-weighted Boltzmann traces. For classical bonds that transform is
+    tr(A xi_B), the trace of A times the Mayer product of B, and is
+    taken so. At max_family_bonds == len(ham.bonds)
     and g_mode == "oracle" the sum is a finite identity, exact up to
     rounding; g_mode == "series" replaces each ratio g by its cluster
     series at `correlation_truncation`.
@@ -535,7 +537,15 @@ def expectation_series(
     total = 0j
     count = 0
     for ids in expectation_families(ham, x0, max_family_bonds):
-        k_val = _alternating_sum(ids, lambda sub: weighted(frozenset(sub)))
+        if ham.kind == CLASSICAL:
+            xi_support, xi = oracle.xi(ids)
+            support = tuple(sorted(x0.union(xi_support)))
+            k_val = complex(np.mean(
+                _site_axes(obs.data, obs.support, support, ham.q)
+                * _site_axes(xi, xi_support, support, ham.q)
+            ))
+        else:
+            k_val = _alternating_sum(ids, lambda sub: weighted(frozenset(sub)))
         if k_val == 0:
             continue
         sites = x0 | set(ham.support(ids))

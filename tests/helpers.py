@@ -20,7 +20,9 @@ default tree-form zeta that one golden-section search replaced.
 on its whole support, as the reference of the product over components.
 `weighted_trace_reference` keeps the Gibbs trace through one `eigh` of
 the whole matrix and the matrix exp(-beta H), as the reference of the
-trace over the blocked spectrum.
+trace over the blocked spectrum. `rho_reference` keeps the classical
+activity as the inclusion-exclusion over the Z memo, as the reference of
+the Mayer product.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from polymerion import (
 )
 from polymerion.convergence import _margins
 from polymerion.model import CLASSICAL, embed_matrix
+from polymerion.oracle import _alternating_sum
 from polymerion.numeric import golden_max
 from polymerion.polymers import _connected_families, _induced, _pinned_families
 from polymerion.ursell import _bits
@@ -379,3 +382,10 @@ def weighted_trace_reference(ham, beta, obs, ids, support) -> complex:
     _, bf = Oracle(ham, beta).boltzmann(ids, support)
     a = embed_matrix(obs.data.astype(complex), obs.support, support, ham.q)
     return complex(np.trace(a @ bf) / bf.shape[0])
+
+
+def rho_reference(orc, ids) -> complex:
+    """The activity as `Oracle.rho` computed it for classical families
+    before the Mayer product: the signed sum of Z over the 2^|B|
+    subfamilies, read from the oracle's memo."""
+    return _alternating_sum(orc._ids(ids), orc._z_of)

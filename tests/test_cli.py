@@ -248,7 +248,8 @@ def test_ks_output_matches_golden_bytes(tmp_path, golden, doc):
     # rewritten when the oracle began to take Z of a disconnected bond set
     # as the product over its components. The Heisenberg chain was
     # rewritten again when quantum Gibbs traces began to be summed over
-    # the eigenvectors, with no exp(-beta H) matrix.
+    # the eigenvectors, with no exp(-beta H) matrix. The Ising one was
+    # rewritten when classical activities became one Mayer product.
     cfg = write_cfg(tmp_path, doc)
     out = tmp_path / golden
     assert main(["ks", "--config", cfg, "--output", str(out)]) == 0
@@ -290,7 +291,9 @@ def test_output_matches_golden_bytes(tmp_path, command, golden, doc):
     # rewritten when the oracle began to take Z of a disconnected bond set
     # as the product over its components. The Heisenberg chain was
     # rewritten again when quantum Gibbs traces began to be summed over
-    # the eigenvectors, with no exp(-beta H) matrix.
+    # the eigenvectors, with no exp(-beta H) matrix. The Ising 2x3 patch
+    # was rewritten when classical activities and the classical weights
+    # K(A, B) became Mayer products.
     cfg = write_cfg(tmp_path, doc)
     out = tmp_path / golden
     assert main([command, "--config", cfg, "--output", str(out)]) == 0

@@ -3,6 +3,7 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -37,6 +38,7 @@ from helpers import (
     random_beta,
     random_hermitian,
     random_instance,
+    rho_reference,
     weighted_trace_reference,
     z_direct_reference,
 )
@@ -212,11 +214,105 @@ def test_quantum_cap_bounds_the_matrix_side():
 
 def test_overflowing_z_raises_without_numpy_warnings():
     quantum = assemble_hamiltonian(heisenberg_model(1), Region.box([4]), boundary="free")
-    for ham, beta in ((ising_chain(8), 400.0), (quantum, 2000.0)):
+    chain = ising_chain(8)
+    every = range(len(chain.bonds))
+    # The classical Mayer product of all 7 bonds holds e^{2800} in one entry.
+    calls = [
+        (chain, 400.0, lambda orc: orc.z()),
+        (quantum, 2000.0, lambda orc: orc.z()),
+        (chain, 400.0, lambda orc: orc.rho(every)),
+        (chain, 400.0, lambda orc: orc.xi(every)),
+    ]
+    for ham, beta, call in calls:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericalError):
-                Oracle(ham, beta).z()
+            with pytest.raises(NumericalError, match="not finite"):
+                call(Oracle(ham, beta))
+
+
+def test_classical_rho_matches_the_even_subgraph_closed_form():
+    # An Ising bond has e^{beta s s'} - 1 = a + b s s', with a = cosh(beta) - 1
+    # and b = sinh(beta), so rho_B sums a^{|B|-|E|} b^{|E|} over the even
+    # subgraphs E of B (every site of even degree). The terms are positive,
+    # so the reference is accurate to rounding. The subfamily sum over Z
+    # lost about 2^|B| eps absolute on values of size beta^|B|.
+    ham = assemble_hamiltonian(ising_model(2), Region.box([3, 4]), boundary="free")
+    beta = 0.04
+    a, b = 2.0 * math.sinh(beta / 2) ** 2, math.sinh(beta)
+    eps = np.finfo(float).eps
+    orc = Oracle(ham, beta)
+    worst = 0.0
+    for p in enumerate_polymers(ham, 6):
+        n = len(p.bonds)
+        terms = []
+        for r in range(n + 1):
+            for sub in itertools.combinations(p.bonds, r):
+                degree = Counter(s for i in sub for s in ham.bonds[i])
+                if all(d % 2 == 0 for d in degree.values()):
+                    terms.append(a ** (n - r) * b**r)
+        err = abs(orc.rho(p.bonds) - math.fsum(terms))
+        worst = max(worst, err / (8 * n * eps * (a + b) ** n))
+    assert worst <= 1.0
+
+
+def test_classical_rho_and_xi_agree_with_the_subfamily_sums(rng):
+    # The classical instances of criterion 3: free, periodic and product
+    # boundaries, Potts, fields and complex beta. A signed sum over the
+    # 2^|B| subfamilies rounds by about 2^|B| eps times its largest term.
+    eps = np.finfo(float).eps
+    seen = set()
+    for index in range(0, 50, 2):
+        label, ham, beta = random_instance(rng, index)
+        assert ham.kind == CLASSICAL
+        seen.add(label.split("-")[0])
+        seen.add(f"q={ham.q}")
+        seen.add("complex" if beta.imag else "real")
+        if any(len(bond) == 1 for bond in ham.bonds):
+            seen.add("field")
+        orc = Oracle(ham, beta)
+        for p in enumerate_polymers(ham, len(ham.bonds)):
+            n = len(p.bonds)
+            subs = [sub for r in range(n + 1) for sub in itertools.combinations(p.bonds, r)]
+            z_max = max(abs(orc.z(sub)) for sub in subs)
+            assert abs(orc.rho(p.bonds) - rho_reference(orc, p.bonds)) <= 2**n * eps * z_max
+            support, xi = orc.xi(p.bonds)
+            tables = {sub: orc.boltzmann(sub, support)[1] for sub in subs}
+            want = _alternating_sum(p.bonds, tables.__getitem__, np.zeros(xi.shape, complex))
+            top = max(float(np.max(np.abs(t))) for t in tables.values())
+            assert np.max(np.abs(xi - want)) <= 2**n * eps * top
+    assert seen == {"free", "product", "periodic", "q=2", "q=3", "real", "complex", "field"}
+
+
+def test_classical_rho_runs_past_20_bonds_up_to_the_dense_cap():
+    # 12 sites with a field carry 23 bonds: past the 20-id cap of the
+    # subfamily sum, but only 4096 states for the Mayer product.
+    ham = ising_chain(12, coupling=0.7, field_h=0.3)
+    beta = 0.2
+    tables = [ham.ops[i].reshape((2,) * len(bond)) for i, bond in enumerate(ham.bonds)]
+    terms = []
+    for state in itertools.product(range(2), repeat=12):
+        prod = 1.0
+        for table, bond in zip(tables, ham.bonds):
+            prod *= math.expm1(-beta * table[tuple(state[s[0]] for s in bond)])
+        terms.append(prod)
+    want = math.fsum(terms) / len(terms)
+    scale = math.fsum(abs(t) for t in terms) / len(terms)
+    assert len(ham.bonds) == 23
+    assert abs(Oracle(ham, beta).rho(range(23)) - want) <= 1e-13 * scale
+    # 22 sites are past the 2^20 states of the dense cap, refused before
+    # any table exists; quantum families keep the 20-id cap.
+    long = ising_chain(22)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NumericalError, match="exceeds 1048576"):
+            Oracle(long, beta).rho(range(len(long.bonds)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    quantum = assemble_hamiltonian(heisenberg_model(1), Region.box([22]), boundary="free")
+    with pytest.raises(NumericalError, match="2\\^20"):
+        Oracle(quantum, beta).rho(range(len(quantum.bonds)))
 
 
 def test_xi_fugacity_exact_wrapper_matches_oracle():
