@@ -6,10 +6,10 @@ expectations through dense matrices. Quantum fugacities are subset
 inclusion-exclusions over the partition-function memo. Classical terms
 commute, so there the inclusion-exclusion collapses to the Mayer product
 prod_X (e^{-beta Phi_X} - 1) over the family, built from one `expm1`
-table per bond; it needs no subfamily and loses no digits to
-cancellation. The point is to be unarguably correct on volumes small
-enough to afford it; the series machinery is tested against this module,
-never the other way around.
+table per bond; it needs no subfamily, and so none of the cancellation
+of their signed sum. The point is to be unarguably correct on volumes
+small enough to afford it; the series machinery is tested against this
+module, never the other way around.
 
 Traces are normalized: tr = Tr / dim for quantum models, the uniform
 product average for classical ones. With this normalization the
