@@ -231,11 +231,12 @@ def test_overflowing_z_raises_without_numpy_warnings():
 
 
 def test_classical_rho_matches_the_even_subgraph_closed_form():
-    # An Ising bond has e^{beta s s'} - 1 = a + b s s', with a = cosh(beta) - 1
-    # and b = sinh(beta), so rho_B sums a^{|B|-|E|} b^{|E|} over the even
-    # subgraphs E of B (every site of even degree). The terms are positive,
-    # so the reference is accurate to rounding. The subfamily sum over Z
-    # lost about 2^|B| eps absolute on values of size beta^|B|.
+    # An Ising bond has e^{beta s s'} - 1 = a + b s s', with
+    # a = cosh(beta) - 1 = 2 sinh(beta/2)^2 and b = sinh(beta), so rho_B sums
+    # a^{|B|-|E|} b^{|E|} over the even subgraphs E of B (every site of even
+    # degree). The terms are positive, so the reference is accurate to
+    # rounding, while a signed sum of Z over the 2^|B| subfamilies loses
+    # about 2^|B| eps absolute on values of size beta^|B|.
     ham = assemble_hamiltonian(ising_model(2), Region.box([3, 4]), boundary="free")
     beta = 0.04
     a, b = 2.0 * math.sinh(beta / 2) ** 2, math.sinh(beta)
