@@ -38,6 +38,7 @@ from .model import (
     potts_model,
     xy_model,
 )
+from .numeric import _cast
 
 __all__ = [
     "load_config",
@@ -76,22 +77,6 @@ def section(cfg: dict, name: str) -> dict:
     return sec
 
 
-_KINDS = {int: "an integer", float: "a number"}
-
-
-def _cast(raw, where: str, cast, least=None):
-    # int() would truncate 2.5, and int() or float() read true as 1, without a word.
-    if isinstance(raw, bool) or cast is int and isinstance(raw, float) and not raw.is_integer():
-        raise ConfigError(f"{where} must be {_KINDS[cast]}, got {raw!r}")
-    try:
-        value = cast(raw)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{where} must be {_KINDS[cast]}, got {raw!r}") from exc
-    if least is not None and not value >= least:
-        raise ConfigError(f"{where} must be at least {least}, got {raw!r}")
-    return value
-
-
 def option(sec: dict, section: str, key: str, cast, default, many: bool = False,
            least=None):
     """sec[key] passed through `cast` (int or float); an unparsable value, or
@@ -113,31 +98,19 @@ def option(sec: dict, section: str, key: str, cast, default, many: bool = False,
 
 def parse_scalar(value, where: str = "value") -> complex:
     """A number, or a [re, im] pair."""
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) for v in value)
-    ):
-        return complex(value[0], value[1])
-    raise ConfigError(f"{where} must be a number or a [re, im] pair")
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        return complex(*(_cast(v, where, float) for v in value))
+    return _cast(value, where, complex)
 
 
 def parse_array(data, where: str = "data") -> np.ndarray:
     """Nested lists with scalar or [re, im] leaves."""
 
     def walk(node):
-        if isinstance(node, (int, float)):
-            return complex(node)
-        if isinstance(node, list):
-            if (
-                len(node) == 2
-                and all(isinstance(v, (int, float)) for v in node)
-            ):
-                return complex(node[0], node[1])
+        # a list of two entries that are not lists is one [re, im] value
+        if isinstance(node, list) and (len(node) != 2 or any(isinstance(v, list) for v in node)):
             return [walk(v) for v in node]
-        raise ConfigError(f"{where} has a non-numeric entry")
+        return parse_scalar(node, where)
 
     return _real_if_exact(np.array(walk(data), dtype=complex))
 

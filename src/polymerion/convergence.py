@@ -28,10 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import _cast
 from .errors import ConfigError, NumericalError
 from .model import Hamiltonian, Interaction, LatticeModel, alpha_norm, operator_norm
-from .numeric import bisect_root, geometric_grid, golden_max
+from .numeric import _cast, bisect_root, geometric_grid, golden_max
 from .polymers import (
     _overlap_masks,
     _site_masks,
@@ -156,10 +155,10 @@ def _resolve_zeta(zeta, structure: _Structure) -> list[float]:
     if zeta is None:
         raise ConfigError("zeta must be resolved before this point")
     if np.isscalar(zeta):
-        return [float(zeta)] * len(structure.sizes)
+        return [_cast(zeta, "zeta", float)] * len(structure.sizes)
     if callable(zeta):
-        return [float(zeta(s, w)) for s, w in zip(structure.sizes, structure.norms)]
-    out = [float(z) for z in zeta]
+        return [_cast(zeta(s, w), "zeta", float) for s, w in zip(structure.sizes, structure.norms)]
+    out = [_cast(z, "zeta", float) for z in zeta]
     if len(out) != len(structure.sizes):
         raise ConfigError("zeta sequence length does not match bond classes")
     return out
@@ -276,9 +275,9 @@ def _tree_structure(source, form: str) -> _Structure:
     volume with no bonds."""
     if form not in TREE_FORMS:
         raise ConfigError(f"unknown tree form {form!r}; choose one of {TREE_FORMS}")
-    structure = _structure_of(source)
     if isinstance(source, Interaction):
         raise ConfigError("anchored sums need a Hamiltonian or a LatticeModel")
+    structure = _structure_of(source)
     if not structure.sizes:
         raise ConfigError(_NO_BONDS)
     return structure
@@ -292,7 +291,7 @@ def _tree_certificate(
     weights = bond_weights(structure.norms, beta)
     if zeta is None:
         if a is not None:
-            zeta = _zeta_for_a(structure, a)
+            zeta = _zeta_for_a(structure, _cast(a, "a", float))
         else:
             zeta = _default_scalar_zeta(weights, structure, form)
     return tree_bound(weights, structure, zeta, form=form)
@@ -348,6 +347,7 @@ def anchored_polymer_sum(source, beta: complex, a: float, truncation: int) -> fl
     at `truncation` bonds per polymer), monotone in the truncation. A
     negative truncation is refused.
     """
+    a = _cast(a, "a", float)
     truncation = _cast(truncation, "anchored_truncation", int, least=0)
     if isinstance(source, LatticeModel):
         ham = source.window(truncation)
@@ -502,8 +502,8 @@ def fp_phi(polymers, index: int, mu, adjacency=None) -> float:
     candidates raises `NumericalError`.
     """
     m = len(polymers)
-    if not (isinstance(index, (int, np.integer)) and 0 <= index < m):
-        raise ConfigError(f"polymer index {index!r} is not in range({m})")
+    if not 0 <= (index := _cast(index, "index", int)) < m:
+        raise ConfigError(f"polymer index {index} is not in range({m})")
     dag = _fp_dag(polymers, adjacency, ids=[index])
     mu = _fp_vector(mu, dag.m, "mu")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -534,6 +534,8 @@ def fp_iterate(
     iterate holding a NaN (an infinite phi times a zero lam) diverged;
     `chain` records the largest of its entries that are numbers.
     """
+    tol, divergence = _cast(tol, "tol", float, least=0), _cast(divergence, "divergence", float)
+    max_iter = _cast(max_iter, "max_iter", int, least=0)
     dag = _fp_dag(polymers, adjacency)
     lam = _fp_vector(lam, dag.m, "lam", nonnegative=True)
     mu = np.zeros(dag.m) if mu0 is None else _fp_vector(mu0, dag.m, "mu0")
@@ -606,13 +608,6 @@ def _nn_log_objective(d: int):
     return lg
 
 
-def _lattice_dimension(dimension) -> int:
-    d = int(dimension)
-    if d < 1:
-        raise ConfigError(f"dimension must be at least 1, got {d}")
-    return d
-
-
 def nn_radius(dimension: int) -> NNRadius:
     """Maximize zeta / ((1+2 d zeta)^2 (1+zeta)^{4d-2}) over zeta > 0.
 
@@ -620,7 +615,7 @@ def nn_radius(dimension: int) -> NNRadius:
     (8 d^2 - 2 d) z^2 + (6 d - 3) z - 1 = 0, solved independently as a
     cross-check on the golden-section maximizer.
     """
-    d = _lattice_dimension(dimension)
+    d = _cast(dimension, "dimension", int, least=1)
     lg = _nn_log_objective(d)
     z, _ = golden_max(lg, 1e-9, 1.0, tol=1e-14)
     # Golden section localizes the argument only to ~sqrt(eps) at a flat
@@ -683,6 +678,7 @@ def universal_radius(source, alpha: float = 1.0, gamma: float = 0.5) -> Universa
     amplitude = (1-gamma) alpha / (2 C_kappa) and m_alpha is the
     alpha-weighted interaction norm.
     """
+    alpha, gamma = _cast(alpha, "alpha", float), _cast(gamma, "gamma", float)
     if not 0 < gamma < 1:
         raise ConfigError("gamma must lie strictly between 0 and 1")
     if alpha <= 0:
@@ -728,7 +724,7 @@ class ParkScan:
 
 def park_table_value(dimension: int) -> float:
     """Closed-form radius 0.03/d (1 + 0.03/d) used in the comparison table."""
-    x = 0.03 / _lattice_dimension(dimension)
+    x = 0.03 / _cast(dimension, "dimension", int, least=1)
     return x * (1.0 + x)
 
 
@@ -739,13 +735,14 @@ def park_compare(dimension: int, alphas=None) -> ParkScan:
         e^alpha y e^y = (e^{alpha/4 - y} - 1)(e^{alpha/4} - e^y)
     on 0 < y < alpha/8. Rows without a bracketed root keep None.
     """
-    d = _lattice_dimension(dimension)
+    d = _cast(dimension, "dimension", int, least=1)
     if alphas is None:
         alphas = geometric_grid(0.1, 20.0, per_decade=28)
     rows = []
     sup_y = 0.0
     sup_alpha = math.nan
     for alpha in alphas:
+        alpha = _cast(alpha, "alpha", float)
         hi = alpha / 8.0
 
         def f(y: float, _a=alpha) -> float:
@@ -763,14 +760,14 @@ def park_compare(dimension: int, alphas=None) -> ParkScan:
                 break
             prev_y, prev_f = y, fy
         if root is None:
-            rows.append(ParkRow(alpha=float(alpha), y_star=None, beta_star=None))
+            rows.append(ParkRow(alpha=alpha, y_star=None, beta_star=None))
         else:
             rows.append(
-                ParkRow(alpha=float(alpha), y_star=float(root), beta_star=float(root) / (2 * d))
+                ParkRow(alpha=alpha, y_star=float(root), beta_star=float(root) / (2 * d))
             )
             if root > sup_y:
                 sup_y = float(root)
-                sup_alpha = float(alpha)
+                sup_alpha = alpha
     return ParkScan(dimension=d, rows=tuple(rows), sup_y=sup_y, sup_alpha=sup_alpha)
 
 
@@ -797,8 +794,7 @@ def _fp_scan(source, max_bonds=4):
     bounds converge at beta? The polymers and their graph are built once."""
     if not isinstance(source, Hamiltonian):
         raise ConfigError("the fixed-point scan needs a finite Hamiltonian")
-    if not isinstance(max_bonds, (int, np.integer)) or max_bonds < 1:
-        raise ConfigError(f"max_bonds must be an integer of at least 1, got {max_bonds!r}")
+    max_bonds = _cast(max_bonds, "max_bonds", int, least=1)
     if not source.bonds:
         raise ConfigError(_NO_BONDS)
     polymers = enumerate_polymers(source, max_bonds)

@@ -33,20 +33,19 @@ solves in about 0.7 s on a 2-core machine.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
+from .numeric import _cast
 from .oracle import Oracle
-from .polymers import _connected_families, _overlap_masks, enumerate_polymers
+from .polymers import enumerate_polymers
 
 __all__ = ["KSKernel", "KSSolution", "build_ks_kernel", "ks_solve"]
 
 MAX_SITES = 16
-MAX_KERNEL_POLYMERS = 500_000
 
 
 @dataclass(frozen=True)
@@ -89,22 +88,13 @@ def build_ks_kernel(ham, beta: complex, max_polymer_bonds: int | None = None) ->
     With the default truncation every connected bond family enters and
     the kernel is exact; a lower cut keeps the cost bounded on larger
     volumes at the price of an approximate hierarchy. A cut below one
-    bond is refused.
+    bond is refused, and so are more polymers than `enumerate_polymers`
+    takes.
     """
     if max_polymer_bonds is None:
         max_polymer_bonds = len(ham.bonds)
-    elif max_polymer_bonds < 1:
-        raise ConfigError(f"max_polymer_bonds must be at least 1, got {max_polymer_bonds}")
-    # Walk the connected bond families before building any polymer, and
-    # stop as soon as the walk passes the cap.
-    walk = _connected_families(
-        _overlap_masks(ham.bonds), [1] * len(ham.bonds), max_polymer_bonds, rooted=False
-    )
-    if next(itertools.islice(walk, MAX_KERNEL_POLYMERS, None), None) is not None:
-        raise NumericalError(
-            f"more than {MAX_KERNEL_POLYMERS} polymers, over the kernel cap; "
-            "lower max_polymer_bonds"
-        )
+    else:
+        max_polymer_bonds = _cast(max_polymer_bonds, "max_polymer_bonds", int, least=1)
     polymers = enumerate_polymers(ham, max_polymer_bonds)
     oracle = Oracle(ham, beta)
     entries: dict = {}
@@ -192,12 +182,8 @@ def ks_solve(
     A run that stops at `max_iter` is returned with converged False; an
     iterate that leaves the float range raises NumericalError.
     """
-    if max_iter < 1:
-        raise ConfigError(f"max_iter must be at least 1, got {max_iter}")
-    if not math.isfinite(a):
-        raise ConfigError(f"the weight a must be finite, got {a}")
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ConfigError(f"tol must be finite and nonnegative, got {tol}")
+    max_iter = _cast(max_iter, "max_iter", int, least=1)
+    a, tol = _cast(a, "a", float), _cast(tol, "tol", float, least=0)
     sites = list(ham.sites)
     n = len(sites)
     if n > MAX_SITES:

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, WrapError
+from .numeric import _cast
 
 Site = tuple[int, ...]
 Bond = tuple[Site, ...]
@@ -68,16 +69,16 @@ __all__ = [
 
 
 def as_site(coords) -> Site:
-    """Coerce an int or an iterable of ints to a site tuple."""
-    if isinstance(coords, int):
-        return (coords,)
-    return tuple(int(c) for c in coords)
+    """Coerce an integer or an iterable of integers to a site tuple."""
+    if isinstance(coords, (int, np.integer)):
+        coords = (coords,)
+    return tuple(_cast(c, "a site coordinate", int) for c in coords)
 
 
 def site_set(x0) -> frozenset[Site]:
     """Coerce a site or an iterable of sites to a frozenset of sites."""
     if isinstance(x0, tuple) and x0 and all(isinstance(c, (int, np.integer)) for c in x0):
-        return frozenset([x0])
+        return frozenset([as_site(x0)])
     return frozenset(as_site(s) for s in x0)
 
 
@@ -118,10 +119,6 @@ def _real_if_exact(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _local_dim(q: int, nsites: int) -> int:
-    return q**nsites
-
-
 def _site_axes(table: np.ndarray, support: Bond, sites: Bond, q: int) -> np.ndarray:
     """A diagonal table on `support` with one axis per site of `sites`.
 
@@ -147,7 +144,7 @@ def embed_matrix(mat: np.ndarray, support: Bond, sites: Bond, q: int) -> np.ndar
     k, n = len(support), len(sites)
     if k == n:
         return np.asarray(mat)
-    a, m = _local_dim(q, k), _local_dim(q, n - k)
+    a, m = q**k, q ** (n - k)
     # One product with the identity on the other sites, axes ordered as
     # support rows, other rows, support cols, other cols.
     t = np.asarray(mat).reshape(a, 1, a, 1) * np.eye(m).reshape(1, m, 1, m)
@@ -165,13 +162,13 @@ def _relabel(data: np.ndarray, old: Bond, site_map: Mapping[Site, Site], q: int)
     perm = [old.index(next(s for s in old if site_map[s] == t)) for t in new]
     if arr.ndim == 1:
         return new, arr.reshape((q,) * k).transpose(perm).ravel()
-    dim = _local_dim(q, k)
+    dim = q**k
     full = perm + [k + p for p in perm]
     return new, arr.reshape((q,) * (2 * k)).transpose(full).reshape(dim, dim)
 
 
 def _validate_term(bond: Bond, data: np.ndarray, q: int, kind: str) -> np.ndarray:
-    dim = _local_dim(q, len(bond))
+    dim = q ** len(bond)
     arr = np.asarray(data)
     if kind == CLASSICAL:
         arr = arr.reshape(-1)
@@ -194,6 +191,8 @@ def _validate_term(bond: Bond, data: np.ndarray, q: int, kind: str) -> np.ndarra
         arr = _real_if_exact(arr)
     else:
         raise ConfigError(f"unknown kind {kind!r}")
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"the term on {bond} has a non-finite entry")
     arr.setflags(write=False)
     return arr
 
@@ -213,6 +212,7 @@ class Interaction:
 
     @classmethod
     def from_terms(cls, q: int, kind: str, terms) -> "Interaction":
+        q = _cast(q, "q", int, least=2)
         if isinstance(terms, Mapping):
             items = terms.items()
         else:
@@ -248,6 +248,8 @@ class LatticeModel:
 
     @classmethod
     def from_templates(cls, dimension: int, q: int, kind: str, templates):
+        dimension = _cast(dimension, "dimension", int, least=1)
+        q = _cast(q, "q", int, least=2)
         canon = []
         for offsets, data in templates:
             b = as_bond(offsets)
@@ -294,9 +296,7 @@ class Region:
 
     @classmethod
     def box(cls, extent) -> "Region":
-        extent = tuple(int(x) for x in extent)
-        if any(x < 1 for x in extent):
-            raise ConfigError(f"box extent must be positive: {extent}")
+        extent = tuple(_cast(x, f"extent[{i}]", int, least=1) for i, x in enumerate(extent))
         sites = tuple(itertools.product(*(range(x) for x in extent)))
         return cls(sites=sites, extent=extent)
 
@@ -430,7 +430,7 @@ def _contract_outside(data, bond: Bond, inside: set, theta: np.ndarray, q: int, 
         # index and column axis with the first (trace of (1 (x) theta) op)
         t = np.tensordot(t, theta, axes=([pos, kk + pos], [1, 0]))
         support.pop(pos)
-    dim = _local_dim(q, len(keep))
+    dim = q ** len(keep)
     return keep, t.reshape(dim, dim)
 
 
@@ -548,6 +548,7 @@ def alpha_norm(source, alpha: float = 0.0) -> float:
     For a LatticeModel the supremum is exact by translation invariance:
     each template of m sites is counted m times per site.
     """
+    alpha = _cast(alpha, "alpha", float)
     if isinstance(source, LatticeModel):
         return float(
             sum(
@@ -577,12 +578,15 @@ _PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-def _nn_templates(dimension: int, table_or_matrix) -> list:
-    origin = (0,) * dimension
+def _nn_templates(dimension: int, coupling: float, op) -> list:
+    """One template per axis of Z^d, each carrying coupling * op."""
+    d = _cast(dimension, "dimension", int, least=1)
+    data = _cast(coupling, "coupling", float) * op
+    origin = (0,) * d
     out = []
-    for axis in range(dimension):
-        step = tuple(1 if i == axis else 0 for i in range(dimension))
-        out.append(((origin, step), table_or_matrix))
+    for axis in range(d):
+        step = tuple(1 if i == axis else 0 for i in range(d))
+        out.append(((origin, step), data))
     return out
 
 
@@ -593,17 +597,19 @@ def ising_model(dimension: int, coupling: float = 1.0, field_h: float = 0.0) -> 
     single-site term -h s_x is added.
     """
     s = np.array([1.0, -1.0])
-    table = -coupling * np.outer(s, s).ravel()
-    templates = _nn_templates(dimension, table)
+    templates = _nn_templates(dimension, coupling, -np.outer(s, s).ravel())
+    field_h = _cast(field_h, "field_h", float)
     if field_h:
-        templates.append((((0,) * dimension,), -field_h * s))
+        origin = templates[0][0][0]
+        templates.append(((origin,), -field_h * s))
     return LatticeModel.from_templates(dimension, 2, CLASSICAL, templates)
 
 
 def potts_model(q: int, dimension: int, coupling: float = 1.0) -> LatticeModel:
     """Classical q-state Potts model, Phi({x,y}) = -J delta(s_x, s_y)."""
-    table = -coupling * np.eye(q).ravel()
-    return LatticeModel.from_templates(dimension, q, CLASSICAL, _nn_templates(dimension, table))
+    q = _cast(q, "q", int, least=2)
+    templates = _nn_templates(dimension, coupling, -np.eye(q).ravel())
+    return LatticeModel.from_templates(dimension, q, CLASSICAL, templates)
 
 
 def heisenberg_model(dimension: int, coupling: float = 1.0) -> LatticeModel:
@@ -612,15 +618,13 @@ def heisenberg_model(dimension: int, coupling: float = 1.0) -> LatticeModel:
     Antiferromagnetic for J > 0. The pair operator has eigenvalues J on
     the triplet and -3J on the singlet, so its norm is 3|J|.
     """
-    mat = coupling * (
-        np.kron(_PAULI_X, _PAULI_X)
-        + np.kron(_PAULI_Y, _PAULI_Y)
-        + np.kron(_PAULI_Z, _PAULI_Z)
-    )
-    return LatticeModel.from_templates(dimension, 2, QUANTUM, _nn_templates(dimension, mat))
+    op = np.kron(_PAULI_X, _PAULI_X) + np.kron(_PAULI_Y, _PAULI_Y) + np.kron(_PAULI_Z, _PAULI_Z)
+    templates = _nn_templates(dimension, coupling, op)
+    return LatticeModel.from_templates(dimension, 2, QUANTUM, templates)
 
 
 def xy_model(dimension: int, coupling: float = 1.0) -> LatticeModel:
     """Quantum spin-1/2 XY model, Phi({x,y}) = J (sx sx + sy sy)."""
-    mat = coupling * (np.kron(_PAULI_X, _PAULI_X) + np.kron(_PAULI_Y, _PAULI_Y))
-    return LatticeModel.from_templates(dimension, 2, QUANTUM, _nn_templates(dimension, mat))
+    op = np.kron(_PAULI_X, _PAULI_X) + np.kron(_PAULI_Y, _PAULI_Y)
+    templates = _nn_templates(dimension, coupling, op)
+    return LatticeModel.from_templates(dimension, 2, QUANTUM, templates)

@@ -9,6 +9,7 @@ in the tests.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -18,6 +19,27 @@ from .errors import ConfigError, NumericalError
 __all__ = ["bisect_root", "golden_max", "geometric_grid"]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+_KINDS = {int: "an integer", float: "a finite number", complex: "a finite number"}
+
+
+def _cast(raw, where: str, cast, least=None):
+    """`raw` passed through `cast` (int, float or complex), the one check of
+    a numeric argument or config value: a value `cast` cannot take as it
+    is, or one below `least`, is a ConfigError naming `where`."""
+    # int() would truncate 2.5 and parse "2", every cast reads true as 1,
+    # and float() and complex() parse strings and pass nan and inf, all
+    # without a word.
+    try:
+        value = cast(raw)
+        exact = value == raw if cast is int else cmath.isfinite(value)
+    except (TypeError, ValueError, OverflowError):
+        exact = False
+    if not exact or isinstance(raw, (bool, np.bool_, str, bytes)):
+        raise ConfigError(f"{where} must be {_KINDS[cast]}, got {raw!r}")
+    if least is not None and value < least:
+        raise ConfigError(f"{where} must be at least {least}, got {raw!r}")
+    return value
 
 
 def bisect_root(f, lo: float, hi: float, tol: float = 1e-12, maxiter: int = 200) -> float:
@@ -66,9 +88,9 @@ def golden_max(f, lo: float, hi: float, tol: float = 1e-12, maxiter: int = 300):
 
 def geometric_grid(lo: float, hi: float, per_decade: int = 64) -> np.ndarray:
     """Geometrically spaced points from lo to hi, per_decade per factor 10."""
-    if not 0 < lo < hi < math.inf:
-        raise ConfigError(f"geometric grid needs 0 < lo < hi < inf, got lo={lo}, hi={hi}")
-    if per_decade < 1:
-        raise ConfigError(f"geometric grid needs per_decade >= 1, got {per_decade}")
+    lo, hi = _cast(lo, "lo", float), _cast(hi, "hi", float)
+    per_decade = _cast(per_decade, "per_decade", int, least=1)
+    if not 0 < lo < hi:
+        raise ConfigError(f"geometric grid needs 0 < lo < hi, got lo={lo}, hi={hi}")
     n = max(2, int(math.ceil(math.log10(hi / lo) * per_decade)) + 1)
     return np.geomspace(lo, hi, n)

@@ -50,6 +50,7 @@ from .model import (
     embed_matrix,
     embed_table,
 )
+from .numeric import _cast
 from .ursell import _bits, _components, _overlap_masks
 
 MAX_DENSE_DIM = 2**20
@@ -204,7 +205,7 @@ class Oracle:
 
     def __init__(self, ham: Hamiltonian, beta: complex):
         self.ham = ham
-        self.beta = complex(beta)
+        self.beta = _cast(beta, "beta", complex)
         self._z: dict[frozenset[int], complex] = {}
         self._spectra: dict = {}
         self._mayer_tables: dict[int, np.ndarray] = {}
@@ -325,8 +326,6 @@ class Oracle:
             support = self.ham.support(ids)
             if self.ham.kind == CLASSICAL:
                 energies = self.hamiltonian_on(ids, support)[1]
-            elif self.ham.q ** len(support) < _SPLIT_DIM:
-                energies = np.linalg.eigvalsh(self.hamiltonian_on(ids, support)[1])
             else:
                 energies = self._spectrum(ids, support).energies()
             # An overflow is reported by the NumericalError below, not by numpy.

@@ -12,12 +12,15 @@ prod_X (e^{|beta| ||Phi(X)||} - 1) that controls it for complex beta.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalError
 from .model import Hamiltonian, Site, site_set
+from .numeric import _cast
 from .oracle import Oracle
 from .ursell import _bits, _overlap_masks, _site_masks, is_connected
 
@@ -33,6 +36,8 @@ __all__ = [
     "mobius_transform",
     "zeta_transform",
 ]
+
+MAX_POLYMERS = 500_000
 
 
 @dataclass(frozen=True)
@@ -127,23 +132,34 @@ def _pinned_families(adj, pin: int, sizes, max_total: int):
         yield sett >> 1, total, key
 
 
+def _capped(walk, cap: int, what: str) -> list[int]:
+    """The masks of one of the walks above, in walk order; more than `cap`
+    of them raise NumericalError before the caller builds anything."""
+    masks = [mask for mask, _, _ in itertools.islice(walk, cap + 1)]
+    if len(masks) > cap:
+        raise NumericalError(f"more than {cap} {what}; lower the truncation")
+    return masks
+
+
 def enumerate_polymers(ham: Hamiltonian, max_bonds: int, anchor=None) -> tuple[Polymer, ...]:
     """All polymers of at most `max_bonds` bonds, in canonical order.
 
     With `anchor` (a site or iterable of sites) only polymers whose
     support meets the anchor set are kept: the walk is pinned at the bonds
     meeting it, and a pinned set joined only through the pin (possible
-    for several anchor sites) is not a polymer.
+    for several anchor sites) is not a polymer. More than `MAX_POLYMERS`
+    polymers are refused before any is built.
     """
+    max_bonds = _cast(max_bonds, "max_bonds", int, least=0)
     adj, unit = _overlap_masks(ham.bonds), [1] * len(ham.bonds)
     if anchor is None:
         walk = _connected_families(adj, unit, max_bonds, rooted=False)
     else:
         pin = _pin_mask(ham.bonds, site_set(anchor))
-        pinned = _pinned_families(adj, pin, unit, max(max_bonds, 0))
+        pinned = _pinned_families(adj, pin, unit, max_bonds)
         walk = (f for f in pinned if is_connected(adj, f[0]))
     out = []
-    for mask, _, _ in walk:
+    for mask in _capped(walk, MAX_POLYMERS, "polymers"):
         ids = tuple(_bits(mask))
         out.append(Polymer(bonds=ids, support=frozenset(s for i in ids for s in ham.bonds[i])))
     out.sort(key=lambda p: (len(p.bonds), p.bonds))
@@ -152,7 +168,7 @@ def enumerate_polymers(ham: Hamiltonian, max_bonds: int, anchor=None) -> tuple[P
 
 def bond_weights(norms, beta: complex) -> list[float]:
     """W(X) = e^{|beta| ||Phi(X)||} - 1 for each bond norm ||Phi(X)||."""
-    ab = abs(beta)
+    ab = abs(_cast(beta, "beta", complex))
     return [math.expm1(ab * w) for w in norms]
 
 

@@ -40,7 +40,6 @@ per-cluster weight 1/|support| is no ratio of partition functions.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -48,12 +47,13 @@ from operator import itemgetter
 
 import numpy as np
 
-from .config import _cast
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError
 from .model import CLASSICAL, Hamiltonian, LatticeModel, Site, _site_axes
+from .numeric import _cast
 from .oracle import Observable, Oracle, _alternating_sum, _check_observable
 from .polymers import (
     Polymer,
+    _capped,
     _connected_families,
     _induced,
     _overlap_masks,
@@ -139,14 +139,12 @@ def _extra_multiplicities(sizes: list[int], slack: int):
 
 
 def _prepare(ham: Hamiltonian, beta: complex, max_total: int, weights):
-    _cast(max_total, "max_total_bonds", int, least=0)
+    """(the checked truncation, the polymers, their activities)."""
+    max_total = _cast(max_total, "max_total_bonds", int, least=0)
     if weights is not None:
-        polymers = [w.polymer for w in weights]
-        values = [w.rho for w in weights]
-        return polymers, values
-    oracle = Oracle(ham, beta)
+        return max_total, [w.polymer for w in weights], [w.rho for w in weights]
     polymers = list(enumerate_polymers(ham, max_total))
-    return polymers, _LazyValues(oracle, polymers)
+    return max_total, polymers, _LazyValues(Oracle(ham, beta), polymers)
 
 
 def _series(by_order, truncation: int, n_clusters: int, converged=None) -> TruncatedSeries:
@@ -272,7 +270,7 @@ def free_energy_series(
     first omitted order; at small activities a modest truncation already
     reaches rounding level.
     """
-    polymers, values = _prepare(ham, beta, max_total_bonds, weights)
+    max_total_bonds, polymers, values = _prepare(ham, beta, max_total_bonds, weights)
     xi, kept, adjacency = _families(polymers, values, max_total_bonds)
     return _series(
         _log_series(xi),
@@ -295,8 +293,10 @@ def adaptive_free_energy_series(
     oracle and one activity memo, so no activity is computed twice.
     Clusters are counted only for the truncation that is returned.
     """
-    k = min(_cast(start, "start", int, least=0), _cast(cap, "cap", int, least=0))
-    _cast(step, "step", int, least=1)
+    tol = _cast(tol, "tol", float, least=0)
+    cap = _cast(cap, "cap", int, least=0)
+    k = min(_cast(start, "start", int, least=0), cap)
+    step = _cast(step, "step", int, least=1)
     oracle, memo = Oracle(ham, beta), {}
     while True:
         polymers = list(enumerate_polymers(ham, k))
@@ -323,7 +323,7 @@ def free_energy_by_site(
     smallest site is x are those that avoid every site below x but not
     x itself, so h(x) = log Xi_{V minus {s < x}} - log Xi_{V minus {s <= x}}.
     """
-    polymers, values = _prepare(ham, beta, max_total_bonds, weights)
+    max_total_bonds, polymers, values = _prepare(ham, beta, max_total_bonds, weights)
     ordered = sorted(ham.sites)
     logs = [
         _log_series(_families(polymers, values, max_total_bonds, frozenset(ordered[:n]))[0])
@@ -354,7 +354,7 @@ def pinned_series(
     certificates. An Ursell function on n vertices has sign (-1)^(n-1),
     so that is the same ratio at activities -|rho|.
     """
-    polymers, values = _prepare(ham, beta, max_total_bonds, weights)
+    max_total_bonds, polymers, values = _prepare(ham, beta, max_total_bonds, weights)
     if absolute:
         values = [-abs(values[i]) for i in range(len(polymers))]
     xi, kept, adjacency = _families(polymers, values, max_total_bonds)
@@ -388,7 +388,7 @@ def site_pinned_series(
     sites = ham.volume_sites(site)
     if len(sites) != 1:
         raise ConfigError(f"site_pinned_series pins exactly one site, got {len(sites)}")
-    polymers, values = _prepare(ham, beta, max_total_bonds, weights)
+    max_total_bonds, polymers, values = _prepare(ham, beta, max_total_bonds, weights)
     sizes = [len(p.bonds) for p in polymers]
     supports = [p.support for p in polymers]
     adjacency = incompatibility_graph(polymers)
@@ -444,7 +444,7 @@ def correlation_series(
     the sum is log Xi - log Xi_{no polymer meeting X0}, order by order.
     """
     x0 = ham.volume_sites(x0)
-    polymers, values = _prepare(ham, beta, max_total_bonds, weights)
+    max_total_bonds, polymers, values = _prepare(ham, beta, max_total_bonds, weights)
     xi, kept, adjacency = _families(polymers, values, max_total_bonds)
     xi_away, kept_away, adjacency_away = _families(polymers, values, max_total_bonds, x0)
     by_order = [a - b for a, b in zip(_log_series(xi), _log_series(xi_away))]
@@ -468,11 +468,7 @@ def expectation_families(ham: Hamiltonian, x0, max_family_bonds: int):
     pin = _pin_mask(ham.bonds, ham.volume_sites(x0))
     cut = _cast(max_family_bonds, "max_family_bonds", int, least=0)
     walk = _pinned_families(_overlap_masks(ham.bonds), pin, [1] * m, cut)
-    masks = [mask for mask, _, _ in itertools.islice(walk, MAX_EXPECTATION_FAMILIES + 1)]
-    if len(masks) > MAX_EXPECTATION_FAMILIES:
-        raise NumericalError(
-            f"more than {MAX_EXPECTATION_FAMILIES} bond families; lower max_family_bonds"
-        )
+    masks = _capped(walk, MAX_EXPECTATION_FAMILIES, "bond families")
     yield from sorted((tuple(_bits(mask)) for mask in masks), key=lambda ids: (len(ids), ids))
 
 
@@ -514,9 +510,7 @@ def expectation_series(
     def weighted(ids: frozenset[int]) -> complex:
         hit = trace_memo.get(ids)
         if hit is None:
-            support = tuple(sorted(set(obs.support) | set(ham.support(ids))))
-            hit = oracle.weighted_trace(obs, ids, support)
-            trace_memo[ids] = hit
+            hit = trace_memo[ids] = oracle.weighted_trace(obs, ids, ham.support(ids))
         return hit
 
     g_memo: dict[frozenset[Site], complex] = {}
@@ -566,11 +560,8 @@ def free_energy_density(
     limit of log Z over the volume. The window used is large enough to
     hold every cluster within the order budget.
     """
+    k = _cast(max_total_bonds, "max_total_bonds", int, least=0)
     origin = (0,) * model.dimension
     return site_pinned_series(
-        model.window(max_total_bonds),
-        beta,
-        origin,
-        max_total_bonds,
-        per_cluster=lambda support: 1.0 / len(support),
+        model.window(k), beta, origin, k, per_cluster=lambda support: 1.0 / len(support)
     )

@@ -203,11 +203,11 @@ def test_site_cap_is_enforced():
 
 
 def test_kernel_cap_fires_before_the_polymers_are_built():
-    # The 24 bonds of a 4x4 patch form well over MAX_KERNEL_POLYMERS
+    # The 24 bonds of a 4x4 patch form well over polymers.MAX_POLYMERS
     # connected families; the walk stops at the cap instead of building
     # every polymer first.
     ham = assemble_hamiltonian(ising_model(2), Region.box([4, 4]), boundary="free")
-    with pytest.raises(NumericalError, match="kernel cap"):
+    with pytest.raises(NumericalError, match="more than 500000 polymers"):
         build_ks_kernel(ham, 0.1)
 
 
