@@ -27,6 +27,7 @@ from .convergence import (
     RadiusScan,
     TreeReport,
     UniversalRadius,
+    alpha_norm,
     anchored_polymer_sum,
     beta_radius,
     fp_criterion,
@@ -48,7 +49,6 @@ from .model import (
     Interaction,
     LatticeModel,
     Region,
-    alpha_norm,
     assemble_hamiltonian,
     heisenberg_model,
     ising_model,

@@ -212,7 +212,9 @@ def _cmd_series(cfg):
         return rows, meta
 
     ham = cfgmod.build_hamiltonian(cfg)
-    per_site = bool(sec.get("per_site", False))
+    per_site = sec.get("per_site", False)
+    if not isinstance(per_site, bool):
+        raise ConfigError(f"series.per_site must be true or false, got {per_site!r}")
     obs = _observable(cfg)
     corr = _correlation_sites(cfg)
     g_mode = sec.get("g_mode", "oracle")
@@ -272,13 +274,13 @@ def _cmd_radius(cfg):
         source = cfgmod.build_model(cfg)
     kw = {}
     if criterion == "gk":
-        # Same certificate as "tree" but the weight exponent a is fixed
-        # by the config instead of searched.
-        criterion = "tree"
+        criterion = "tree"  # "gk" (after `gk_criterion`) is an alias
+    if criterion == "tree":
+        # a fixes the weight exponent; without it the zeta is searched
         if "a" in sec:
             kw["a"] = cfgmod.option(sec, "radius", "a", float, None)
-    if criterion == "tree" and "form" in sec:
-        kw["form"] = sec["form"]
+        if "form" in sec:
+            kw["form"] = sec["form"]
     if criterion == "universal":
         kw["alpha"] = cfgmod.option(sec, "radius", "alpha", float, 1.0)
         kw["gamma"] = cfgmod.option(sec, "radius", "gamma", float, 0.5)
@@ -376,89 +378,68 @@ def _cmd_validate(cfg):
 
 
 def _repro_checks():
-    checks = []
-
-    def table_block():
-        printed = {2: (0.029, 0.015), 3: (0.018, 0.010), 4: (0.013, 0.008)}
-        for d, (bound_ref, park_ref) in printed.items():
-            r = nn_radius(d)
-            yield (
-                f"radius table d={d} bound {r.bound:.6f} ~ {bound_ref}",
-                math.isclose(r.bound, bound_ref, rel_tol=0.02),
-            )
-            yield (
-                f"radius table d={d} zeta stationarity",
-                abs(r.zeta - r.quadratic_zeta) <= 1e-12,
-            )
-            yield (
-                f"radius table d={d} comparison bound {park_table_value(d):.6f} ~ {park_ref}",
-                math.isclose(park_table_value(d), park_ref, rel_tol=0.10),
-            )
-
-    checks.append(table_block)
-
-    def park_block():
-        scan = park_compare(2)
-        yield f"comparison scan sup {scan.sup_y:.4f} in (0.03, 0.06)", 0.03 < scan.sup_y < 0.06
-        tail = [r.y_star for r in scan.rows if r.alpha >= scan.sup_alpha and r.y_star is not None]
-        mono = all(a >= b - 1e-12 for a, b in zip(tail, tail[1:]))
-        yield "comparison scan tail decreasing", mono and len(tail) >= 3
-
-    checks.append(park_block)
-
-    def ring_block():
-        n, beta = 5, 0.25
-        ham = assemble_hamiltonian(ising_model(1, 1.0), Region.box((n,)), boundary="periodic")
-        z = partition_function(ham, beta)
-        ref = math.cosh(beta) ** n + math.sinh(beta) ** n
-        yield f"ring partition function n={n}", abs(z - ref) <= 1e-12 * abs(ref)
-        s = free_energy_series(ham, beta, 8)
-        yield "ring series exponentiates to Z", abs(math.exp(s.value.real) - z.real) <= 1e-6
-
-    checks.append(ring_block)
-
-    def exactness_block():
-        ham = assemble_hamiltonian(
-            ising_model(1, 1.0, field_h=0.3), Region.box((4,)), boundary="free"
+    """(label, passed) for each pinned value, in the order they print."""
+    printed = {2: (0.029, 0.015), 3: (0.018, 0.010), 4: (0.013, 0.008)}
+    for d, (bound_ref, park_ref) in printed.items():
+        r = nn_radius(d)
+        yield (
+            f"radius table d={d} bound {r.bound:.6f} ~ {bound_ref}",
+            math.isclose(r.bound, bound_ref, rel_tol=0.02),
         )
-        beta = 0.2
-        x0 = ((0,), (3,))
-        got = correlation_series(ham, beta, x0, 8).value
-        want = reduced_correlation_exact(ham, beta, x0)
-        yield "correlation series matches oracle", abs(got - want) <= 1e-8
-        obs = Observable.make(((1,),), np.array([1.0, -1.0]))
-        e_series = expectation_series(ham, beta, obs).value
-        e_exact = gibbs_expectation(ham, beta, obs)
-        yield "expectation identity is exact", abs(e_series - e_exact) <= 1e-12
+        yield (
+            f"radius table d={d} zeta stationarity",
+            abs(r.zeta - r.quadratic_zeta) <= 1e-12,
+        )
+        yield (
+            f"radius table d={d} comparison bound {park_table_value(d):.6f} ~ {park_ref}",
+            math.isclose(park_table_value(d), park_ref, rel_tol=0.10),
+        )
 
-    checks.append(exactness_block)
+    scan = park_compare(2)
+    yield f"comparison scan sup {scan.sup_y:.4f} in (0.03, 0.06)", 0.03 < scan.sup_y < 0.06
+    tail = [r.y_star for r in scan.rows if r.alpha >= scan.sup_alpha and r.y_star is not None]
+    mono = all(a >= b - 1e-12 for a, b in zip(tail, tail[1:]))
+    yield "comparison scan tail decreasing", mono and len(tail) >= 3
 
-    def density_block():
-        s = free_energy_density(ising_model(1, 1.0), 0.1, 6)
-        ref = math.log(math.cosh(0.1))
-        yield f"chain density {s.value.real:.12f} ~ log cosh", abs(s.value - ref) <= 1e-10
+    n, beta = 5, 0.25
+    ham = assemble_hamiltonian(ising_model(1, 1.0), Region.box((n,)), boundary="periodic")
+    z = partition_function(ham, beta)
+    ref = math.cosh(beta) ** n + math.sinh(beta) ** n
+    yield f"ring partition function n={n}", abs(z - ref) <= 1e-12 * abs(ref)
+    s = free_energy_series(ham, beta, 8)
+    yield "ring series exponentiates to Z", abs(math.exp(s.value.real) - z.real) <= 1e-6
 
-    checks.append(density_block)
+    ham = assemble_hamiltonian(
+        ising_model(1, 1.0, field_h=0.3), Region.box((4,)), boundary="free"
+    )
+    beta = 0.2
+    x0 = ((0,), (3,))
+    got = correlation_series(ham, beta, x0, 8).value
+    want = reduced_correlation_exact(ham, beta, x0)
+    yield "correlation series matches oracle", abs(got - want) <= 1e-8
+    obs = Observable.make(((1,),), np.array([1.0, -1.0]))
+    e_series = expectation_series(ham, beta, obs).value
+    e_exact = gibbs_expectation(ham, beta, obs)
+    yield "expectation identity is exact", abs(e_series - e_exact) <= 1e-12
 
-    def ks_block():
-        ham = assemble_hamiltonian(ising_model(1, 1.0), Region.box((4,)), boundary="free")
-        sol = ks_solve(ham, 0.2, tol=1e-13)
-        orc = Oracle(ham, 0.2)
-        want = orc.reduced_correlation((0,))
-        got = sol.g[frozenset({(0,)})]
-        yield "hierarchy solve matches oracle", abs(got - want) <= 1e-10
-        yield f"hierarchy norm bound {sol.norm_bound:.3f} < 1", sol.norm_bound < 1.0
+    s = free_energy_density(ising_model(1, 1.0), 0.1, 6)
+    ref = math.log(math.cosh(0.1))
+    yield f"chain density {s.value.real:.12f} ~ log cosh", abs(s.value - ref) <= 1e-10
 
-    checks.append(ks_block)
-    return checks
+    ham = assemble_hamiltonian(ising_model(1, 1.0), Region.box((4,)), boundary="free")
+    sol = ks_solve(ham, 0.2, tol=1e-13)
+    orc = Oracle(ham, 0.2)
+    want = orc.reduced_correlation((0,))
+    got = sol.g[frozenset({(0,)})]
+    yield "hierarchy solve matches oracle", abs(got - want) <= 1e-10
+    yield f"hierarchy norm bound {sol.norm_bound:.3f} < 1", sol.norm_bound < 1.0
 
 
 def _cmd_repro(cfg):
     failures = 0
-    for block in _repro_checks():
-        for label, ok in block():
-            print(f"{'ok  ' if ok else 'FAIL'}  {label}")
-            failures += 0 if ok else 1
+    for label, ok in _repro_checks():
+        print(f"{'ok  ' if ok else 'FAIL'}  {label}")
+        failures += 0 if ok else 1
     print(f"{'all checks passed' if failures == 0 else f'{failures} check(s) failed'}")
     if failures:
         raise NumericalError(f"{failures} reproduction check(s) failed")

@@ -9,7 +9,7 @@ command needs them:
                  the product boundary
     beta         scalar, [re, im], or a grid {start, stop, points,
                  scale: linear|geometric}
-    series       truncation and adaptivity for the cluster series
+    series       truncation, order sweep and columns for the cluster series
     radius       criterion and scan window for certified radii
     observable   site support and data for expectation values
     correlation  site list for reduced-correlation ratios
@@ -32,6 +32,7 @@ from .model import (
     LatticeModel,
     Region,
     _real_if_exact,
+    as_site,
     assemble_hamiltonian,
     heisenberg_model,
     ising_model,
@@ -115,18 +116,13 @@ def parse_array(data, where: str = "data") -> np.ndarray:
     return _real_if_exact(np.array(walk(data), dtype=complex))
 
 
-def _site(v, where: str):
-    if isinstance(v, int):
-        return (v,)
-    if isinstance(v, list) and all(isinstance(c, int) for c in v):
-        return tuple(v)
-    raise ConfigError(f"{where} must be an integer coordinate list")
-
-
 def parse_sites(v, where: str = "sites"):
     if not isinstance(v, list) or not v:
         raise ConfigError(f"{where} must be a nonempty list of sites")
-    return tuple(_site(s, where) for s in v)
+    try:
+        return tuple(as_site(s) for s in v)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def build_model(cfg: dict) -> LatticeModel:

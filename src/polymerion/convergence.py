@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .model import Hamiltonian, Interaction, LatticeModel, alpha_norm, operator_norm
-from .numeric import _cast, bisect_root, geometric_grid, golden_max
+from .model import Hamiltonian, Interaction, LatticeModel, operator_norm
+from .numeric import _cast, _unbounded, bisect_root, geometric_grid, golden_max
 from .polymers import (
     _overlap_masks,
     _site_masks,
@@ -41,6 +41,7 @@ from .polymers import (
 from .ursell import _bits
 
 __all__ = [
+    "alpha_norm",
     "TreeReport",
     "CriterionReport",
     "tree_bound",
@@ -94,6 +95,15 @@ class _Structure:
             default=0.0,
         )
 
+    def alpha_norm(self, alpha: float) -> float:
+        """The site sum of ||Phi(X)|| e^{alpha |X|}; past the float range it
+        raises NumericalError."""
+        weights = [w * _unbounded(math.exp, alpha * k) for k, w in zip(self.sizes, self.norms)]
+        m = self.site_sum(weights)
+        if not all(map(math.isfinite, weights + [m])):
+            raise NumericalError(f"the alpha-norm at alpha = {alpha} is past the float range")
+        return float(m)
+
     def site_product(self, zetas) -> float:
         best = 1.0
         for counts in self.site_counts:
@@ -119,22 +129,21 @@ def _finite_structure(bonds, norms) -> _Structure:
 
 
 def _lattice_structure(model: LatticeModel) -> _Structure:
-    d = model.dimension
-    r = max(1, model.range())
     sizes = [len(off) for off, _ in model.templates]
     norms = [operator_norm(data) for off, data in model.templates]
-    reps = [set(off) for off, _ in model.templates]
+    origin = (0,) * model.dimension
     neighbor_counts = []
-    for t, rep in enumerate(reps):
-        row: dict[int, int] = {}
+    for t, (off, _) in enumerate(model.templates):
+        row = []
         for t2, (off2, _) in enumerate(model.templates):
-            for anchor in itertools.product(*(range(-r, r + 1) for _ in range(d))):
-                bond2 = {tuple(a + o for a, o in zip(anchor, s)) for s in off2}
-                if t2 == t and all(c == 0 for c in anchor):
-                    continue
-                if rep & bond2:
-                    row[t2] = row.get(t2, 0) + 1
-        neighbor_counts.append(sorted(row.items()))
+            # The translate of template t2 anchored at a meets template t
+            # at the origin when a = x - y for some x in t and y in t2.
+            anchors = {tuple(c - o for c, o in zip(x, y)) for x in off for y in off2}
+            if t2 == t:
+                anchors.discard(origin)
+            if anchors:
+                row.append((t2, len(anchors)))
+        neighbor_counts.append(row)
     # every site is equivalent: template t covers a site in len(off) ways
     site_counts = [{t: len(off) for t, (off, _) in enumerate(model.templates)}]
     return _Structure(sizes, norms, neighbor_counts, site_counts)
@@ -149,6 +158,16 @@ def _structure_of(source) -> _Structure:
         bonds = source.bonds()
         return _finite_structure(bonds, [source.norm(b) for b in bonds])
     raise ConfigError(f"no bond structure for {type(source).__name__}")
+
+
+def alpha_norm(source, alpha: float = 0.0) -> float:
+    """sup over sites x of sum over bonds X containing x of ||Phi(X)|| e^{alpha |X|}.
+
+    For a LatticeModel the supremum is exact by translation invariance:
+    each template of m sites is counted m times per site. A norm past the
+    float range raises NumericalError.
+    """
+    return _structure_of(source).alpha_norm(_cast(alpha, "alpha", float))
 
 
 def _resolve_zeta(zeta, structure: _Structure) -> list[float]:
@@ -203,7 +222,8 @@ def _margins(w, structure: _Structure, zetas, form: str) -> tuple[list[float], f
 def tree_bound(weights, structure_source, zeta, form: str = "bracketed") -> TreeReport:
     """Check one tree form: per bond class, lhs(form) <= zeta.
 
-    `weights` is a per-class sequence of polymer weight factors. The
+    `weights` is a per-class sequence of polymer weight factors, each a
+    finite number or inf; an infinite weight fails its margin. The
     certificate, when it holds for the bracketed or a stronger form,
     bounds the anchored weighted polymer sum by site_sum = e^a - 1.
     """
@@ -213,7 +233,8 @@ def tree_bound(weights, structure_source, zeta, form: str = "bracketed") -> Tree
         else _structure_of(structure_source)
     )
     zetas = _resolve_zeta(zeta, structure)
-    w = [float(x) for x in weights]
+    # An infinite weight (W(X) past the float range) certifies nothing.
+    w = [math.inf if x == math.inf else _cast(x, "weights", float) for x in weights]
     if len(w) != len(structure.sizes):
         raise ConfigError("weights length does not match bond classes")
     margins, s = _margins(w, structure, zetas, form)
@@ -315,7 +336,9 @@ def gk_criterion(
 
     With `a` given, the scalar zeta is fixed so the per-site zeta sum
     meets e^a - 1; with `zeta` given, a follows from it; with neither,
-    a scalar zeta maximizing the worst margin is searched.
+    a scalar zeta maximizing the worst margin is searched. A weight past
+    the float range is inf: its margin is -inf, the report does not hold,
+    and the anchored lower bound is inf.
     """
     tree = _tree_certificate(_tree_structure(source, form), beta, a, zeta, form)
     anchored = anchored_polymer_sum(source, beta, tree.a, anchored_truncation)
@@ -665,12 +688,6 @@ class UniversalRadius:
     a: float
 
 
-def _c_kappa(source, kappa: float) -> float:
-    """sup over sites of sum over bonds through it of e^{-kappa |X|}."""
-    structure = _structure_of(source)
-    return structure.site_sum([math.exp(-kappa * size) for size in structure.sizes])
-
-
 def universal_radius(source, alpha: float = 1.0, gamma: float = 0.5) -> UniversalRadius:
     """Certified radius for any interaction with finite alpha-norm.
 
@@ -684,8 +701,9 @@ def universal_radius(source, alpha: float = 1.0, gamma: float = 0.5) -> Universa
     if alpha <= 0:
         raise ConfigError("alpha must be positive")
     kappa = (1.0 - gamma) * alpha
-    c = _c_kappa(source, kappa)
-    m = alpha_norm(source, alpha)
+    structure = _structure_of(source)
+    c = structure.site_sum([math.exp(-kappa * size) for size in structure.sizes])
+    m = structure.alpha_norm(alpha)
     if m <= 0 or c <= 0:
         raise NumericalError("degenerate interaction: empty norms")
     amplitude = kappa / (2.0 * c)

@@ -39,7 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .numeric import _cast
+from .model import as_site, site_set
+from .numeric import _cast, _unbounded
 from .oracle import Oracle
 from .polymers import enumerate_polymers
 
@@ -65,14 +66,20 @@ class KSKernel:
     truncation: int
 
     def _masses(self, a: float) -> dict:
-        """Weighted column mass of every site, in one pass over the entries."""
+        """Weighted column mass of every site, in one pass over the entries;
+        a mass past the float range raises NumericalError."""
+        a = _cast(a, "a", float)
         terms: dict = {x: [] for x in self.sites}
         for (p, s), v in self.entries.items():
-            terms[p].append(abs(v) * math.exp(a * len(s)))
-        return {x: sum(t) for x, t in terms.items()}
+            terms[p].append(abs(v) * _unbounded(math.exp, a * len(s)))
+        masses = {x: sum(t) for x, t in terms.items()}
+        if not all(map(math.isfinite, masses.values())):
+            raise NumericalError(f"a kernel mass at a = {a} is past the float range")
+        return masses
 
     def mass(self, x0, a: float) -> float:
         masses = self._masses(a)
+        x0 = as_site(x0)
         if x0 not in masses:
             raise ConfigError(f"site {x0} is not in the volume")
         return masses[x0]
@@ -126,7 +133,7 @@ class KSSolution:
     kernel: KSKernel
 
     def value(self, sites) -> complex:
-        key = frozenset(sites)
+        key = site_set(sites)
         if key not in self.g:
             raise ConfigError(f"no ratio was solved for the site set {sorted(key)}")
         return self.g[key]

@@ -60,7 +60,6 @@ __all__ = [
     "Region",
     "Hamiltonian",
     "assemble_hamiltonian",
-    "alpha_norm",
     "ising_model",
     "potts_model",
     "heisenberg_model",
@@ -68,18 +67,25 @@ __all__ = [
 ]
 
 
+def _iterable(x, what: str):
+    try:
+        return iter(x)
+    except TypeError:
+        raise ConfigError(f"{what} must be a list, got {x!r}") from None
+
+
 def as_site(coords) -> Site:
     """Coerce an integer or an iterable of integers to a site tuple."""
     if isinstance(coords, (int, np.integer)):
         coords = (coords,)
-    return tuple(_cast(c, "a site coordinate", int) for c in coords)
+    return tuple(_cast(c, "a site coordinate", int) for c in _iterable(coords, "a site"))
 
 
 def site_set(x0) -> frozenset[Site]:
     """Coerce a site or an iterable of sites to a frozenset of sites."""
     if isinstance(x0, tuple) and x0 and all(isinstance(c, (int, np.integer)) for c in x0):
         return frozenset([as_site(x0)])
-    return frozenset(as_site(s) for s in x0)
+    return frozenset(as_site(s) for s in _iterable(x0, "a site set"))
 
 
 def as_bond(sites) -> Bond:
@@ -361,14 +367,19 @@ class Hamiltonian:
             raise ConfigError(f"sites {sorted(outside)} are not in the volume")
         return sites
 
+    def _ids_avoiding(self, x0) -> list[int]:
+        """Ids of the bonds whose support misses the site set `x0`, which
+        `volume_sites` checks."""
+        x0 = self.volume_sites(x0)
+        return [i for i, b in enumerate(self.bonds) if x0.isdisjoint(b)]
+
     def restricted_away(self, x0) -> "Hamiltonian":
         """Drop every bond whose support meets the site set `x0`.
 
         The sites stay; under the normalized trace, free sites do not
         change any partition function.
         """
-        x0 = self.volume_sites(x0)
-        keep = [i for i, b in enumerate(self.bonds) if x0.isdisjoint(b)]
+        keep = self._ids_avoiding(x0)
         return replace(
             self,
             bonds=tuple(self.bonds[i] for i in keep),
@@ -437,8 +448,7 @@ def _contract_outside(data, bond: Bond, inside: set, theta: np.ndarray, q: int, 
 def _iter_source_bonds(source, region: Region, margin: int):
     """Yield (bond, data) candidates whose support can meet the region."""
     if isinstance(source, Interaction):
-        for bond, data in source.terms.items():
-            yield bond, data
+        yield from source.terms.items()
         return
     if not isinstance(source, LatticeModel):
         raise ConfigError(f"cannot assemble from {type(source).__name__}")
@@ -446,9 +456,7 @@ def _iter_source_bonds(source, region: Region, margin: int):
         return
     dim = len(region.sites[0])
     if dim != source.dimension:
-        raise ConfigError(
-            f"region sites have dimension {dim}, model has {source.dimension}"
-        )
+        raise ConfigError(f"region sites have dimension {dim}, model has {source.dimension}")
     lo = [min(s[i] for s in region.sites) - margin for i in range(dim)]
     hi = [max(s[i] for s in region.sites) + 1 for i in range(dim)]
     for anchor in itertools.product(*(range(a, b) for a, b in zip(lo, hi))):
@@ -472,50 +480,35 @@ def assemble_hamiltonian(source, region: Region, boundary: str = "free", theta=N
     """
     if boundary not in ("free", "periodic", "product"):
         raise ConfigError(f"unknown boundary condition {boundary!r}")
-    q, kind = source.q, source.kind
-    inside = set(region.sites)
-    acc: dict[Bond, np.ndarray] = {}
-    meta = {"interior": 0, "wrapped": 0, "contracted": 0, "merged": 0, "dropped": 0}
-
-    def add(bond: Bond, arr: np.ndarray):
-        if bond in acc:
-            acc[bond] = acc[bond] + arr
-            meta["merged"] += 1
-        else:
-            acc[bond] = np.array(arr)
-
+    extent = region.extent
     if boundary == "periodic":
         if not isinstance(source, LatticeModel):
             raise ConfigError("periodic boundary requires a translation-invariant model")
-        if region.extent is None or len(region.sites) != math.prod(region.extent):
+        if extent is None or len(region.sites) != math.prod(extent):
             raise ConfigError("periodic boundary requires a full box region")
-        extent = region.extent
-        for anchor in itertools.product(*(range(x) for x in extent)):
-            for bond, data in source.bonds_at(anchor):
-                wrap = {s: tuple(c % x for c, x in zip(s, extent)) for s in bond}
-                image = set(wrap.values())
-                if len(image) != len(bond):
-                    raise WrapError(
-                        f"bond {bond} wraps onto itself on extent {extent}"
-                    )
-                if all(s in inside for s in bond):
-                    meta["interior"] += 1
-                    add(bond, np.asarray(data))
-                else:
-                    meta["wrapped"] += 1
-                    add(*_relabel(data, bond, wrap, q))
-    else:
-        margin = source.range() if isinstance(source, LatticeModel) else 0
-        want_outside = boundary == "product"
-        th = _validate_theta(theta, q, kind) if want_outside else None
-        for bond, data in _iter_source_bonds(source, region, margin if want_outside else 0):
-            if all(s in inside for s in bond):
-                meta["interior"] += 1
-                add(bond, np.asarray(data))
-            elif want_outside and any(s in inside for s in bond):
-                keep, arr = _contract_outside(data, bond, inside, th, q, kind)
-                meta["contracted"] += 1
-                add(keep, arr)
+    q, kind = source.q, source.kind
+    inside = set(region.sites)
+    th = _validate_theta(theta, q, kind) if boundary == "product" else None
+    # Only the product boundary reaches bonds anchored outside the region;
+    # a periodic box anchors at range(extent), one bond per translation class.
+    margin = source.range() if th is not None and isinstance(source, LatticeModel) else 0
+    acc: dict[Bond, np.ndarray] = {}
+    meta = {"interior": 0, "wrapped": 0, "contracted": 0, "merged": 0, "dropped": 0}
+    for bond, data in _iter_source_bonds(source, region, margin):
+        if all(s in inside for s in bond):
+            how, arr = "interior", np.asarray(data)
+        elif boundary == "periodic":
+            wrap = {s: tuple(c % x for c, x in zip(s, extent)) for s in bond}
+            if len(set(wrap.values())) != len(bond):
+                raise WrapError(f"bond {bond} wraps onto itself on extent {extent}")
+            how, (bond, arr) = "wrapped", _relabel(data, bond, wrap, q)
+        elif th is not None and any(s in inside for s in bond):
+            how, (bond, arr) = "contracted", _contract_outside(data, bond, inside, th, q, kind)
+        else:
+            continue
+        meta[how] += 1
+        meta["merged"] += bond in acc
+        acc[bond] = acc[bond] + arr if bond in acc else np.array(arr)
 
     acc = {bond: _real_if_exact(arr) for bond, arr in acc.items()}
     bonds, ops, norms = [], [], []
@@ -540,34 +533,6 @@ def assemble_hamiltonian(source, region: Region, boundary: str = "free", theta=N
         boundary=boundary,
         meta=meta,
     )
-
-
-def alpha_norm(source, alpha: float = 0.0) -> float:
-    """sup over sites x of sum over bonds X containing x of ||Phi(X)|| e^{alpha |X|}.
-
-    For a LatticeModel the supremum is exact by translation invariance:
-    each template of m sites is counted m times per site.
-    """
-    alpha = _cast(alpha, "alpha", float)
-    if isinstance(source, LatticeModel):
-        return float(
-            sum(
-                len(off) * operator_norm(data) * math.exp(alpha * len(off))
-                for off, data in source.templates
-            )
-        )
-    if isinstance(source, Interaction):
-        items = list(source.terms.items())
-    elif isinstance(source, Hamiltonian):
-        items = list(zip(source.bonds, source.ops))
-    else:
-        raise ConfigError(f"cannot compute a norm for {type(source).__name__}")
-    per_site: dict[Site, float] = {}
-    for bond, data in items:
-        w = operator_norm(data) * math.exp(alpha * len(bond))
-        for s in bond:
-            per_site[s] = per_site.get(s, 0.0) + w
-    return max(per_site.values(), default=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,14 @@ def _cast(raw, where: str, cast, least=None):
     return value
 
 
+def _unbounded(f, x: float) -> float:
+    """f(x) for `math.exp` or `math.expm1`, or inf where it overflows a float."""
+    try:
+        return f(x)
+    except OverflowError:
+        return math.inf
+
+
 def bisect_root(f, lo: float, hi: float, tol: float = 1e-12, maxiter: int = 200) -> float:
     """Root of f by interval halving; requires a sign change on [lo, hi]."""
     flo, fhi = f(lo), f(hi)

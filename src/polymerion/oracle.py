@@ -349,11 +349,7 @@ class Oracle:
 
     def z_avoiding(self, x0) -> complex:
         """Partition function with every bond meeting the site set x0 removed."""
-        x0 = self.ham.volume_sites(x0)
-        ids = frozenset(
-            i for i, b in enumerate(self.ham.bonds) if x0.isdisjoint(b)
-        )
-        return self.z(ids)
+        return self.z(self.ham._ids_avoiding(x0))
 
     def reduced_correlation(self, x0) -> complex:
         """g(X0) = Z with bonds meeting X0 removed, over the full Z."""

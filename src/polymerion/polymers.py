@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .model import Hamiltonian, Site, site_set
-from .numeric import _cast
+from .model import Hamiltonian, Site
+from .numeric import _cast, _unbounded
 from .oracle import Oracle
 from .ursell import _bits, _overlap_masks, _site_masks, is_connected
 
@@ -147,7 +147,8 @@ def enumerate_polymers(ham: Hamiltonian, max_bonds: int, anchor=None) -> tuple[P
     With `anchor` (a site or iterable of sites) only polymers whose
     support meets the anchor set are kept: the walk is pinned at the bonds
     meeting it, and a pinned set joined only through the pin (possible
-    for several anchor sites) is not a polymer. More than `MAX_POLYMERS`
+    for several anchor sites) is not a polymer. An anchor site outside the
+    volume is refused. More than `MAX_POLYMERS`
     polymers are refused before any is built.
     """
     max_bonds = _cast(max_bonds, "max_bonds", int, least=0)
@@ -155,7 +156,7 @@ def enumerate_polymers(ham: Hamiltonian, max_bonds: int, anchor=None) -> tuple[P
     if anchor is None:
         walk = _connected_families(adj, unit, max_bonds, rooted=False)
     else:
-        pin = _pin_mask(ham.bonds, site_set(anchor))
+        pin = _pin_mask(ham.bonds, ham.volume_sites(anchor))
         pinned = _pinned_families(adj, pin, unit, max_bonds)
         walk = (f for f in pinned if is_connected(adj, f[0]))
     out = []
@@ -167,9 +168,10 @@ def enumerate_polymers(ham: Hamiltonian, max_bonds: int, anchor=None) -> tuple[P
 
 
 def bond_weights(norms, beta: complex) -> list[float]:
-    """W(X) = e^{|beta| ||Phi(X)||} - 1 for each bond norm ||Phi(X)||."""
+    """W(X) = e^{|beta| ||Phi(X)||} - 1 for each bond norm ||Phi(X)||; a
+    weight past the float range is inf, and certifies nothing."""
     ab = abs(_cast(beta, "beta", complex))
-    return [math.expm1(ab * w) for w in norms]
+    return [_unbounded(math.expm1, ab * w) for w in norms]
 
 
 @dataclass(frozen=True)

@@ -159,6 +159,26 @@ def test_radius_gk_scan_stops_at_the_table_radius(tmp_path, capsys):
     assert flags.index(False) == sum(flags)  # certified points form a prefix
 
 
+def test_radius_tree_reads_a_as_gk_does(tmp_path, capsys):
+    # "gk" is an alias of "tree": both fix the weight exponent from "a". A
+    # "tree" scan that ignored "a" searched the zeta instead, and certified
+    # ten times further out.
+    radius = {"per_decade": 8}
+    docs = [{"model": ISING_D2, "radius": dict(radius, criterion=c, a=0.01)}
+            for c in ("tree", "gk")]
+    docs.append({"model": ISING_D2, "radius": dict(radius, criterion="tree")})
+    outs = [run_json(capsys, ["radius", "--config", write_cfg(tmp_path, d)]) for d in docs]
+    assert outs[0] == outs[1]
+    assert outs[0]["meta"]["beta_radius"] < 0.003 < 0.02 < outs[2]["meta"]["beta_radius"]
+
+
+@pytest.mark.parametrize("flag", ["no", 1, None])
+def test_series_per_site_must_be_a_boolean(tmp_path, capsys, flag):
+    cfg = write_cfg(tmp_path, chain_cfg(3, 0.1, {"series": {"per_site": flag}}))
+    assert main(["series", "--config", cfg]) == 2
+    assert "series.per_site" in capsys.readouterr().err
+
+
 def test_table1_stdout_matches_golden(capsys):
     code = main(["table1"])
     out = capsys.readouterr().out
@@ -488,6 +508,7 @@ def test_repro_battery_passes(capsys):
     out = capsys.readouterr().out
     assert "all checks passed" in out
     assert "FAIL" not in out
+    assert out.count("\n") == 19  # 18 checks and the summary line
 
 
 def test_format_flag_beats_path_extension(tmp_path):

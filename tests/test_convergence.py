@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -8,11 +9,13 @@ import scipy.special
 from polymerion import (
     ConfigError,
     Interaction,
+    LatticeModel,
     NumericalError,
     Oracle,
     Polymer,
     PolymerWeight,
     Region,
+    alpha_norm,
     anchored_polymer_sum,
     assemble_hamiltonian,
     beta_radius,
@@ -642,6 +645,54 @@ MALFORMED_FP_CALLS = {
 def test_fp_entry_points_refuse_malformed_arguments(case):
     with pytest.raises(ConfigError, match=case.split("-")[0]):
         MALFORMED_FP_CALLS[case]()
+
+
+def test_gk_criterion_past_the_float_range_certifies_nothing():
+    # W(X) = expm1(1000) is past the float range: it is inf, not an
+    # OverflowError, and fails every margin.
+    rep = gk_criterion(ising_model(2), 1000.0)
+    assert not rep.holds and rep.guarantees == {}
+    assert all(m == -math.inf for m in rep.tree.margins)
+
+
+def test_tree_scan_past_the_float_range_returns_its_points():
+    scan = beta_radius(ising_model(2), hi=1000.0, per_decade=2)
+    assert len(scan.points) == 15 and not any(ok for b, ok in scan.points if b > 1.0)
+    assert scan.beta_radius == 0.01
+
+
+def test_alpha_norm_past_the_float_range_is_a_numerical_failure():
+    with pytest.raises(NumericalError, match="float range"):
+        alpha_norm(ising_model(2), 1000.0)
+
+
+def test_universal_radius_past_the_float_range_is_a_numerical_failure():
+    with pytest.raises(NumericalError, match="float range"):
+        universal_radius(ising_model(2), alpha=800.0)
+
+
+def test_tree_bound_takes_an_infinite_weight_as_a_failed_margin():
+    ham = assemble_hamiltonian(ising_model(1), Region.box([4]))
+    rep = tree_bound([0.01, math.inf, 0.01], ham, 0.1)
+    assert not rep.holds and rep.margins[1] == -math.inf
+    assert rep.margins[0] == tree_bound([0.01, 0.01, 0.01], ham, 0.1).margins[0]
+
+
+def test_lattice_structure_counts_translates_of_every_template():
+    # Neighbour counts from `bonds_at` against a brute count over a box.
+    diag = LatticeModel.from_templates(
+        2, 2, "classical",
+        [([(0, 0), (1, 1)], np.ones(4)), ([(0, 1), (1, 0)], np.ones(4)), ([(0, 0)], np.ones(2))],
+    )
+    for model in (ising_model(3), diag):
+        structure = _structure_of(model)
+        for t, (off, _) in enumerate(model.templates):
+            brute = {}
+            for anchor in itertools.product(range(-3, 4), repeat=model.dimension):
+                for t2, (bond, _) in enumerate(model.bonds_at(anchor)):
+                    if set(off) & set(bond) and (t2, bond) != (t, off):
+                        brute[t2] = brute.get(t2, 0) + 1
+            assert structure.neighbor_counts[t] == sorted(brute.items())
 
 
 def test_finite_structure_matches_pairwise_overlaps():

@@ -305,3 +305,20 @@ def test_mass_of_a_site_outside_the_volume_is_refused():
     assert kern.mass((2,), 0.5) > 0
     with pytest.raises(ConfigError):
         kern.mass((7,), 0.5)
+
+
+def test_sites_are_read_as_sites_everywhere():
+    # An integer is the one-coordinate site, as in every other entry point;
+    # the kernel and the solution refused 0 and [0] where (0,) worked.
+    sol = ks_solve(ising_chain(3), 0.3)
+    assert sol.value([0]) == sol.value((0,)) == sol.value([(0,)]) == sol.g[frozenset([(0,)])]
+    assert sol.kernel.mass(0, 0.5) == sol.kernel.mass((0,), 0.5)
+
+
+def test_a_kernel_mass_past_the_float_range_is_a_numerical_failure():
+    # exp(a |S|) overflowed with a bare OverflowError, in ks_solve too.
+    kern = build_ks_kernel(ising_chain(3), 0.3)
+    with pytest.raises(NumericalError, match="float range"):
+        kern.norm_bound(1000.0)
+    with pytest.raises(NumericalError, match="float range"):
+        ks_solve(ising_chain(3), 0.3, a=1000.0, kernel=kern)

@@ -60,6 +60,16 @@ def test_periodic_self_wrap_is_an_error():
     assert "(0,)" in str(err.value)
 
 
+def test_periodic_box_of_the_wrong_dimension_is_refused():
+    # A 2D model on a 1D box: the wrap zipped the coordinates short, and
+    # either raised a WrapError about a bond the box cannot hold or, for
+    # diagonal templates, assembled a volume.
+    diag = LatticeModel.from_templates(2, 2, "classical", [([(0, 0), (1, 1)], [1.0, 0, 0, 1])])
+    for model in (ising_model(2), diag):
+        with pytest.raises(ConfigError, match="dimension 1, model has 2"):
+            assemble_hamiltonian(model, Region.box([3]), boundary="periodic")
+
+
 def test_periodic_needs_lattice_model():
     inter = Interaction.from_terms(
         q=2, kind="classical", terms=[((((0,), (1,)))[:], np.zeros(4) + 1.0)]

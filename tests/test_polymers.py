@@ -2,8 +2,10 @@ import itertools
 import math
 
 import numpy as np
+import pytest
 
 from polymerion import (
+    ConfigError,
     Interaction,
     Oracle,
     Region,
@@ -70,13 +72,17 @@ def test_anchor_filter_keeps_meeting_polymers_only():
         (chain, (2,), [(2,), (3,)], [(0,), (5,)], (9,)),
     ]
     for ham, one, adjacent, apart, outside in cases:
-        for anchor in (one, adjacent, apart, outside, [one, outside]):
+        for anchor in (one, adjacent, apart):
             sites = site_set(anchor)
             for k in (0, 1, 2, 3, 4):
                 want = tuple(
                     p for p in enumerate_polymers(ham, k) if not sites.isdisjoint(p.support)
                 )
                 assert enumerate_polymers(ham, k, anchor=anchor) == want, (anchor, k)
+        # A site outside the volume is refused, not read as an empty pin.
+        for anchor in (outside, [one, outside]):
+            with pytest.raises(ConfigError, match="not in the volume"):
+                enumerate_polymers(ham, 2, anchor=anchor)
 
 
 def test_mobius_and_zeta_transforms_invert(rng):

@@ -30,10 +30,11 @@ from polymerion import (
     nn_radius,
     park_compare,
     potts_model,
+    tree_bound,
     universal_radius,
 )
 from polymerion import polymers
-from polymerion.config import parse_array, parse_scalar
+from polymerion.config import parse_array, parse_scalar, parse_sites
 from polymerion.model import as_site
 
 NAN, INF = float("nan"), float("inf")
@@ -88,6 +89,22 @@ PROBES = {
     "Observable.make-1.5": (
         "site coordinate", lambda: Observable.make([(1.5,)], np.array([1.0, -1.0]))
     ),
+    "tree_bound-weights-str": ("weights", lambda: tree_bound([0.1, "x", 0.1], CHAIN, 0.1)),
+    "tree_bound-weights-nan": ("weights", lambda: tree_bound([0.1, NAN, 0.1], CHAIN, 0.1)),
+    "KSKernel.norm_bound-str": ("^a must", lambda: build_ks_kernel(CHAIN, 0.3).norm_bound("x")),
+    "KSKernel.norm_bound-nan": ("^a must", lambda: build_ks_kernel(CHAIN, 0.3).norm_bound(NAN)),
+    "KSKernel.mass-True": ("^a must", lambda: build_ks_kernel(CHAIN, 0.3).mass(0, True)),
+    "KSKernel.mass-site-1.5": (
+        "site coordinate", lambda: build_ks_kernel(CHAIN, 0.3).mass((1.5,), 0.1)
+    ),
+    "enumerate_polymers-anchor-outside": (
+        "not in the volume", lambda: enumerate_polymers(CHAIN, 2, anchor=(99,))
+    ),
+    "reduced_correlation-1.5": (
+        "site set", lambda: Oracle(CHAIN, 0.3).reduced_correlation(1.5)
+    ),
+    "parse_sites-1.5": ("observable.sites", lambda: parse_sites([[0, 1.5]], "observable.sites")),
+    "parse_sites-True": ("observable.sites", lambda: parse_sites([True], "observable.sites")),
 }
 
 
