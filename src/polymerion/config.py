@@ -39,7 +39,7 @@ from .model import (
     potts_model,
     xy_model,
 )
-from .numeric import _cast
+from .numeric import _array, _cast
 
 __all__ = [
     "load_config",
@@ -113,7 +113,7 @@ def parse_array(data, where: str = "data") -> np.ndarray:
             return [walk(v) for v in node]
         return parse_scalar(node, where)
 
-    return _real_if_exact(np.array(walk(data), dtype=complex))
+    return _real_if_exact(_array(walk(data), where))
 
 
 def parse_sites(v, where: str = "sites"):
@@ -158,10 +158,7 @@ def build_model(cfg: dict) -> LatticeModel:
             raise ConfigError(f"terms[{k}] needs 'sites' and 'data'")
         parsed.append((parse_sites(t["sites"], f"terms[{k}].sites"),
                        parse_array(t["data"], f"terms[{k}].data")))
-    try:
-        return LatticeModel.from_templates(d, q, kind, parsed)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad model terms: {exc}") from exc
+    return LatticeModel.from_templates(d, q, kind, parsed)
 
 
 def build_region(cfg: dict, dimension: int):
@@ -185,10 +182,7 @@ def build_region(cfg: dict, dimension: int):
 def build_hamiltonian(cfg: dict) -> Hamiltonian:
     model = build_model(cfg)
     region, boundary, theta = build_region(cfg, model.dimension)
-    try:
-        return assemble_hamiltonian(model, region, boundary=boundary, theta=theta)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"cannot assemble the volume: {exc}") from exc
+    return assemble_hamiltonian(model, region, boundary=boundary, theta=theta)
 
 
 def beta_values(cfg: dict) -> list[complex]:

@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .model import Hamiltonian, Interaction, LatticeModel, operator_norm
-from .numeric import _cast, _unbounded, bisect_root, geometric_grid, golden_max
+from .numeric import _array, _cast, _unbounded, bisect_root, geometric_grid, golden_max
 from .polymers import (
     _overlap_masks,
     _site_masks,
@@ -150,6 +151,8 @@ def _lattice_structure(model: LatticeModel) -> _Structure:
 
 
 def _structure_of(source) -> _Structure:
+    if isinstance(source, _Structure):
+        return source
     if isinstance(source, LatticeModel):
         return _lattice_structure(source)
     if isinstance(source, Hamiltonian):
@@ -174,10 +177,11 @@ def _resolve_zeta(zeta, structure: _Structure) -> list[float]:
     if zeta is None:
         raise ConfigError("zeta must be resolved before this point")
     if np.isscalar(zeta):
-        return [_cast(zeta, "zeta", float)] * len(structure.sizes)
-    if callable(zeta):
-        return [_cast(zeta(s, w), "zeta", float) for s, w in zip(structure.sizes, structure.norms)]
-    out = [_cast(z, "zeta", float) for z in zeta]
+        zeta = [zeta] * len(structure.sizes)
+    elif callable(zeta):
+        zeta = [zeta(s, w) for s, w in zip(structure.sizes, structure.norms)]
+    # A zeta past the float range is inf, and certifies nothing.
+    out = [math.inf if z == math.inf else _cast(z, "zeta", float) for z in zeta]
     if len(out) != len(structure.sizes):
         raise ConfigError("zeta sequence length does not match bond classes")
     return out
@@ -205,18 +209,22 @@ def _margins(w, structure: _Structure, zetas, form: str) -> tuple[list[float], f
     each form computes only the products it reads."""
     s = structure.site_sum(zetas)
     sizes, n = structure.sizes, range(len(w))
-    if form == "direct":
-        lhs = [w[i] * structure.neighbor_product(i, zetas) for i in n]
-    elif form == "bracketed":
-        lhs = [w[i] * (1.0 + s) ** sizes[i] * structure.neighbor_product(i, zetas) for i in n]
-    elif form == "per_site_product":
-        q = structure.site_product(zetas)
-        lhs = [w[i] * q ** (2 * sizes[i]) for i in n]
-    elif form == "exponential":
-        lhs = [w[i] * math.exp(2 * sizes[i] * s) for i in n]
-    else:
-        raise ConfigError(f"unknown tree form {form!r}; choose one of {TREE_FORMS}")
-    return [zetas[i] - lhs[i] for i in n], s
+    try:
+        if form == "direct":
+            lhs = [w[i] * structure.neighbor_product(i, zetas) for i in n]
+        elif form == "bracketed":
+            lhs = [w[i] * (1.0 + s) ** sizes[i] * structure.neighbor_product(i, zetas) for i in n]
+        elif form == "per_site_product":
+            q = structure.site_product(zetas)
+            lhs = [w[i] * q ** (2 * sizes[i]) for i in n]
+        elif form == "exponential":
+            lhs = [w[i] * math.exp(2 * sizes[i] * s) for i in n]
+        else:
+            raise ConfigError(f"unknown tree form {form!r}; choose one of {TREE_FORMS}")
+    except OverflowError:
+        lhs = [math.inf] * len(w)
+    # A weight, tree exponent or zeta past the float range certifies nothing.
+    return [zetas[i] - lhs[i] if lhs[i] < math.inf else -math.inf for i in n], s
 
 
 def tree_bound(weights, structure_source, zeta, form: str = "bracketed") -> TreeReport:
@@ -227,18 +235,14 @@ def tree_bound(weights, structure_source, zeta, form: str = "bracketed") -> Tree
     certificate, when it holds for the bracketed or a stronger form,
     bounds the anchored weighted polymer sum by site_sum = e^a - 1.
     """
-    structure = (
-        structure_source
-        if isinstance(structure_source, _Structure)
-        else _structure_of(structure_source)
-    )
+    structure = _structure_of(structure_source)
     zetas = _resolve_zeta(zeta, structure)
     # An infinite weight (W(X) past the float range) certifies nothing.
     w = [math.inf if x == math.inf else _cast(x, "weights", float) for x in weights]
     if len(w) != len(structure.sizes):
         raise ConfigError("weights length does not match bond classes")
     margins, s = _margins(w, structure, zetas, form)
-    holds = all(m >= 0.0 for m in margins) and bool(w)
+    holds = all(m >= 0.0 for m in margins) and bool(w) and s < math.inf
     return TreeReport(
         holds=holds,
         form=form,
@@ -287,7 +291,7 @@ class CriterionReport:
 
 def _zeta_for_a(structure: _Structure, a: float) -> float:
     """Scalar zeta whose per-site sum meets e^a - 1 exactly."""
-    return math.expm1(a) / structure.site_sum([1] * len(structure.sizes))
+    return _unbounded(math.expm1, a) / structure.site_sum([1] * len(structure.sizes))
 
 
 def _tree_structure(source, form: str) -> _Structure:
@@ -336,12 +340,14 @@ def gk_criterion(
 
     With `a` given, the scalar zeta is fixed so the per-site zeta sum
     meets e^a - 1; with `zeta` given, a follows from it; with neither,
-    a scalar zeta maximizing the worst margin is searched. A weight past
-    the float range is inf: its margin is -inf, the report does not hold,
-    and the anchored lower bound is inf.
+    a scalar zeta maximizing the worst margin is searched. A weight, `a`
+    or `zeta` past the float range certifies nothing: its margin is -inf,
+    the report does not hold, and the anchored lower bound is inf.
     """
     tree = _tree_certificate(_tree_structure(source, form), beta, a, zeta, form)
-    anchored = anchored_polymer_sum(source, beta, tree.a, anchored_truncation)
+    anchored = anchored_polymer_sum(
+        source, beta, min(tree.a, sys.float_info.max), anchored_truncation
+    )
     guarantees = {}
     if tree.holds and form != "direct":
         guarantees = {
@@ -368,7 +374,7 @@ def anchored_polymer_sum(source, beta: complex, a: float, truncation: int) -> fl
 
     A lower bound on the anchored sum the tree criterion caps (it is cut
     at `truncation` bonds per polymer), monotone in the truncation. A
-    negative truncation is refused.
+    negative truncation is refused; a sum past the float range is inf.
     """
     a = _cast(a, "a", float)
     truncation = _cast(truncation, "anchored_truncation", int, least=0)
@@ -383,11 +389,11 @@ def anchored_polymer_sum(source, beta: complex, a: float, truncation: int) -> fl
         per_site = {s: 0.0 for s in ham.sites}
     else:
         raise ConfigError("anchored sums need a Hamiltonian or a LatticeModel")
-    weights = bond_weights(ham.norms, beta)
+    # W(X) e^{a|X|} per bond, inf past the float range, and 0 where W(X) is.
+    factors = [w and w * _unbounded(math.exp, a * len(b))
+               for w, b in zip(bond_weights(ham.norms, beta), ham.bonds)]
     for p in polymers:
-        w = 1.0
-        for i in p.bonds:
-            w *= weights[i] * math.exp(a * len(ham.bonds[i]))
+        w = math.prod(factors[i] for i in p.bonds)
         for s in p.support:
             if s in per_site:
                 per_site[s] += w
@@ -499,15 +505,11 @@ def _fp_dag(polymers, adjacency, ids=None) -> _FPDag:
 
 
 def _fp_vector(values, m: int, name: str, nonnegative: bool = False) -> np.ndarray:
-    """One finite float per polymer, as an array; anything else is refused."""
-    try:
-        out = np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be a sequence of numbers") from exc
-    if out.shape != (m,):
-        raise ConfigError(f"{name} needs one value per polymer ({m}), got shape {out.shape}")
-    if not np.isfinite(out).all():
-        raise ConfigError(f"{name} must be finite")
+    """One finite real number per polymer, as a float array; anything else is refused."""
+    out = _array(values, name)
+    if out.shape != (m,) or np.iscomplexobj(out):
+        raise ConfigError(f"{name} needs one real value per polymer ({m}), got {out.dtype} "
+                          f"of shape {out.shape}")
     if nonnegative and (out < 0).any():
         raise ConfigError(f"{name} bounds an activity and cannot be negative")
     return out

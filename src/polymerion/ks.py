@@ -49,6 +49,13 @@ __all__ = ["KSKernel", "KSSolution", "build_ks_kernel", "ks_solve"]
 MAX_SITES = 16
 
 
+def _weight(a: float, k: int) -> float:
+    """e^{-a k}, the weight of a k-site subset; NumericalError past the float range."""
+    if (w := _unbounded(math.exp, -a * k)) == math.inf:
+        raise NumericalError(f"the weight e^(-a k) at a = {a}, k = {k} is past the float range")
+    return w
+
+
 @dataclass(frozen=True)
 class KSKernel:
     """Polymer-activity kernel K(x0, S) of one finite volume.
@@ -86,7 +93,7 @@ class KSKernel:
 
     def norm_bound(self, a: float) -> float:
         worst = max(self._masses(a).values(), default=0.0)
-        return math.exp(-a) * (1.0 + worst)
+        return _weight(a, 1) * (1.0 + worst)
 
 
 def build_ks_kernel(ham, beta: complex, max_polymer_bonds: int | None = None) -> KSKernel:
@@ -203,7 +210,7 @@ def ks_solve(
     size = np.zeros(1 << n, dtype=np.intp)
     for i in range(n):
         size += (masks >> i) & 1
-    weight = np.array([math.exp(-a * k) for k in range(n + 1)])[size]
+    weight = np.array([_weight(a, k) for k in range(n + 1)])[size]
     gr = np.ones(1 << n)
     gi = np.zeros(1 << n)
     prev_residual = None

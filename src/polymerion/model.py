@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, WrapError
-from .numeric import _cast
+from .numeric import _array, _cast
 
 Site = tuple[int, ...]
 Bond = tuple[Site, ...]
@@ -173,32 +173,32 @@ def _relabel(data: np.ndarray, old: Bond, site_map: Mapping[Site, Site], q: int)
     return new, arr.reshape((q,) * (2 * k)).transpose(full).reshape(dim, dim)
 
 
-def _validate_term(bond: Bond, data: np.ndarray, q: int, kind: str) -> np.ndarray:
-    dim = q ** len(bond)
-    arr = np.asarray(data)
+def _local_operator(data, nsites: int, q: int, kind: str, where: str, hermitian: bool = True):
+    """`data` by `_array` as a read-only operator on `nsites` sites of q
+    states: a flat table of q^nsites entries, real if `hermitian` (classical),
+    or a matrix of q^nsites rows, Hermitian if `hermitian` and float64 where
+    exactly real (quantum). Anything else is a ConfigError naming `where`."""
+    arr = _array(data, where)
+    dim = q**nsites
     if kind == CLASSICAL:
-        arr = arr.reshape(-1)
         if arr.size != dim:
-            raise ConfigError(
-                f"table on {bond} has {arr.size} entries, expected {dim}"
-            )
-        if np.iscomplexobj(arr) and np.max(np.abs(arr.imag)) > 1e-12:
-            raise ConfigError(f"classical table on {bond} must be real")
-        arr = np.real(arr).astype(float)
+            raise ConfigError(f"{where} has {arr.size} entries, not one per state ({dim}); "
+                              "a two-number list is read as one [re, im] value")
+        if hermitian and np.iscomplexobj(arr):
+            if np.max(np.abs(arr.imag)) > 1e-12:
+                raise ConfigError(f"{where} is a classical table and must be real")
+            arr = arr.real.copy()
+        arr = arr.reshape(-1)
     elif kind == QUANTUM:
         if arr.shape != (dim, dim):
-            raise ConfigError(
-                f"matrix on {bond} has shape {arr.shape}, expected {(dim, dim)}"
-            )
-        arr = arr.astype(complex)
-        scale = max(1.0, float(np.max(np.abs(arr))))
-        if np.max(np.abs(arr - arr.conj().T)) > 1e-12 * scale:
-            raise ConfigError(f"matrix on {bond} is not Hermitian")
+            raise ConfigError(f"{where} has shape {arr.shape}, not that of {dim}x{dim} matrices")
+        if hermitian:
+            scale = max(1.0, float(np.max(np.abs(arr))))
+            if np.max(np.abs(arr - arr.conj().T)) > 1e-12 * scale:
+                raise ConfigError(f"{where} is not Hermitian")
         arr = _real_if_exact(arr)
     else:
         raise ConfigError(f"unknown kind {kind!r}")
-    if not np.isfinite(arr).all():
-        raise ConfigError(f"the term on {bond} has a non-finite entry")
     arr.setflags(write=False)
     return arr
 
@@ -228,7 +228,7 @@ class Interaction:
             b = as_bond(sites)
             if b in out:
                 raise ConfigError(f"duplicate term on bond {b}")
-            out[b] = _validate_term(b, data, q, kind)
+            out[b] = _local_operator(data, len(b), q, kind, f"the term on {b}")
         return cls(q=q, kind=kind, terms=out)
 
     def bonds(self) -> tuple[Bond, ...]:
@@ -265,7 +265,7 @@ class LatticeModel:
                 raise ConfigError(
                     f"template {b} does not match dimension {dimension}"
                 )
-            canon.append((b, _validate_term(b, data, q, kind)))
+            canon.append((b, _local_operator(data, len(b), q, kind, f"the term on {b}")))
         return cls(dimension=dimension, q=q, kind=kind, templates=tuple(canon))
 
     def range(self) -> int:
@@ -311,6 +311,8 @@ class Region:
         out = tuple(sorted({as_site(s) for s in sites}))
         if not out:
             raise ConfigError("region must contain at least one site")
+        if len(dims := {len(s) for s in out}) != 1:
+            raise ConfigError(f"region mixes sites of dimensions {sorted(dims)}")
         return cls(sites=out)
 
     def __post_init__(self):
@@ -388,30 +390,17 @@ class Hamiltonian:
         )
 
 
-def _theta_default(q: int, kind: str) -> np.ndarray:
-    if kind == CLASSICAL:
-        return np.full(q, 1.0 / q)
-    return np.eye(q, dtype=complex) / q
-
-
 def _validate_theta(theta, q: int, kind: str) -> np.ndarray:
     if theta is None:
-        return _theta_default(q, kind)
-    arr = np.asarray(theta)
+        return np.full(q, 1.0 / q) if kind == CLASSICAL else np.eye(q, dtype=complex) / q
+    arr = _local_operator(theta, 1, q, kind, "the boundary state")
     if kind == CLASSICAL:
-        arr = arr.reshape(-1).astype(float)
-        if arr.size != q:
-            raise ConfigError(f"boundary state must have {q} entries")
         if np.any(arr < -1e-12):
             raise ConfigError("boundary state has negative probabilities")
         if abs(arr.sum() - 1.0) > 1e-10:
             raise ConfigError("boundary state probabilities must sum to 1")
         return arr
     arr = arr.astype(complex)
-    if arr.shape != (q, q):
-        raise ConfigError(f"boundary state must be a {q}x{q} density matrix")
-    if np.max(np.abs(arr - arr.conj().T)) > 1e-12:
-        raise ConfigError("boundary state must be Hermitian")
     if abs(np.trace(arr) - 1.0) > 1e-10:
         raise ConfigError("boundary state must have trace 1")
     if np.min(np.linalg.eigvalsh(arr)) < -1e-10:

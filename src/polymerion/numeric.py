@@ -42,6 +42,24 @@ def _cast(raw, where: str, cast, least=None):
     return value
 
 
+def _array(data, where: str) -> np.ndarray:
+    """A new float64 array of `data`, complex128 if an entry is complex: the
+    one check of an array argument, as `_cast` is of a number. Ragged
+    nesting, an entry that is not a number (a string, a boolean, None) and a
+    non-finite entry are a ConfigError naming `where`."""
+    try:  # np.array raises on ragged nesting, and reads [1.0, True] as floats
+        arr = np.array(data)
+        leaves = () if isinstance(data, np.ndarray) else np.array(data, dtype=object).flat
+    except (TypeError, ValueError):
+        arr, leaves = np.array(None), ()
+    if arr.dtype.kind not in "iufc" or any(isinstance(x, (bool, np.bool_)) for x in leaves):
+        raise ConfigError(f"{where} must be a regular array of numbers")
+    arr = arr.astype(complex if arr.dtype.kind == "c" else float, copy=False)
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"{where} has a non-finite entry")
+    return arr
+
+
 def _unbounded(f, x: float) -> float:
     """f(x) for `math.exp` or `math.expm1`, or inf where it overflows a float."""
     try:

@@ -45,12 +45,13 @@ from .model import (
     Bond,
     Hamiltonian,
     Site,
+    _local_operator,
     _site_axes,
     as_bond,
     embed_matrix,
     embed_table,
 )
-from .numeric import _cast
+from .numeric import _array, _cast
 from .ursell import _bits, _components, _overlap_masks
 
 MAX_DENSE_DIM = 2**20
@@ -81,10 +82,12 @@ class Observable:
     support: Bond
     data: np.ndarray
 
+    def __post_init__(self):
+        object.__setattr__(self, "data", _array(self.data, "the observable"))
+
     @classmethod
     def make(cls, sites, data) -> "Observable":
-        b = as_bond(sites)
-        return cls(support=b, data=np.asarray(data))
+        return cls(support=as_bond(sites), data=data)
 
 
 def _check_dim(q: int, nsites: int, kind: str):
@@ -113,18 +116,10 @@ def _alternating_sum(ids, term, start=0j):
 
 
 def _check_observable(ham: Hamiltonian, obs: Observable):
-    """Refuse an observable off the region or of the wrong shape for `ham`."""
-    if not set(obs.support) <= set(ham.sites):
-        raise ConfigError("observable support must lie inside the region")
-    states = ham.q ** len(obs.support)
-    if ham.kind == CLASSICAL:
-        if obs.data.size != states:
-            raise ConfigError(
-                f"classical observables need one entry per state, {states} here, got "
-                f"{obs.data.size}; a two-number list is read as one [re, im] value"
-            )
-    elif obs.data.shape != (states, states):
-        raise ConfigError(f"quantum observables must be {states}x{states} matrices")
+    """Refuse an observable off the volume or of the wrong shape for `ham`."""
+    ham.volume_sites(obs.support)
+    nsites = len(obs.support)
+    _local_operator(obs.data, nsites, ham.q, ham.kind, "the observable", hermitian=False)
 
 
 def _pattern_blocks(total: np.ndarray) -> list[np.ndarray]:
@@ -441,10 +436,10 @@ class Oracle:
         support = tuple(sorted(set(support) | set(obs.support)))
         q = self.ham.q
         if self.ham.kind == CLASSICAL:
-            a = embed_table(obs.data.astype(complex), obs.support, support, q)
+            a = embed_table(obs.data, obs.support, support, q)
             return complex(np.mean(a * np.exp(-self.beta * self.hamiltonian_on(ids, support)[1])))
         spectrum = self._spectrum(ids, support)
-        a = embed_matrix(obs.data.astype(np.result_type(float, obs.data)), obs.support, support, q)
+        a = embed_matrix(obs.data, obs.support, support, q)
         acc = 0j
         for (rows, _), (w, v) in zip(spectrum.groups, spectrum.eigh()):
             block = a if rows is None else a[rows[:, :, None], rows[:, None, :]]

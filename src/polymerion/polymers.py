@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 from .model import Hamiltonian, Site
-from .numeric import _cast, _unbounded
+from .numeric import _array, _cast, _unbounded
 from .oracle import Oracle
 from .ursell import _bits, _overlap_masks, _site_masks, is_connected
 
@@ -217,10 +217,10 @@ def incompatibility_graph(polymers) -> list[int]:
 
 def _subset_transform(values, op) -> np.ndarray:
     """Combine each subset entry with the entry lacking one element, axis by axis."""
-    a = np.array(values, dtype=complex)
-    n = a.size.bit_length() - 1
+    a = _array(values, "values").astype(complex)
+    n = max(a.size.bit_length() - 1, 0)
     if a.size != 1 << n:
-        raise ValueError("length must be a power of two")
+        raise ConfigError(f"values has {a.size} entries; a subset transform needs a power of two")
     a = a.reshape((2,) * n) if n else a
     for axis in range(n):
         head = (slice(None),) * axis

@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import CLASSICAL, Hamiltonian, LatticeModel, Site, _site_axes
-from .numeric import _cast
+from .numeric import _array, _cast
 from .oracle import Observable, Oracle, _alternating_sum, _check_observable
 from .polymers import (
     Polymer,
@@ -142,7 +142,8 @@ def _prepare(ham: Hamiltonian, beta: complex, max_total: int, weights):
     """(the checked truncation, the polymers, their activities)."""
     max_total = _cast(max_total, "max_total_bonds", int, least=0)
     if weights is not None:
-        return max_total, [w.polymer for w in weights], [w.rho for w in weights]
+        rho = _array([w.rho for w in weights], "weights").tolist()
+        return max_total, [w.polymer for w in weights], rho
     polymers = list(enumerate_polymers(ham, max_total))
     return max_total, polymers, _LazyValues(Oracle(ham, beta), polymers)
 

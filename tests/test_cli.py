@@ -424,6 +424,11 @@ def test_exact_output_matches_golden_bytes(tmp_path, golden, doc):
         ("exact", {"model": dict(EXPLICIT, dimension=True), "region": {"extent": [3]},
                    "beta": 0.1}),
         ("exact", {"model": dict(EXPLICIT, q=3.5), "region": {"extent": [3]}, "beta": 0.1}),
+        # Ragged arrays ended in a ValueError traceback (exit 1).
+        ("exact", {"model": dict(EXPLICIT, terms=[{"sites": [[0], [1]], "data": [[1, 2, 3], [4]]}]),
+                   "region": {"extent": [3]}, "beta": 0.1}),
+        ("exact", chain_cfg(3, 0.1, {"region": {"extent": [3], "boundary": "product",
+                                                "theta": [[0.5, 0.5], [0.5]]}})),
     ],
 )
 def test_unparsable_numbers_are_config_errors(tmp_path, capsys, command, doc):

@@ -712,3 +712,80 @@ def test_finite_structure_matches_pairwise_overlaps():
         sites = sorted({s for b in bonds for s in b})
         assert st.site_counts == [{i: 1 for i in range(m) if s in bonds[i]} for s in sites]
     assert any(len(b) == 1 for b in fields.bonds)
+
+
+CHAIN4 = assemble_hamiltonian(ising_model(1), Region.box([4]))
+
+
+def test_gk_criterion_with_an_exponent_past_the_float_range_certifies_nothing():
+    # expm1(1000) in `_zeta_for_a` raised a bare OverflowError.
+    rep = gk_criterion(ising_model(2), 0.01, a=1000.0)
+    assert not rep.holds and rep.guarantees == {} and rep.anchored_lower == math.inf
+    assert all(m == -math.inf for m in rep.tree.margins)
+    # The direct form of a lone bond has no neighbour product to overflow:
+    # its margin is inf - W(X), but an infinite site sum still certifies nothing.
+    pair = assemble_hamiltonian(ising_model(1), Region.box([2]))
+    assert not gk_criterion(pair, 0.01, a=1000.0, form="direct").holds
+
+
+def test_tree_scan_with_an_exponent_past_the_float_range_returns_its_points():
+    scan = beta_radius(ising_model(2), a=800.0, per_decade=2)
+    assert len(scan.points) == 10 and not any(ok for _, ok in scan.points)
+    assert scan.beta_radius is None
+
+
+def test_tree_bound_with_a_zeta_past_the_float_range_certifies_nothing():
+    # (1 + S)^|X| in `_margins` raised a bare OverflowError.
+    rep = tree_bound([0.1], ising_model(1), 1e300)
+    assert not rep.holds and rep.margins == (-math.inf,)
+
+
+def test_gk_criterion_with_a_zeta_past_the_float_range_certifies_nothing():
+    rep = gk_criterion(CHAIN4, 0.01, zeta=1e200)
+    assert not rep.holds and all(m == -math.inf for m in rep.tree.margins)
+    assert rep.anchored_lower == math.inf
+
+
+def test_anchored_sum_past_the_float_range_is_inf():
+    # exp(a |X|) raised a bare OverflowError; a zero weight stays zero.
+    assert anchored_polymer_sum(CHAIN4, 0.01, 1000.0, 2) == math.inf
+    assert anchored_polymer_sum(CHAIN4, 0.0, 1000.0, 2) == 0.0
+
+
+def test_a_per_class_zeta_sequence_equal_to_a_scalar_gives_the_same_report():
+    weights = bond_weights(CHAIN4.norms, 0.05)
+    scalar = tree_bound(weights, CHAIN4, 0.07)
+    assert tree_bound(weights, CHAIN4, [0.07] * len(CHAIN4.bonds)) == scalar
+    assert tree_bound(weights, CHAIN4, np.full(len(CHAIN4.bonds), 0.07)) == scalar
+
+
+def test_a_callable_zeta_is_called_with_each_class_size_and_norm():
+    seen = []
+
+    def zeta(size, norm):
+        seen.append((size, norm))
+        return 0.05 * size * norm
+
+    weights = bond_weights(CHAIN4.norms, 0.05)
+    rep = tree_bound(weights, CHAIN4, zeta)
+    assert seen == [(len(b), n) for b, n in zip(CHAIN4.bonds, CHAIN4.norms)]
+    assert rep == tree_bound(weights, CHAIN4, [0.05 * s * n for s, n in seen])
+
+
+def test_a_zeta_sequence_of_the_wrong_length_is_refused():
+    weights = bond_weights(CHAIN4.norms, 0.05)
+    with pytest.raises(ConfigError, match="zeta sequence length"):
+        tree_bound(weights, CHAIN4, [0.07] * (len(CHAIN4.bonds) + 1))
+
+
+def test_an_interaction_has_the_structure_of_its_free_hamiltonian():
+    inter = Interaction.from_terms(
+        2, "classical",
+        [(((0,), (1,)), [0.3, -0.3, -0.3, 0.3]), (((1,), (2,)), [1.0, 0.0, 0.0, -0.5]),
+         (((0,),), [0.2, -0.2]), (((0,), (1,), (2,)), np.linspace(-1.0, 1.0, 8))],
+    )
+    ham = assemble_hamiltonian(inter, Region.from_sites([(0,), (1,), (2,)]))
+    assert alpha_norm(inter, 0.4) == alpha_norm(ham, 0.4)
+    weights = bond_weights(ham.norms, 0.05)
+    assert tree_bound(weights, inter, 0.1) == tree_bound(weights, ham, 0.1)
+    assert universal_radius(inter) == universal_radius(ham)

@@ -322,3 +322,15 @@ def test_a_kernel_mass_past_the_float_range_is_a_numerical_failure():
         kern.norm_bound(1000.0)
     with pytest.raises(NumericalError, match="float range"):
         ks_solve(ising_chain(3), 0.3, a=1000.0, kernel=kern)
+
+
+def test_a_hierarchy_weight_past_the_float_range_is_a_numerical_failure():
+    # e^{-a |S|} at a = -1000 raised a bare OverflowError.
+    kern = build_ks_kernel(ising_chain(4), 0.3)
+    with pytest.raises(NumericalError, match="a = -1000"):
+        kern.norm_bound(-1000.0)
+
+
+def test_a_hierarchy_solve_past_the_float_range_is_a_numerical_failure():
+    with pytest.raises(NumericalError, match="a = -1000"):
+        ks_solve(ising_chain(4), 0.3, a=-1000.0)

@@ -342,3 +342,9 @@ def test_preset_norms_are_bit_equal_to_their_complex_values(coupling):
             theta = np.diag([0.7, 0.3]) if boundary == "product" else None
             ham = assemble_hamiltonian(model, Region.box(extent), boundary, theta)
             assert list(ham.norms) == [operator_norm(op.astype(complex)) for op in ham.ops]
+
+
+def test_a_region_of_mixed_site_dimensions_is_refused():
+    # (0, 1) was kept as a site that no bond of a d = 1 model could touch.
+    with pytest.raises(ConfigError, match="dimensions"):
+        Region.from_sites([(0,), (1,), (0, 1)])

@@ -8,11 +8,13 @@ import pytest
 
 from polymerion import (
     ConfigError,
+    Interaction,
     NumericalError,
     Observable,
     Oracle,
     LatticeModel,
     Polymer,
+    PolymerWeight,
     Region,
     adaptive_free_energy_series,
     anchored_polymer_sum,
@@ -25,8 +27,10 @@ from polymerion import (
     free_energy_density,
     free_energy_series,
     gk_criterion,
+    heisenberg_model,
     ising_model,
     ks_solve,
+    mobius_transform,
     nn_radius,
     park_compare,
     potts_model,
@@ -105,7 +109,46 @@ PROBES = {
     ),
     "parse_sites-1.5": ("observable.sites", lambda: parse_sites([[0, 1.5]], "observable.sites")),
     "parse_sites-True": ("observable.sites", lambda: parse_sites([True], "observable.sites")),
+    # Arrays: each of these raised a bare ValueError, LinAlgError or
+    # ComplexWarning, or ran on with a nan or a truncated value.
+    "parse_array-ragged": (
+        r"terms\[0\]\.data", lambda: parse_array([[1, 2], [3]], "terms[0].data")
+    ),
+    "Observable.make-nan": ("observable", lambda: Observable.make([(1,)], [NAN, 1.0])),
+    "Observable-nan": ("observable", lambda: Observable(((1,),), np.array([NAN, 1.0]))),
+    "Observable.make-str": ("observable", lambda: Observable.make([(1,)], ["a", "b"])),
+    "Observable.make-ragged": (
+        "observable", lambda: Observable.make([(0,), (1,)], [[1.0, 0.0], [0.0]])
+    ),
+    "from_terms-str": (
+        "term on", lambda: Interaction.from_terms(2, "classical", [([(0,)], ["a", "b"])])
+    ),
+    "from_terms-ragged": (
+        "term on", lambda: Interaction.from_terms(2, "quantum", [([(0,)], [[1.0, 0.0], [0.0]])])
+    ),
+    "theta-str": ("boundary state", lambda: _product(ising_model(1), ["a", "b"])),
+    "theta-ragged": ("boundary state", lambda: _product(heisenberg_model(1), [[0.5, 0], [0.5]])),
+    "theta-complex": ("boundary state", lambda: _product(ising_model(1), [0.3 + 0.1j, 0.7])),
+    "theta-nan": ("boundary state", lambda: _product(ising_model(1), [NAN, 1.0])),
+    "theta-quantum-nan": (
+        "boundary state", lambda: _product(heisenberg_model(1), [[NAN, 0], [0, 0.5]])
+    ),
+    "fp_iterate-lam-complex": ("lam", lambda: fp_iterate(PAIR, np.array([0.1 + 0.1j, 0.1]))),
+    "fp_iterate-lam-bool": ("lam", lambda: fp_iterate(PAIR, [True, False])),
+    "fp_iterate-lam-mixed-bool": ("lam", lambda: fp_iterate(PAIR, [0.1, True])),
+    "mobius_transform-str": ("values", lambda: mobius_transform(["a", "b"])),
+    "mobius_transform-3": ("values", lambda: mobius_transform([1, 2, 3])),
+    "free_energy_series-weights-nan": (
+        "weights",
+        lambda: free_energy_series(
+            CHAIN, 0.3, 2, weights=[PolymerWeight(polymer=PAIR[0], rho=NAN, bound=1.0)]
+        ),
+    ),
 }
+
+
+def _product(model, theta):
+    return assemble_hamiltonian(model, Region.box([3]), boundary="product", theta=theta)
 
 
 @pytest.mark.parametrize("match, call", PROBES.values(), ids=PROBES.keys())
