@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .model import Hamiltonian, Interaction, LatticeModel, operator_norm
+from .model import Hamiltonian, Interaction, LatticeModel, _norm
 from .numeric import _array, _cast, _unbounded, bisect_root, geometric_grid, golden_max
 from .polymers import (
     _overlap_masks,
@@ -131,7 +131,7 @@ def _finite_structure(bonds, norms) -> _Structure:
 
 def _lattice_structure(model: LatticeModel) -> _Structure:
     sizes = [len(off) for off, _ in model.templates]
-    norms = [operator_norm(data) for off, data in model.templates]
+    norms = [_norm(data) for off, data in model.templates]
     origin = (0,) * model.dimension
     neighbor_counts = []
     for t, (off, _) in enumerate(model.templates):
@@ -390,10 +390,18 @@ def anchored_polymer_sum(source, beta: complex, a: float, truncation: int) -> fl
     else:
         raise ConfigError("anchored sums need a Hamiltonian or a LatticeModel")
     # W(X) e^{a|X|} per bond, inf past the float range, and 0 where W(X) is.
-    factors = [w and w * _unbounded(math.exp, a * len(b))
-               for w, b in zip(bond_weights(ham.norms, beta), ham.bonds)]
+    # A W(X) past the float range is e^{|beta| ||Phi||} to the last bit
+    # (the -1 is far below its rounding), so its factor is taken in logs:
+    # inf * e^{a|X|} would be nan where e^{a|X|} underflows to 0.
+    ab = abs(_cast(beta, "beta", complex))
+    factors = [_unbounded(math.exp, ab * n + a * len(b)) if w == math.inf
+               else w and w * _unbounded(math.exp, a * len(b))
+               for w, n, b in zip(bond_weights(ham.norms, beta), ham.norms, ham.bonds)]
     for p in polymers:
         w = math.prod(factors[i] for i in p.bonds)
+        if w != w:
+            raise NumericalError("anchored sum is not a number: a polymer's factors "
+                                 "overflow and underflow the float range")
         for s in p.support:
             if s in per_site:
                 per_site[s] += w

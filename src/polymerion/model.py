@@ -8,11 +8,12 @@ product basis), or a Hermitian q^k x q^k matrix for quantum models.
 Tensor index convention: local state spaces are ordered by sorting the
 sites lexicographically, and flattened row-major, so the largest site is
 the fastest-varying index. Four functions spell the convention out:
-`_site_axes` and `embed_matrix` lift a local operator onto a larger site
-set, `_relabel` renames the sites of one (periodic wrapping), and
-`_contract_outside` traces sites out of one (the product boundary).
-Everything else goes through them (`embed_table` and
-`Oracle.hamiltonian_on` through `_site_axes`).
+`_site_axes` lifts a local table and `_placement` a local matrix onto a
+larger site set, `_relabel` renames the sites of one (periodic
+wrapping), and `_contract_outside` traces sites out of one (the product
+boundary). Everything else goes through them (`embed_table` and
+classical `Oracle.hamiltonian_on` through `_site_axes`, `embed_matrix`
+and quantum `Oracle.hamiltonian_on` through `_placement`).
 
 A `Hamiltonian` is the result of assembling an interaction on a finite
 region under one of three boundary conditions:
@@ -101,16 +102,20 @@ def as_bond(sites) -> Bond:
     return out
 
 
-def operator_norm(data: np.ndarray) -> float:
+def operator_norm(data) -> float:
     """Operator norm of a local term.
 
     Largest singular value for a matrix, max absolute entry for a
-    diagonal table.
+    diagonal table. `data` is read by `_array`.
     """
-    data = np.asarray(data)
-    if data.ndim == 1:
-        return float(np.max(np.abs(data))) if data.size else 0.0
-    return float(np.linalg.norm(data, 2))
+    return _norm(_array(data, "the operator"))
+
+
+def _norm(arr: np.ndarray) -> float:
+    """`operator_norm` of an array already checked (an assembled op)."""
+    if arr.ndim == 1:
+        return float(np.max(np.abs(arr))) if arr.size else 0.0
+    return float(np.linalg.norm(arr, 2))
 
 
 def _real_if_exact(arr: np.ndarray) -> np.ndarray:
@@ -136,28 +141,66 @@ def _site_axes(table: np.ndarray, support: Bond, sites: Bond, q: int) -> np.ndar
     return np.asarray(table).reshape(tuple(q if s in inside else 1 for s in sites))
 
 
-def embed_table(table: np.ndarray, support: Bond, sites: Bond, q: int) -> np.ndarray:
+def embed_table(table, support: Bond, sites: Bond, q: int) -> np.ndarray:
     """Embed a diagonal table living on `support` into `sites`.
 
     Returns a vector of length q^len(sites). `support` must be a
-    subsequence of `sites` (both sorted).
+    subsequence of `sites` (both sorted). `table` is read by `_array`.
     """
+    table = _local_operator(table, len(support), q, CLASSICAL, "the embedded table",
+                            hermitian=False)
     return np.broadcast_to(_site_axes(table, support, sites, q), (q,) * len(sites)).ravel()
 
 
-def embed_matrix(mat: np.ndarray, support: Bond, sites: Bond, q: int) -> np.ndarray:
-    """Embed a matrix living on `support` into `sites` (tensor with identities)."""
-    k, n = len(support), len(sites)
-    if k == n:
-        return np.asarray(mat)
-    a, m = q**k, q ** (n - k)
-    # One product with the identity on the other sites, axes ordered as
-    # support rows, other rows, support cols, other cols.
-    t = np.asarray(mat).reshape(a, 1, a, 1) * np.eye(m).reshape(1, m, 1, m)
-    inside = set(support)
-    order = list(support) + [s for s in sites if s not in inside]
-    rows = [order.index(s) for s in sites]
-    return t.reshape((q,) * (2 * n)).transpose(rows + [n + r for r in rows]).reshape(a * m, a * m)
+def _placement(bond: Bond, sites: Bond, q: int, itemsize: int):
+    """(shape, strides, op_shape) of the view of a C-ordered (q^n, q^n)
+    matrix on `sites` that holds the entries op (x) I reaches, for an
+    operator op on `bond`; `op.reshape(op_shape)` broadcasts onto it.
+    Strides are in bytes of entries of `itemsize`. With step the stride of
+    a site's index and dim = q^n, a site off the bond gets one axis of
+    stride step (dim + 1), a site of the bond a row axis of stride step dim
+    and a column axis of stride step, and adjacent axes that walk memory as
+    one are merged (never one off the bond with one on it: dim + 1 is no
+    multiple of q). A bond that is not a subsequence of `sites` is a
+    ConfigError.
+    """
+    inside = set(bond)
+    if tuple(s for s in sites if s in inside) != tuple(bond):
+        raise ConfigError(f"bond {bond} is not a subsequence of the sites {sites}")
+    dim = q ** len(sites)
+    step, rows, cols = dim * itemsize, [], []
+    for s in sites:
+        step //= q
+        if s in inside:
+            rows.append((q, step * dim, q))
+            cols.append((q, step, q))
+        else:
+            rows.append((q, step * (dim + 1), 1))
+    axes = []
+    for length, stride, op in rows + cols:
+        if axes and axes[-1][1] == length * stride:
+            axes[-1] = (axes[-1][0] * length, stride, axes[-1][2] * op)
+        else:
+            axes.append((length, stride, op))
+    shape, strides, op_shape = zip(*axes)
+    return shape, strides, op_shape
+
+
+def embed_matrix(mat, support: Bond, sites: Bond, q: int) -> np.ndarray:
+    """Embed a matrix living on `support` into `sites` (tensor with identities).
+
+    `support` must be a subsequence of `sites` (both sorted). `mat` is
+    read by `_array`; the result takes its dtype.
+    """
+    mat = _array(mat, "the embedded matrix")
+    dim = q ** len(support)
+    if mat.shape != (dim, dim):
+        raise ConfigError(f"the embedded matrix has shape {mat.shape}, not {dim}x{dim}")
+    out = np.zeros((q ** len(sites),) * 2, mat.dtype)
+    shape, strides, op_shape = _placement(support, sites, q, out.itemsize)
+    view = np.ndarray(shape, out.dtype, out, 0, strides)
+    view += mat.reshape(op_shape)
+    return out
 
 
 def _relabel(data: np.ndarray, old: Bond, site_map: Mapping[Site, Site], q: int):
@@ -235,7 +278,7 @@ class Interaction:
         return tuple(sorted(self.terms, key=lambda b: (len(b), b)))
 
     def norm(self, bond: Bond) -> float:
-        return operator_norm(self.terms[bond])
+        return _norm(self.terms[bond])
 
 
 @dataclass(frozen=True)
@@ -501,10 +544,10 @@ def assemble_hamiltonian(source, region: Region, boundary: str = "free", theta=N
 
     acc = {bond: _real_if_exact(arr) for bond, arr in acc.items()}
     bonds, ops, norms = [], [], []
-    peak = max((operator_norm(a) for a in acc.values()), default=0.0)
+    peak = max((_norm(a) for a in acc.values()), default=0.0)
     for bond in sorted(acc, key=lambda b: (len(b), b)):
         arr = acc[bond]
-        w = operator_norm(arr)
+        w = _norm(arr)
         if w <= 1e-14 * max(1.0, peak):
             meta["dropped"] += 1
             continue

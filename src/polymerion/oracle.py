@@ -22,13 +22,16 @@ sets are diagonalized.
 
 The spectrum of a bond set does not depend on beta. Z and Gibbs traces
 are sums over it: over the energy table of a classical set, or over the
-eigenvalues and eigenvectors of a quantum matrix. A quantum matrix of
-`_SPLIT_DIM` rows or more is split into the connected components of its
-own nonzero pattern (the sectors of any conserved quantity it has), and
-its spectrum is memoized per (bond set, support), so Z, expectations
-and the oracles that `Oracle.at` makes for other betas share it. A
-smaller matrix is one block and is built again when asked, as before:
-splitting or keeping it costs more than it saves.
+eigenvalues and eigenvectors of a quantum matrix. A quantum H_B is built
+by adding each bond's operator in place to one zero matrix, through the
+strided view of the entries op (x) I reaches (`model._placement`, kept
+per bond and support), with the bits of a sum of `embed_matrix` terms.
+A quantum matrix of `_SPLIT_DIM` rows or more is split into the
+connected components of its own nonzero pattern (the sectors of any
+conserved quantity it has), and its spectrum is memoized per (bond set,
+support), so Z, expectations and the oracles that `Oracle.at` makes for
+other betas share it. A smaller matrix is one block and is built again
+when asked, as before: splitting or keeping it costs more than it saves.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from .model import (
     Hamiltonian,
     Site,
     _local_operator,
+    _placement,
     _site_axes,
     as_bond,
     embed_matrix,
@@ -204,6 +208,8 @@ class Oracle:
         self._z: dict[frozenset[int], complex] = {}
         self._spectra: dict = {}
         self._mayer_tables: dict[int, np.ndarray] = {}
+        self._placements: dict = {}
+        self._sites = frozenset(ham.sites)
         self._all = frozenset(range(len(ham.bonds)))
         self._adj = None
         self._bit = {i: 1 << i for i in range(len(ham.bonds))}
@@ -213,11 +219,12 @@ class Oracle:
 
     def at(self, beta: complex) -> "Oracle":
         """An oracle for the same Hamiltonian at another beta that shares
-        this one's memoized spectra (and its bond overlaps, once built), so
-        a beta grid diagonalizes each large bond set once. Its values equal
-        those of a fresh oracle."""
+        this one's memoized spectra and bond placements (and its bond
+        overlaps, once built), so a beta grid diagonalizes each large bond
+        set once. Its values equal those of a fresh oracle."""
         other = Oracle(self.ham, beta)
         other._spectra, other._adj = self._spectra, self._adj
+        other._placements = self._placements
         return other
 
     # -- building blocks ----------------------------------------------------
@@ -256,13 +263,32 @@ class Oracle:
             mask |= bit
         return mask
 
+    def _volume_tuple(self, sites) -> tuple[Site, ...]:
+        """The site set `sites` as a sorted tuple, refused off the volume. A
+        tuple of volume sites is taken as it is; anything else goes through
+        `ham.volume_sites`, which coerces it and names what it refuses."""
+        try:
+            fast = type(sites) is tuple and self._sites.issuperset(sites)
+        except TypeError:  # an unhashable entry
+            fast = False
+        return tuple(sorted(set(sites) if fast else self.ham.volume_sites(sites)))
+
     def hamiltonian_on(self, bond_ids, support=None) -> tuple[tuple[Site, ...], np.ndarray]:
-        """Total operator of the given bonds embedded on `support`."""
+        """(support, total operator of the given bonds on it), in the order
+        of `ids`: broadcast tables (classical) or in-place placements
+        (quantum, see the module docstring). `support` defaults to the
+        bonds' sites, is taken sorted, and must be sites of the volume that
+        hold every site of the bonds; anything else is a ConfigError."""
         ids = self._ids(bond_ids)
-        if support is None:
-            support = self.ham.support(ids)
         q, ham = self.ham.q, self.ham
-        _check_dim(q, len(support), self.ham.kind)
+        if support is None:
+            support = ham.support(ids)
+        else:
+            support = self._volume_tuple(support)
+            missing = {s for i in ids for s in ham.bonds[i]}.difference(support)
+            if missing:
+                raise ConfigError(f"support {support} misses the bond sites {sorted(missing)}")
+        _check_dim(q, len(support), ham.kind)
         if ham.kind == CLASSICAL:
             total = np.zeros((q,) * len(support))
             for i in ids:
@@ -271,7 +297,14 @@ class Oracle:
         dim = q ** len(support)
         total = np.zeros((dim, dim), dtype=self._dtype)
         for i in ids:
-            total = total + embed_matrix(ham.ops[i], ham.bonds[i], support, q)
+            placed = self._placements.get((i, support))
+            if placed is None:
+                shape, strides, op_shape = _placement(ham.bonds[i], support, q, total.itemsize)
+                placed = self._placements[i, support] = (
+                    shape, strides, ham.ops[i].reshape(op_shape))
+            shape, strides, op = placed
+            view = np.ndarray(shape, total.dtype, total, 0, strides)
+            view += op
         return support, total
 
     def _spectrum(self, ids: frozenset, support) -> "_Spectrum":
@@ -318,11 +351,10 @@ class Oracle:
         else:
             parts = [mask] if mask else []
         if len(parts) == 1:
-            support = self.ham.support(ids)
             if self.ham.kind == CLASSICAL:
-                energies = self.hamiltonian_on(ids, support)[1]
+                energies = self.hamiltonian_on(ids)[1]
             else:
-                energies = self._spectrum(ids, support).energies()
+                energies = self._spectrum(ids, self.ham.support(ids)).energies()
             # An overflow is reported by the NumericalError below, not by numpy.
             with np.errstate(over="ignore", invalid="ignore"):
                 val = complex(np.mean(np.exp(-self.beta * energies)))
@@ -431,9 +463,11 @@ class Oracle:
 
         Quantum: the sum over blocks of e^{-beta E_k} (V^H A V)_kk, so only
         the diagonal blocks of A enter, and no exp(-beta H) is formed.
+        `support` and the observable's sites are refused as in
+        `hamiltonian_on`.
         """
         ids = self._ids(bond_ids)
-        support = tuple(sorted(set(support) | set(obs.support)))
+        support = self._volume_tuple((*self._volume_tuple(support), *obs.support))
         q = self.ham.q
         if self.ham.kind == CLASSICAL:
             a = embed_table(obs.data, obs.support, support, q)

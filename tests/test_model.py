@@ -156,36 +156,73 @@ def test_embed_matrix_matches_the_tensordot_reference(rng, q, support):
 
 
 def _scattered_hamiltonian(rng, q, kind):
-    """Fields, pairs and a triple on four sites, none of them a prefix only."""
+    """Fields, pairs and a triple on four sites, none of them a prefix only.
+    "mixed" is quantum with every other term real (float64)."""
     bonds = [((0,),), ((2,),), ((0,), (1,)), ((1,), (3,)), ((0,), (2,)), ((0,), (2,), (3,))]
     if kind == "classical":
         terms = [(b, random_table(rng, q, len(b), 1.0)) for b in bonds]
     else:
         terms = [(b, random_hermitian(rng, q, len(b), 1.0)) for b in bonds]
+    if kind == "mixed":
+        terms = [(b, m.real if j % 2 else m) for j, (b, m) in enumerate(terms)]
+        kind = QUANTUM
     inter = Interaction.from_terms(q=q, kind=kind, terms=terms)
     return assemble_hamiltonian(inter, Region.from_sites(FOUR_SITES), boundary="free")
 
 
+def _summed_embeddings(ham, ids, sites, dtype):
+    """H_B as the sum of the reference embeddings, in the order of `ids`."""
+    q, dim = ham.q, ham.q ** len(sites)
+    if ham.kind == "classical":
+        want = np.zeros(dim)
+        for i in ids:
+            want = want + embed_table(ham.ops[i], ham.bonds[i], sites, q)
+        return want
+    want = np.zeros((dim, dim), dtype=dtype)
+    for i in ids:
+        want = want + embed_matrix_reference(ham.ops[i], ham.bonds[i], sites, q)
+    return want
+
+
 @pytest.mark.parametrize("q", [2, 3])
-@pytest.mark.parametrize("kind", ["classical", "quantum"])
+@pytest.mark.parametrize("kind", ["classical", "quantum", "mixed"])
 def test_hamiltonian_on_sums_the_old_embeddings_bit_for_bit(rng, q, kind):
     ham = _scattered_hamiltonian(rng, q, kind)
+    if kind == "mixed":
+        assert {op.dtype for op in ham.ops} == {np.dtype(float), np.dtype(complex)}
+    dtype = float if kind == "classical" else complex
     orc = Oracle(ham, 0.3)
     n_bonds = len(ham.bonds)
     for mask in range(1, 1 << n_bonds):
         ids = frozenset(i for i in range(n_bonds) if (mask >> i) & 1)
-        for support in (None, ham.sites):
+        # The bonds' own sites, the volume, and (where there is one) a
+        # support between the two.
+        supports = [None, ham.sites]
+        outside = [s for s in ham.sites if s not in ham.support(ids)]
+        if len(outside) > 1:
+            supports.append(tuple(sorted(ham.support(ids) + (outside[0],))))
+        for support in supports:
             sites, got = orc.hamiltonian_on(ids, support)
-            dim = q ** len(sites)
-            if kind == "classical":
-                want = np.zeros(dim)
-                for i in ids:
-                    want = want + embed_table(ham.ops[i], ham.bonds[i], sites, q)
-            else:
-                want = np.zeros((dim, dim), dtype=complex)
-                for i in ids:
-                    want = want + embed_matrix_reference(ham.ops[i], ham.bonds[i], sites, q)
+            assert sites == (ham.support(ids) if support is None else support)
+            want = _summed_embeddings(ham, ids, sites, dtype)
+            assert got.dtype == np.dtype(dtype)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_the_512_row_heisenberg_matrix_is_the_old_sum_bit_for_bit():
+    ham = assemble_hamiltonian(heisenberg_model(2), Region.box([3, 3]))
+    every = frozenset(range(len(ham.bonds)))
+    sites, got = Oracle(ham, 0.3).hamiltonian_on(every)
+    assert got.shape == (512, 512) and got.dtype == np.float64
+    assert got.tobytes() == _summed_embeddings(ham, every, sites, float).tobytes()
+
+
+def test_hamiltonian_on_takes_its_support_sorted():
+    ham = assemble_hamiltonian(heisenberg_model(1), Region.box([4]))
+    orc = Oracle(ham, 0.3)
+    sites, got = orc.hamiltonian_on([0], [(1,), (0,)])
+    assert sites == ((0,), (1,))
+    assert np.array_equal(got, orc.hamiltonian_on([0])[1])
 
 
 def test_relabel_moves_table_and_matrix_axes_alike(rng):

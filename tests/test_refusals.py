@@ -32,6 +32,7 @@ from polymerion import (
     ks_solve,
     mobius_transform,
     nn_radius,
+    operator_norm,
     park_compare,
     potts_model,
     tree_bound,
@@ -39,10 +40,13 @@ from polymerion import (
 )
 from polymerion import polymers
 from polymerion.config import parse_array, parse_scalar, parse_sites
-from polymerion.model import as_site
+from polymerion.model import as_site, embed_matrix, embed_table
 
 NAN, INF = float("nan"), float("inf")
 CHAIN = assemble_hamiltonian(ising_model(1), Region.box([4]), boundary="free")
+HCHAIN = assemble_hamiltonian(heisenberg_model(1), Region.box([4]), boundary="free")
+SPIN = Observable.make([(0,)], np.diag([1.0, -1.0]))
+TWO = ((0,), (1,))
 # Two single-bond polymers sharing a site.
 PAIR = [Polymer(bonds=(i,), support=frozenset([(0,), (i + 1,)])) for i in range(2)]
 
@@ -138,6 +142,36 @@ PROBES = {
     "fp_iterate-lam-mixed-bool": ("lam", lambda: fp_iterate(PAIR, [0.1, True])),
     "mobius_transform-str": ("values", lambda: mobius_transform(["a", "b"])),
     "mobius_transform-3": ("values", lambda: mobius_transform([1, 2, 3])),
+    # Caller arrays of the model's helpers: a nan norm or embedding came out.
+    "operator_norm-nan": ("operator", lambda: operator_norm([1.0, NAN])),
+    "embed_table-nan": ("embedded table", lambda: embed_table([NAN, 1.0], ((0,),), TWO, 2)),
+    "embed_table-size": ("embedded table", lambda: embed_table([1.0] * 3, ((0,),), TWO, 2)),
+    "embed_matrix-nan": (
+        "embedded matrix", lambda: embed_matrix(np.full((2, 2), NAN), ((0,),), TWO, 2)
+    ),
+    "embed_matrix-shape": ("embedded matrix", lambda: embed_matrix(np.eye(3), ((0,),), TWO, 2)),
+    "embed_matrix-order": (
+        "subsequence", lambda: embed_matrix(np.eye(4), ((1,), (0,)), TWO, 2)
+    ),
+    "embed_matrix-missing": ("subsequence", lambda: embed_matrix(np.eye(2), ((2,),), TWO, 2)),
+    # Supports: bond ((1,), (2,)) was placed on sites (0, 1), and a site off
+    # the volume was taken.
+    "hamiltonian_on-support-short": (
+        "misses the bond sites", lambda: Oracle(HCHAIN, 0.3).hamiltonian_on([0, 1], TWO)
+    ),
+    "hamiltonian_on-support-outside": (
+        "not in the volume",
+        lambda: Oracle(HCHAIN, 0.3).hamiltonian_on([0, 1], ((0,), (1,), (9,))),
+    ),
+    "boltzmann-support-short": (
+        "misses the bond sites", lambda: Oracle(HCHAIN, 0.3).boltzmann([1], TWO)
+    ),
+    "weighted_trace-support-short": (
+        "misses the bond sites", lambda: Oracle(HCHAIN, 0.3).weighted_trace(SPIN, [2], TWO)
+    ),
+    "weighted_trace-support-outside": (
+        "not in the volume", lambda: Oracle(HCHAIN, 0.3).weighted_trace(SPIN, [0], [(7,)])
+    ),
     "free_energy_series-weights-nan": (
         "weights",
         lambda: free_energy_series(
