@@ -374,7 +374,9 @@ def anchored_polymer_sum(source, beta: complex, a: float, truncation: int) -> fl
 
     A lower bound on the anchored sum the tree criterion caps (it is cut
     at `truncation` bonds per polymer), monotone in the truncation. A
-    negative truncation is refused; a sum past the float range is inf.
+    negative truncation is refused; a sum past the float range is inf, and
+    one that is not a number (an infinite W(X) times an e^{a|X|} that
+    underflows) a NumericalError.
     """
     a = _cast(a, "a", float)
     truncation = _cast(truncation, "anchored_truncation", int, least=0)
@@ -390,21 +392,18 @@ def anchored_polymer_sum(source, beta: complex, a: float, truncation: int) -> fl
     else:
         raise ConfigError("anchored sums need a Hamiltonian or a LatticeModel")
     # W(X) e^{a|X|} per bond, inf past the float range, and 0 where W(X) is.
-    # A W(X) past the float range is e^{|beta| ||Phi||} to the last bit
-    # (the -1 is far below its rounding), so its factor is taken in logs:
-    # inf * e^{a|X|} would be nan where e^{a|X|} underflows to 0.
-    ab = abs(_cast(beta, "beta", complex))
-    factors = [_unbounded(math.exp, ab * n + a * len(b)) if w == math.inf
-               else w and w * _unbounded(math.exp, a * len(b))
-               for w, n, b in zip(bond_weights(ham.norms, beta), ham.norms, ham.bonds)]
+    factors = [w and w * _unbounded(math.exp, a * len(b))
+               for w, b in zip(bond_weights(ham.norms, beta), ham.bonds)]
     for p in polymers:
         w = math.prod(factors[i] for i in p.bonds)
-        if w != w:
-            raise NumericalError("anchored sum is not a number: a polymer's factors "
-                                 "overflow and underflow the float range")
         for s in p.support:
             if s in per_site:
                 per_site[s] += w
+    # inf * 0, a W(X) past the float range times an e^{a|X|} under it, is
+    # nan, and a nan weight reaches the sum of a site of its polymer.
+    if any(v != v for v in per_site.values()):
+        raise NumericalError("anchored sum is not a number: a polymer's weights "
+                             "overflow and underflow the float range")
     return max(per_site.values(), default=0.0)
 
 

@@ -152,21 +152,17 @@ def embed_table(table, support: Bond, sites: Bond, q: int) -> np.ndarray:
     return np.broadcast_to(_site_axes(table, support, sites, q), (q,) * len(sites)).ravel()
 
 
-def _placement(bond: Bond, sites: Bond, q: int, itemsize: int):
-    """(shape, strides, op_shape) of the view of a C-ordered (q^n, q^n)
-    matrix on `sites` that holds the entries op (x) I reaches, for an
-    operator op on `bond`; `op.reshape(op_shape)` broadcasts onto it.
-    Strides are in bytes of entries of `itemsize`. With step the stride of
-    a site's index and dim = q^n, a site off the bond gets one axis of
-    stride step (dim + 1), a site of the bond a row axis of stride step dim
-    and a column axis of stride step, and adjacent axes that walk memory as
-    one are merged (never one off the bond with one on it: dim + 1 is no
-    multiple of q). A bond that is not a subsequence of `sites` is a
-    ConfigError.
+def _placement(op: np.ndarray, bond: Bond, sites: Bond, q: int, itemsize: int):
+    """(shape, strides, op reshaped) of the view of a C-ordered (q^n, q^n)
+    matrix on `sites` that holds the entries op (x) I reaches, for `op` on
+    `bond` (a subsequence of `sites`, not checked here): the reshaped op
+    broadcasts onto the view. Strides are in bytes of `itemsize`. With step
+    the stride of a site's index and dim = q^n, a site off the bond gets
+    one axis of stride step (dim + 1), a bond site a row axis of stride
+    step dim and a column axis of stride step; adjacent axes that walk
+    memory as one are merged.
     """
     inside = set(bond)
-    if tuple(s for s in sites if s in inside) != tuple(bond):
-        raise ConfigError(f"bond {bond} is not a subsequence of the sites {sites}")
     dim = q ** len(sites)
     step, rows, cols = dim * itemsize, [], []
     for s in sites:
@@ -177,13 +173,13 @@ def _placement(bond: Bond, sites: Bond, q: int, itemsize: int):
         else:
             rows.append((q, step * (dim + 1), 1))
     axes = []
-    for length, stride, op in rows + cols:
+    for length, stride, part in rows + cols:
         if axes and axes[-1][1] == length * stride:
-            axes[-1] = (axes[-1][0] * length, stride, axes[-1][2] * op)
+            axes[-1] = (axes[-1][0] * length, stride, axes[-1][2] * part)
         else:
-            axes.append((length, stride, op))
+            axes.append((length, stride, part))
     shape, strides, op_shape = zip(*axes)
-    return shape, strides, op_shape
+    return shape, strides, op.reshape(op_shape)
 
 
 def embed_matrix(mat, support: Bond, sites: Bond, q: int) -> np.ndarray:
@@ -196,10 +192,18 @@ def embed_matrix(mat, support: Bond, sites: Bond, q: int) -> np.ndarray:
     dim = q ** len(support)
     if mat.shape != (dim, dim):
         raise ConfigError(f"the embedded matrix has shape {mat.shape}, not {dim}x{dim}")
+    inside = set(support)
+    if tuple(s for s in sites if s in inside) != tuple(support):
+        raise ConfigError(f"support {support} is not a subsequence of the sites {sites}")
+    return _embed_matrix(mat, support, sites, q)
+
+
+def _embed_matrix(mat: np.ndarray, support: Bond, sites: Bond, q: int) -> np.ndarray:
+    """`embed_matrix` of a matrix and sites already checked."""
     out = np.zeros((q ** len(sites),) * 2, mat.dtype)
-    shape, strides, op_shape = _placement(support, sites, q, out.itemsize)
+    shape, strides, op = _placement(mat, support, sites, q, out.itemsize)
     view = np.ndarray(shape, out.dtype, out, 0, strides)
-    view += mat.reshape(op_shape)
+    view += op
     return out
 
 

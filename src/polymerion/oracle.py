@@ -48,12 +48,12 @@ from .model import (
     Bond,
     Hamiltonian,
     Site,
+    _embed_matrix,
     _local_operator,
     _placement,
     _site_axes,
     as_bond,
-    embed_matrix,
-    embed_table,
+    site_set,
 )
 from .numeric import _array, _cast
 from .ursell import _bits, _components, _overlap_masks
@@ -81,12 +81,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Observable:
-    """A local observable: a table (classical) or matrix (quantum) on a bond."""
+    """A local observable: a table (classical) or matrix (quantum) on a
+    bond, whose sites are given sorted (`make` sorts them)."""
 
     support: Bond
     data: np.ndarray
 
     def __post_init__(self):
+        if as_bond(self.support) != tuple(self.support):
+            raise ConfigError(f"the observable's sites {self.support} are not a sorted bond")
         object.__setattr__(self, "data", _array(self.data, "the observable"))
 
     @classmethod
@@ -209,7 +212,6 @@ class Oracle:
         self._spectra: dict = {}
         self._mayer_tables: dict[int, np.ndarray] = {}
         self._placements: dict = {}
-        self._sites = frozenset(ham.sites)
         self._all = frozenset(range(len(ham.bonds)))
         self._adj = None
         self._bit = {i: 1 << i for i in range(len(ham.bonds))}
@@ -263,15 +265,17 @@ class Oracle:
             mask |= bit
         return mask
 
-    def _volume_tuple(self, sites) -> tuple[Site, ...]:
-        """The site set `sites` as a sorted tuple, refused off the volume. A
-        tuple of volume sites is taken as it is; anything else goes through
-        `ham.volume_sites`, which coerces it and names what it refuses."""
-        try:
-            fast = type(sites) is tuple and self._sites.issuperset(sites)
-        except TypeError:  # an unhashable entry
-            fast = False
-        return tuple(sorted(set(sites) if fast else self.ham.volume_sites(sites)))
+    def _support(self, ids, support) -> tuple[Site, ...]:
+        """`support` as a sorted tuple of volume sites that holds every site
+        of the bonds `ids` (checked), or the bonds' sites if None; anything
+        else is a ConfigError. The one check of a caller's support."""
+        if support is None:
+            return self.ham.support(ids)
+        sites = self.ham.volume_sites(support)
+        missing = {s for i in ids for s in self.ham.bonds[i]}.difference(sites)
+        if missing:
+            raise ConfigError(f"support {sorted(sites)} misses the bond sites {sorted(missing)}")
+        return tuple(sorted(sites))
 
     def hamiltonian_on(self, bond_ids, support=None) -> tuple[tuple[Site, ...], np.ndarray]:
         """(support, total operator of the given bonds on it), in the order
@@ -280,52 +284,55 @@ class Oracle:
         bonds' sites, is taken sorted, and must be sites of the volume that
         hold every site of the bonds; anything else is a ConfigError."""
         ids = self._ids(bond_ids)
+        support = self._support(ids, support)
+        return support, self._on(ids, support)
+
+    def _on(self, ids: frozenset, support) -> np.ndarray:
+        """`hamiltonian_on` of ids and a support already checked."""
         q, ham = self.ham.q, self.ham
-        if support is None:
-            support = ham.support(ids)
-        else:
-            support = self._volume_tuple(support)
-            missing = {s for i in ids for s in ham.bonds[i]}.difference(support)
-            if missing:
-                raise ConfigError(f"support {support} misses the bond sites {sorted(missing)}")
         _check_dim(q, len(support), ham.kind)
         if ham.kind == CLASSICAL:
             total = np.zeros((q,) * len(support))
             for i in ids:
                 total = total + _site_axes(ham.ops[i], ham.bonds[i], support, q)
-            return support, total.ravel()
+            return total.ravel()
         dim = q ** len(support)
         total = np.zeros((dim, dim), dtype=self._dtype)
         for i in ids:
             placed = self._placements.get((i, support))
             if placed is None:
-                shape, strides, op_shape = _placement(ham.bonds[i], support, q, total.itemsize)
-                placed = self._placements[i, support] = (
-                    shape, strides, ham.ops[i].reshape(op_shape))
-            shape, strides, op = placed
-            view = np.ndarray(shape, total.dtype, total, 0, strides)
-            view += op
-        return support, total
+                placed = self._placements[i, support] = _placement(
+                    ham.ops[i], ham.bonds[i], support, q, total.itemsize)
+            view = np.ndarray(placed[0], total.dtype, total, 0, placed[1])
+            view += placed[2]
+        return total
 
     def _spectrum(self, ids: frozenset, support) -> "_Spectrum":
         """The `_Spectrum` of a quantum H_B on `support`, memoized from
         `_SPLIT_DIM` rows on; a smaller one costs less to build again than
-        to keep. `ids` are checked."""
+        to keep. `ids` and `support` are checked."""
         if self.ham.q ** len(support) < _SPLIT_DIM:
-            return _Spectrum(self.hamiltonian_on(ids, support)[1])
+            return _Spectrum(self._on(ids, support))
         key = (ids, support)
         spectrum = self._spectra.get(key)
         if spectrum is None:
-            spectrum = self._spectra[key] = _Spectrum(self.hamiltonian_on(ids, support)[1])
+            spectrum = self._spectra[key] = _Spectrum(self._on(ids, support))
         return spectrum
 
     def boltzmann(self, bond_ids, support=None) -> tuple[tuple[Site, ...], np.ndarray]:
-        """exp(-beta H_B) on `support` (table for classical, matrix for quantum)."""
-        support, total = self.hamiltonian_on(bond_ids, support)
+        """exp(-beta H_B) on `support` (table for classical, matrix for
+        quantum), refused as in `hamiltonian_on`."""
+        ids = self._ids(bond_ids)
+        support = self._support(ids, support)
+        return support, self._boltzmann(ids, support)
+
+    def _boltzmann(self, ids: frozenset, support) -> np.ndarray:
+        """`boltzmann` of ids and a support already checked."""
+        total = self._on(ids, support)
         if self.ham.kind == CLASSICAL:
-            return support, np.exp(-self.beta * total)
+            return np.exp(-self.beta * total)
         w, v = np.linalg.eigh(total)
-        return support, (v * np.exp(-self.beta * w)) @ v.conj().T
+        return (v * np.exp(-self.beta * w)) @ v.conj().T
 
     # -- partition functions ------------------------------------------------
 
@@ -351,10 +358,11 @@ class Oracle:
         else:
             parts = [mask] if mask else []
         if len(parts) == 1:
+            support = self.ham.support(ids)
             if self.ham.kind == CLASSICAL:
-                energies = self.hamiltonian_on(ids)[1]
+                energies = self._on(ids, support)
             else:
-                energies = self._spectrum(ids, self.ham.support(ids)).energies()
+                energies = self._spectrum(ids, support).energies()
             # An overflow is reported by the NumericalError below, not by numpy.
             with np.errstate(over="ignore", invalid="ignore"):
                 val = complex(np.mean(np.exp(-self.beta * energies)))
@@ -429,7 +437,8 @@ class Oracle:
         _check_dim(q, len(support), self.ham.kind)
         dim = q ** len(support)
         acc = _alternating_sum(
-            ids, lambda sub: self.boltzmann(sub, support)[1], np.zeros((dim, dim), dtype=complex)
+            ids, lambda sub: self._boltzmann(frozenset(sub), support),
+            np.zeros((dim, dim), dtype=complex),
         )
         return support, acc
 
@@ -467,13 +476,13 @@ class Oracle:
         `hamiltonian_on`.
         """
         ids = self._ids(bond_ids)
-        support = self._volume_tuple((*self._volume_tuple(support), *obs.support))
+        support = self._support(ids, site_set(support).union(obs.support))
         q = self.ham.q
         if self.ham.kind == CLASSICAL:
-            a = embed_table(obs.data, obs.support, support, q)
-            return complex(np.mean(a * np.exp(-self.beta * self.hamiltonian_on(ids, support)[1])))
+            a = np.broadcast_to(_site_axes(obs.data, obs.support, support, q), (q,) * len(support))
+            return complex(np.mean(a.ravel() * np.exp(-self.beta * self._on(ids, support))))
         spectrum = self._spectrum(ids, support)
-        a = embed_matrix(obs.data, obs.support, support, q)
+        a = _embed_matrix(obs.data, obs.support, support, q)
         acc = 0j
         for (rows, _), (w, v) in zip(spectrum.groups, spectrum.eigh()):
             block = a if rows is None else a[rows[:, :, None], rows[:, None, :]]

@@ -752,20 +752,19 @@ def test_anchored_sum_past_the_float_range_is_inf():
     assert anchored_polymer_sum(CHAIN4, 0.0, 1000.0, 2) == 0.0
 
 
-def test_an_infinite_bond_weight_is_taken_in_logs():
-    # W(X) = inf times e^{a|X|} = 0 gave nan. In logs a factor is
-    # e^{beta - 2|a|}: e^{-1000} underflows to 0, and at a = -400 the middle
-    # sites meet two pairs of e^{200}.
-    assert anchored_polymer_sum(CHAIN4, 1000.0, -1000.0, 2) == 0.0
-    got = anchored_polymer_sum(CHAIN4, 1000.0, -400.0, 2)
-    assert got == pytest.approx(2.0 * math.exp(400.0), rel=1e-13)
-    # One factor past the float range and one under it: no number to give.
+def test_an_infinite_bond_weight_times_an_underflow_is_refused():
+    # W(X) = inf times e^{a|X|} = 0 gave nan.
+    with pytest.raises(NumericalError, match="float range"):
+        anchored_polymer_sum(CHAIN4, 1000.0, -1000.0, 2)
+    # One factor past the float range and one under it: inf * 0 in a product.
     zz = np.array([1.0, -1.0, -1.0, 1.0])
     inter = Interaction.from_terms(2, "classical", [([(0,), (1,)], 10.0 * zz),
                                                     ([(1,), (2,)], 1e-3 * zz)])
     ham = assemble_hamiltonian(inter, Region.box([3]))
     with pytest.raises(NumericalError, match="float range"):
         anchored_polymer_sum(ham, 1000.0, -1000.0, 2)
+    # A finite factor that underflows is only 0.
+    assert anchored_polymer_sum(CHAIN4, 1.0, -1000.0, 2) == 0.0
 
 
 def test_a_per_class_zeta_sequence_equal_to_a_scalar_gives_the_same_report():

@@ -120,6 +120,8 @@ PROBES = {
     ),
     "Observable.make-nan": ("observable", lambda: Observable.make([(1,)], [NAN, 1.0])),
     "Observable-nan": ("observable", lambda: Observable(((1,),), np.array([NAN, 1.0]))),
+    # An unsorted support would be placed as if sorted.
+    "Observable-unsorted": ("sorted bond", lambda: Observable(((1,), (0,)), np.eye(4))),
     "Observable.make-str": ("observable", lambda: Observable.make([(1,)], ["a", "b"])),
     "Observable.make-ragged": (
         "observable", lambda: Observable.make([(0,), (1,)], [[1.0, 0.0], [0.0]])
