@@ -9,18 +9,25 @@
     polymerion repro                    self-check battery of pinned values
     polymerion validate --config FILE   parse and echo a normalized config
 
-Configs are JSON (see `config`); results go to stdout as JSON or to
-`output.path` as CSV or JSON. Exit codes: 0 success, 2 bad config,
-3 numerical failure.
+One parser takes the command and the shared `--config`, `--output` and
+`--format`; `polymerion --help` lists the commands. Configs are JSON (see
+`config`); results go to stdout as JSON or to `output.path` as CSV or
+JSON. `ks` writes g(X) for the subsets X of at most `max_subset_size`
+sites, by size and then by sorted sites. Exit codes: 0 success (also when
+the reader of stdout closes it early, as `| head` does), 2 bad config or
+usage, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import csv
+import itertools
 import json
 import math
+import os
 import sys
 
 from . import config as cfgmod
@@ -101,6 +108,24 @@ def _write_csv(stream, rows, meta):
         w.writerow(cells)
 
 
+@contextlib.contextmanager
+def _stdout():
+    """Write to sys.stdout in the block, then flush it. When it is the real
+    stdout and its reader has closed it (`polymerion ks ... | head`), stop
+    writing with no error: the run succeeded. stdout then points at
+    os.devnull, so the flush at exit cannot raise again. A swapped
+    sys.stdout raises as ever."""
+    try:
+        yield
+        sys.stdout.flush()
+    except BrokenPipeError:
+        if sys.stdout is not sys.__stdout__:
+            raise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit(cfg: dict, args, rows, meta, default_format):
     out = cfgmod.section(cfg, "output")
     path = args.output or out.get("path")
@@ -119,7 +144,8 @@ def _emit(cfg: dict, args, rows, meta, default_format):
         with open(path, "w", newline="") as fh:
             writer(fh, rows, meta)
     else:
-        writer(sys.stdout, rows, meta)
+        with _stdout():
+            writer(sys.stdout, rows, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -342,12 +368,9 @@ def _cmd_ks(cfg):
         max_iter=cfgmod.option(sec, "ks", "max_iter", int, 500),
         max_polymer_bonds=cfgmod.option(sec, "ks", "max_polymer_bonds", int, None),
     )
-    rows = []
-    for X in sorted(sol.g, key=lambda s: (len(s), sorted(s))):
-        if len(X) > cap:
-            continue
-        label = ";".join(",".join(str(c) for c in site) for site in sorted(X))
-        rows.append({"sites": label, "size": len(X), "g": complex(sol.g[X])})
+    rows = [{"sites": ";".join(",".join(map(str, site)) for site in X), "size": k,
+             "g": complex(sol.g[frozenset(X)])}
+            for k in range(1, cap + 1) for X in itertools.combinations(sorted(ham.sites), k)]
     meta = {
         "beta": betas[0],
         "a": sol.a,
@@ -362,8 +385,9 @@ def _cmd_ks(cfg):
 
 
 def _cmd_validate(cfg):
-    json.dump(cfgmod.normalized_summary(cfg), sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    with _stdout():
+        json.dump(cfgmod.normalized_summary(cfg), sys.stdout, indent=2)
+        sys.stdout.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -430,12 +454,13 @@ def _repro_checks():
 
 def _cmd_repro(cfg):
     failures = 0
-    for label, ok in _repro_checks():
-        print(f"{'ok  ' if ok else 'FAIL'}  {label}")
-        failures += 0 if ok else 1
-    print(f"{'all checks passed' if failures == 0 else f'{failures} check(s) failed'}")
-    if failures:
-        raise NumericalError(f"{failures} reproduction check(s) failed")
+    with _stdout():
+        for label, ok in _repro_checks():
+            print(f"{'ok  ' if ok else 'FAIL'}  {label}")
+            failures += 0 if ok else 1
+        print(f"{'all checks passed' if failures == 0 else f'{failures} check(s) failed'}")
+        if failures:
+            raise NumericalError(f"{failures} reproduction check(s) failed")
 
 
 # ---------------------------------------------------------------------------
@@ -462,21 +487,19 @@ def build_parser() -> argparse.ArgumentParser:
         prog="polymerion",
         description="High-temperature cluster expansions for lattice spin systems.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, needs_cfg, _) in _COMMANDS.items():
-        p = sub.add_parser(name)
-        p.add_argument(
-            "--config", required=needs_cfg, default=None, metavar="FILE",
-            help="JSON run configuration",
-        )
-        p.add_argument("--output", default=None, metavar="PATH", help="write results here")
-        p.add_argument("--format", default=None, choices=("csv", "json"))
+    parser.add_argument("command", choices=list(_COMMANDS))
+    parser.add_argument("--config", metavar="FILE", help="JSON run configuration")
+    parser.add_argument("--output", metavar="PATH", help="write results here")
+    parser.add_argument("--format", choices=("csv", "json"))
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    handler, _, default_format = _COMMANDS[args.command]
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    handler, needs_cfg, default_format = _COMMANDS[args.command]
+    if needs_cfg and args.config is None:
+        parser.error(f"{args.command} needs --config FILE")
     try:
         cfg = cfgmod.load_config(args.config) if args.config else {}
         result = handler(cfg)

@@ -51,8 +51,10 @@ from .model import (
     _embed_matrix,
     _local_operator,
     _placement,
+    _relabel,
     _site_axes,
     as_bond,
+    as_site,
     site_set,
 )
 from .numeric import _array, _cast
@@ -94,7 +96,30 @@ class Observable:
 
     @classmethod
     def make(cls, sites, data) -> "Observable":
-        return cls(support=as_bond(sites), data=data)
+        """An observable whose data follows `sites` in the order given.
+
+        The data's axes are permuted into sorted-site order by
+        `model._relabel`. A square 2-D array whose side is q^k on k sites is
+        read as a matrix, any other array of q^k entries as a table; data of
+        another size is kept as given, for the volume's shape check to refuse.
+        """
+        given = tuple(as_site(s) for s in sites)
+        support = as_bond(given)
+        arr = _array(data, "the observable")
+        if given != support:
+            k = len(given)
+            q = _root(arr.shape[0], k) if arr.ndim == 2 and arr.shape[0] == arr.shape[1] else None
+            if q is None:
+                arr, q = arr.reshape(-1), _root(arr.size, k)
+            if q is not None:
+                arr = _relabel(arr, given, {s: s for s in given}, q)[1]
+        return cls(support=support, data=arr)
+
+
+def _root(n: int, k: int) -> int | None:
+    """The integer q with q^k = n, or None."""
+    q = round(n ** (1.0 / k))
+    return q if q**k == n else None
 
 
 def _check_dim(q: int, nsites: int, kind: str):

@@ -7,7 +7,9 @@ reach rounding level at modest orders and the whole randomized suite
 runs in seconds.
 
 `ks_reference` keeps the per-subset hierarchy sweep that `ks_solve`
-replaced, as the bit-for-bit reference of the vectorized solver, and
+replaced, as the bit-for-bit reference of the vectorized solver.
+`ks_rows_reference` keeps the `ks` command's filter of every solved subset,
+sorted by size and sorted sites, as the reference of its rows. And
 `embed_matrix_reference` keeps the identity-by-identity embedding that
 `model.embed_matrix` replaced. `fp_phi_reference` and
 `fp_iterate_reference` keep the memoized per-polymer recursion that the
@@ -238,6 +240,17 @@ def ks_reference(sites, kernel, a: float, tol: float, max_iter: int) -> dict:
         "contraction": contraction,
         "converged": residual <= tol,
     }
+
+
+def ks_rows_reference(g: dict, cap: int) -> list[tuple[str, int, complex]]:
+    """(label, size, g) of the `ks` rows, by the sort and filter of every
+    subset that the command's combinations of sorted sites replaced."""
+    rows = []
+    for X in sorted(g, key=lambda s: (len(s), sorted(s))):
+        if len(X) <= cap:
+            label = ";".join(",".join(str(c) for c in site) for site in sorted(X))
+            rows.append((label, len(X), g[X]))
+    return rows
 
 
 def embed_matrix_reference(mat, support, sites, q: int) -> np.ndarray:

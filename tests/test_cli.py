@@ -1,6 +1,7 @@
 """End-to-end runs of the command line against closed forms and goldens."""
 
 import csv
+import io
 import json
 import math
 import os
@@ -9,8 +10,10 @@ import sys
 
 import pytest
 
-from polymerion import Oracle, Region, assemble_hamiltonian, ising_model
+from polymerion import Oracle, Region, assemble_hamiltonian, ising_model, ks_solve
 from polymerion.cli import main
+
+from helpers import ks_rows_reference
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -227,6 +230,22 @@ def test_ks_csv_matches_exact_correlations(tmp_path):
         assert int(row["size"]) == len(sites) <= 2
         got = complex(float(row["g_re"]), float(row["g_im"]))
         assert abs(got - orc.reduced_correlation(sites)) < 1e-8
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 7])
+def test_ks_rows_are_the_subsets_up_to_the_cap(tmp_path, cap):
+    # 7 is above the 6 sites of the patch: every subset is written.
+    doc = {"model": {"preset": "ising", "dimension": 2, "field": 0.2},
+           "region": {"extent": [2, 3], "boundary": "free"}, "beta": 0.05,
+           "ks": {"max_subset_size": cap}}
+    out = tmp_path / "g.csv"
+    assert main(["ks", "--config", write_cfg(tmp_path, doc), "--output", str(out)]) == 0
+    got = [(r["sites"], int(r["size"]), complex(float(r["g_re"]), float(r["g_im"])))
+           for r in read_csv_rows(out.read_text())]
+    ham = assemble_hamiltonian(ising_model(2, field_h=0.2), Region.box([2, 3]), boundary="free")
+    want = ks_rows_reference(ks_solve(ham, 0.05).g, cap)
+    assert len(want) == sum(math.comb(6, k) for k in range(1, min(cap, 6) + 1))
+    assert got == want
 
 
 def test_ks_json_reports_contraction_metadata(tmp_path, capsys):
@@ -559,3 +578,71 @@ def test_exit_codes(tmp_path, capsys):
     cold = write_cfg(tmp_path, chain_cfg(8, 400.0), name="cold.json")
     assert main(["exact", "--config", cold]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [([command], f"{command} needs --config FILE")
+     for command in ("exact", "series", "radius", "ks", "validate")]
+    + [(["bogus"], "argument command: invalid choice: 'bogus'"),
+       (["table1", "--format", "xml"], "argument --format: invalid choice: 'xml'")],
+    ids=["exact", "series", "radius", "ks", "validate", "unknown-command", "format-xml"],
+)
+def test_usage_errors_exit_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: polymerion")
+    assert f"\npolymerion: error: {message}" in captured.err
+
+
+@pytest.mark.parametrize("command", ["table1", "park", "repro"])
+def test_commands_without_a_config_run(capsys, command):
+    assert main([command]) == 0
+    assert capsys.readouterr().out
+
+
+def test_a_closed_stdout_ends_the_run_quietly(tmp_path):
+    # 4095 rows, far more than a pipe holds: the reader closes the pipe
+    # while the writer is still writing.
+    doc = {"model": ISING_D2, "region": {"extent": [3, 4], "boundary": "free"},
+           "beta": 0.04, "ks": {"max_subset_size": 12, "max_polymer_bonds": 3}}
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from polymerion.cli import main; sys.exit(main())",
+         "ks", "--config", write_cfg(tmp_path, doc)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    head = proc.stdout.read(200)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert err == b""
+    assert head.startswith(b'{\n  "meta"')
+
+
+def test_a_swapped_stdout_that_breaks_still_raises(monkeypatch):
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", Closed())
+    with pytest.raises(BrokenPipeError):
+        main(["table1"])
+
+
+def test_an_observable_reads_the_same_in_either_site_order(tmp_path, capsys):
+    # s_1 [s_0 up]: table rows are the first site written, columns the second.
+    table = [[1.0, -1.0], [0.0, 0.0]]
+    values = []
+    for sites, data in (([[0], [1]], table), ([[1], [0]], [list(c) for c in zip(*table)])):
+        doc = {"model": {"preset": "ising", "dimension": 1, "field": 0.7},
+               "region": {"extent": [3], "boundary": "free"}, "beta": 0.3,
+               "observable": {"sites": sites, "data": [v for row in data for v in row]}}
+        values.append(run_json(capsys, ["exact", "--config", write_cfg(tmp_path, doc)]))
+    assert values[0] == values[1]
+    assert abs(values[0]["rows"][0]["expectation"] - 0.32985093391668824) < 1e-12

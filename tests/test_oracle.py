@@ -151,6 +151,34 @@ def test_expectation_of_identity_is_one(rng):
     assert abs(Oracle(ham, beta).expectation(one) - 1.0) < 1e-12
 
 
+def test_observable_make_reads_the_data_in_the_order_of_its_sites(rng):
+    # s_1 [s_0 up] on the free Ising 3-chain in a field, rows the first site
+    # written: on ((1,), (0,)) with the table transposed it read 0.3100.
+    ham = assemble_hamiltonian(ising_model(1, 1.0, field_h=0.7), Region.box([3]), boundary="free")
+    table = np.array([[1.0, -1.0], [0.0, 0.0]])
+    want = gibbs_expectation(ham, 0.3, Observable.make([(0,), (1,)], table.ravel()))
+    assert abs(want - 0.32985093391668824) < 1e-12
+    for data in (table.T.ravel(), table.T):  # flat and nested tables alike
+        assert gibbs_expectation(ham, 0.3, Observable.make([(1,), (0,)], data)) == want
+
+    # Three sites in every order, tables and matrices: the data is permuted
+    # into sorted-site order, entry for entry.
+    sites = [(0,), (1,), (2,)]
+    quantum = assemble_hamiltonian(heisenberg_model(1), Region.box([3]), boundary="free")
+    table = rng.standard_normal((2,) * 3)
+    mat = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    tensor = mat.reshape((2,) * 6)
+    for p in itertools.permutations(range(3)):
+        given = [sites[i] for i in p]
+        obs = Observable.make(given, table.transpose(p).ravel())
+        assert obs.support == tuple(sites)
+        assert np.array_equal(obs.data, table.ravel())
+        obs = Observable.make(given, tensor.transpose(list(p) + [3 + i for i in p]).reshape(8, 8))
+        assert np.array_equal(obs.data, mat)
+        assert gibbs_expectation(quantum, 0.4, obs) == gibbs_expectation(
+            quantum, 0.4, Observable.make(sites, mat))
+
+
 def test_conjugate_beta_conjugates_z(rng):
     for i in range(6):
         label, ham, beta = random_instance(rng, i)

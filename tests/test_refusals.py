@@ -126,6 +126,12 @@ PROBES = {
     "Observable.make-ragged": (
         "observable", lambda: Observable.make([(0,), (1,)], [[1.0, 0.0], [0.0]])
     ),
+    # Unsorted sites with data of no q^k size are kept as given and refused
+    # by the volume's shape check.
+    "Observable.make-unsorted-size": (
+        "3 entries",
+        lambda: Oracle(CHAIN, 0.3).expectation(Observable.make([(1,), (0,)], np.ones(3))),
+    ),
     "from_terms-str": (
         "term on", lambda: Interaction.from_terms(2, "classical", [([(0,)], ["a", "b"])])
     ),
