@@ -84,7 +84,7 @@ __all__ = [
 @dataclass(frozen=True)
 class Observable:
     """A local observable: a table (classical) or matrix (quantum) on a
-    bond, whose sites are given sorted (`make` sorts them)."""
+    bond, whose sites are given sorted (`make` sorts them and the data)."""
 
     support: Bond
     data: np.ndarray
@@ -105,15 +105,15 @@ class Observable:
         """
         given = tuple(as_site(s) for s in sites)
         support = as_bond(given)
-        arr = _array(data, "the observable")
         if given != support:
-            k = len(given)
-            q = _root(arr.shape[0], k) if arr.ndim == 2 and arr.shape[0] == arr.shape[1] else None
+            data = _array(data, "the observable")
+            k, square = len(given), data.ndim == 2 and data.shape[0] == data.shape[1]
+            q = _root(data.shape[0], k) if square else None
             if q is None:
-                arr, q = arr.reshape(-1), _root(arr.size, k)
+                data, q = data.reshape(-1), _root(data.size, k)
             if q is not None:
-                arr = _relabel(arr, given, {s: s for s in given}, q)[1]
-        return cls(support=support, data=arr)
+                data = _relabel(data, given, {s: s for s in given}, q)[1]
+        return cls(support=support, data=data)
 
 
 def _root(n: int, k: int) -> int | None:
