@@ -220,6 +220,18 @@ def _relabel(data: np.ndarray, old: Bond, site_map: Mapping[Site, Site], q: int)
     return new, arr.reshape((q,) * (2 * k)).transpose(full).reshape(dim, dim)
 
 
+def _site_ordered(arr: np.ndarray, given: tuple[Site, ...], q: int) -> np.ndarray:
+    """`arr`, a flat table or a matrix written on the sites `given` in that
+    order, with its axes permuted into sorted-site order by `_relabel` with
+    the identity site map, read-only. The one reading of data on sites in
+    any order, behind terms, templates and observables alike."""
+    if list(given) == sorted(given):
+        return arr
+    arr = _relabel(arr, given, {s: s for s in given}, q)[1]
+    arr.setflags(write=False)
+    return arr
+
+
 def _local_operator(data, nsites: int, q: int, kind: str, where: str, hermitian: bool = True):
     """`data` by `_array` as a read-only operator on `nsites` sites of q
     states: a flat table of q^nsites entries, real if `hermitian` (classical),
@@ -272,10 +284,12 @@ class Interaction:
             items = terms
         out: dict[Bond, np.ndarray] = {}
         for sites, data in items:
-            b = as_bond(sites)
+            given = tuple(as_site(s) for s in _iterable(sites, "a bond"))
+            b = as_bond(given)
             if b in out:
                 raise ConfigError(f"duplicate term on bond {b}")
-            out[b] = _local_operator(data, len(b), q, kind, f"the term on {b}")
+            arr = _local_operator(data, len(b), q, kind, f"the term on {b}")
+            out[b] = _site_ordered(arr, given, q)
         return cls(q=q, kind=kind, terms=out)
 
     def bonds(self) -> tuple[Bond, ...]:
@@ -305,14 +319,16 @@ class LatticeModel:
         q = _cast(q, "q", int, least=2)
         canon = []
         for offsets, data in templates:
-            b = as_bond(offsets)
+            given = tuple(as_site(s) for s in _iterable(offsets, "a bond"))
+            b = as_bond(given)
             base = b[0]
             b = tuple(tuple(c - base[i] for i, c in enumerate(s)) for s in b)
             if any(len(s) != dimension for s in b):
                 raise ConfigError(
                     f"template {b} does not match dimension {dimension}"
                 )
-            canon.append((b, _local_operator(data, len(b), q, kind, f"the term on {b}")))
+            arr = _local_operator(data, len(b), q, kind, f"the term on {b}")
+            canon.append((b, _site_ordered(arr, given, q)))
         return cls(dimension=dimension, q=q, kind=kind, templates=tuple(canon))
 
     def range(self) -> int:

@@ -15,10 +15,12 @@ Traces are normalized: tr = Tr / dim for quantum models, the uniform
 product average for classical ones. With this normalization the
 partition function of a bond subset only depends on the sites its bonds
 touch, which is what makes the subset memo in `Oracle` shareable across
-polymers. It also factorizes: bonds that share no site act on separate
-tensor factors, so Z of a bond set is the product of Z over its
-connected components (bonds joined by shared sites), and only connected
-sets are diagonalized.
+polymers. A bond set is a bitmask throughout `Oracle` (bit i for bond
+i): the memo, the spectra and the subfamily sums are keyed by it, and
+its bonds are visited in ascending order. Z also factorizes: bonds that
+share no site act on separate tensor factors, so Z of a bond set is the
+product of Z over its connected components (bonds joined by shared
+sites), and only connected sets are diagonalized.
 
 The spectrum of a bond set does not depend on beta. Z and Gibbs traces
 are sums over it: over the energy table of a classical set, or over the
@@ -28,10 +30,14 @@ strided view of the entries op (x) I reaches (`model._placement`, kept
 per bond and support), with the bits of a sum of `embed_matrix` terms.
 A quantum matrix of `_SPLIT_DIM` rows or more is split into the
 connected components of its own nonzero pattern (the sectors of any
-conserved quantity it has), and its spectrum is memoized per (bond set,
-support), so Z, expectations and the oracles that `Oracle.at` makes for
-other betas share it. A smaller matrix is one block and is built again
-when asked, as before: splitting or keeping it costs more than it saves.
+conserved quantity it has), and its spectrum is memoized per (bond
+mask, support), so Z, expectations and the oracles that `Oracle.at`
+makes for other betas share it. A smaller matrix is one block and is
+built again when asked, as before: splitting or keeping it costs more
+than it saves.
+
+A value past the float range is a `NumericalError`, raised by the one
+exit `Oracle._finite`, never inf or nan with a numpy warning.
 """
 
 from __future__ import annotations
@@ -51,8 +57,8 @@ from .model import (
     _embed_matrix,
     _local_operator,
     _placement,
-    _relabel,
     _site_axes,
+    _site_ordered,
     as_bond,
     as_site,
     site_set,
@@ -99,9 +105,10 @@ class Observable:
         """An observable whose data follows `sites` in the order given.
 
         The data's axes are permuted into sorted-site order by
-        `model._relabel`. A square 2-D array whose side is q^k on k sites is
-        read as a matrix, any other array of q^k entries as a table; data of
-        another size is kept as given, for the volume's shape check to refuse.
+        `model._site_ordered`, as for terms. A square 2-D array whose side
+        is q^k on k sites is read as a matrix, any other array of q^k
+        entries as a table; data of another size is kept as given, for the
+        volume's shape check to refuse.
         """
         given = tuple(as_site(s) for s in sites)
         support = as_bond(given)
@@ -112,7 +119,7 @@ class Observable:
             if q is None:
                 data, q = data.reshape(-1), _root(data.size, k)
             if q is not None:
-                data = _relabel(data, given, {s: s for s in given}, q)[1]
+                data = _site_ordered(data, given, q)
         return cls(support=support, data=data)
 
 
@@ -128,22 +135,23 @@ def _check_dim(q: int, nsites: int, kind: str):
         raise NumericalError(f"exact oracle refused: q^{nsites} states exceeds {cap}")
 
 
-def _alternating_sum(ids, term, start=0j):
-    """Sum of (-1)^{|ids| - |sub|} term(sub) over the subfamilies sub of ids.
+def _alternating_sum(mask: int, term, start=0j):
+    """Sum of (-1)^{|B| - |sub|} term(sub) over the submasks sub of the bond
+    mask B.
 
-    Subfamilies are tuples of the sorted ids, taken by size and then in
-    `itertools.combinations` order, and added to `start` one at a time.
-    More than 20 ids is refused.
+    Submasks are taken by size and then in `itertools.combinations` order
+    of the ascending bond ids, and added to `start` one at a time. More than
+    20 bonds is refused.
     """
-    ids = tuple(sorted(ids))
-    n = len(ids)
+    bits = [1 << i for i in _bits(mask)]
+    n = len(bits)
     if n > 20:
         raise NumericalError("inclusion-exclusion over more than 2^20 subfamilies")
     acc = start
     for r in range(n + 1):
         sign = (-1) ** (n - r)
-        for sub in itertools.combinations(ids, r):
-            acc = acc + sign * term(sub)
+        for sub in itertools.combinations(bits, r):
+            acc = acc + sign * term(sum(sub))
     return acc
 
 
@@ -222,24 +230,25 @@ class _Spectrum:
 class Oracle:
     """Exact quantities for one assembled Hamiltonian at one temperature.
 
-    Partition functions of bond subsets are memoized by the subset of
-    bond indices. A connected subset is computed on the union of its
-    supports; any other subset is the product of its components' values.
-    Classical activities use a table e^{-beta Phi_X} - 1 per bond, built
-    on first use and kept. Bond ids are integers in range(len(ham.bonds));
-    anything else is a ConfigError.
+    A bond set is a bitmask inside the oracle: bit i is bond i, and bonds
+    are visited in ascending order. `_mask` is the one check of a caller's
+    bond ids, which must be integers in range(len(ham.bonds)); anything
+    else is a ConfigError. Partition functions are memoized by mask. A
+    connected set is computed on the union of its supports; any other set
+    is the product of its components' values. Classical activities use a
+    table e^{-beta Phi_X} - 1 per bond, built on first use and kept. Every
+    value returned passes `_finite`: one that leaves the float range is a
+    NumericalError, with no numpy warning.
     """
 
     def __init__(self, ham: Hamiltonian, beta: complex):
         self.ham = ham
         self.beta = _cast(beta, "beta", complex)
-        self._z: dict[frozenset[int], complex] = {}
+        self._z: dict[int, complex] = {}
         self._spectra: dict = {}
         self._mayer_tables: dict[int, np.ndarray] = {}
         self._placements: dict = {}
-        self._all = frozenset(range(len(ham.bonds)))
         self._adj = None
-        self._bit = {i: 1 << i for i in range(len(ham.bonds))}
         # Dense operators take the ops' own dtype: float64 when every
         # term is exactly real, so eigh runs the real symmetric solver.
         self._dtype = np.result_type(float, *{op.dtype for op in ham.ops})
@@ -256,74 +265,70 @@ class Oracle:
 
     # -- building blocks ----------------------------------------------------
 
-    def _ids(self, bond_ids) -> frozenset:
-        """The checked frozenset of `bond_ids`, refused as in `_mask`.
-        Plain ints in range pass a type check and a subset check; anything
-        else gets the full one."""
+    def _mask(self, bond_ids) -> int:
+        """Bitmask of the bond ids `bond_ids`, refusing anything that is not
+        an iterable of integers in range(len(ham.bonds)) (booleans
+        included). The one check of a caller's bond ids."""
+        n = len(self.ham.bonds)
         try:
-            ids = frozenset(bond_ids)
+            ids = iter(bond_ids)
         except TypeError:
             raise ConfigError(
-                f"bond ids must be an iterable of integers in range({len(self._bit)}), "
-                f"got {bond_ids!r}"
+                f"bond ids must be an iterable of integers in range({n}), got {bond_ids!r}"
             ) from None
-        for i in ids:
-            if type(i) is not int:
-                self._mask(ids)
-                break
-        else:
-            if not ids <= self._all:
-                self._mask(ids)
-        return ids
-
-    def _mask(self, ids) -> int:
-        """Bitmask of a set of bond ids, refusing any id that is not an
-        integer in range(len(ham.bonds)) (booleans included)."""
         mask = 0
         for i in ids:
-            # True == 1 and 1.0 == 1 as dict keys, so the type is checked first.
-            bit = self._bit.get(i) if type(i) is int or isinstance(i, np.integer) else None
-            if bit is None:
-                raise ConfigError(
-                    f"bond ids must be integers in range({len(self._bit)}), got {i!r}"
-                )
-            mask |= bit
+            # True == 1 and 1.0 == 1, so the type is checked first.
+            if not (type(i) is int or isinstance(i, np.integer)) or not 0 <= i < n:
+                raise ConfigError(f"bond ids must be integers in range({n}), got {i!r}")
+            mask |= 1 << int(i)
         return mask
 
-    def _support(self, ids, support) -> tuple[Site, ...]:
+    def _finite(self, what: str, compute, *args):
+        """`compute(*args)` with numpy's overflow and invalid-value warnings
+        off, refused by a NumericalError naming `what` unless every value is
+        finite. The one exit of a value that may leave the float range."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            val = compute(*args)
+        if not (cmath.isfinite(val) if isinstance(val, complex) else np.isfinite(val).all()):
+            raise NumericalError(f"{what} is not finite at beta = {self.beta}")
+        return val
+
+    def _support(self, mask: int, support) -> tuple[Site, ...]:
         """`support` as a sorted tuple of volume sites that holds every site
-        of the bonds `ids` (checked), or the bonds' sites if None; anything
-        else is a ConfigError. The one check of a caller's support."""
+        of the bonds of `mask` (checked), or the bonds' sites if None;
+        anything else is a ConfigError. The one check of a caller's support."""
         if support is None:
-            return self.ham.support(ids)
+            return self.ham.support(_bits(mask))
         sites = self.ham.volume_sites(support)
-        missing = {s for i in ids for s in self.ham.bonds[i]}.difference(sites)
+        missing = {s for i in _bits(mask) for s in self.ham.bonds[i]}.difference(sites)
         if missing:
             raise ConfigError(f"support {sorted(sites)} misses the bond sites {sorted(missing)}")
         return tuple(sorted(sites))
 
     def hamiltonian_on(self, bond_ids, support=None) -> tuple[tuple[Site, ...], np.ndarray]:
-        """(support, total operator of the given bonds on it), in the order
-        of `ids`: broadcast tables (classical) or in-place placements
-        (quantum, see the module docstring). `support` defaults to the
-        bonds' sites, is taken sorted, and must be sites of the volume that
-        hold every site of the bonds; anything else is a ConfigError."""
-        ids = self._ids(bond_ids)
-        support = self._support(ids, support)
-        return support, self._on(ids, support)
+        """(support, total operator of the given bonds on it), summed in
+        ascending bond order: broadcast tables (classical) or in-place
+        placements (quantum, see the module docstring). `support` defaults
+        to the bonds' sites, is taken sorted, and must be sites of the
+        volume that hold every site of the bonds; anything else is a
+        ConfigError."""
+        mask = self._mask(bond_ids)
+        support = self._support(mask, support)
+        return support, self._on(mask, support)
 
-    def _on(self, ids: frozenset, support) -> np.ndarray:
-        """`hamiltonian_on` of ids and a support already checked."""
+    def _on(self, mask: int, support) -> np.ndarray:
+        """`hamiltonian_on` of a mask and a support already checked."""
         q, ham = self.ham.q, self.ham
         _check_dim(q, len(support), ham.kind)
         if ham.kind == CLASSICAL:
             total = np.zeros((q,) * len(support))
-            for i in ids:
+            for i in _bits(mask):
                 total = total + _site_axes(ham.ops[i], ham.bonds[i], support, q)
             return total.ravel()
         dim = q ** len(support)
         total = np.zeros((dim, dim), dtype=self._dtype)
-        for i in ids:
+        for i in _bits(mask):
             placed = self._placements.get((i, support))
             if placed is None:
                 placed = self._placements[i, support] = _placement(
@@ -332,28 +337,29 @@ class Oracle:
             view += placed[2]
         return total
 
-    def _spectrum(self, ids: frozenset, support) -> "_Spectrum":
-        """The `_Spectrum` of a quantum H_B on `support`, memoized from
-        `_SPLIT_DIM` rows on; a smaller one costs less to build again than
-        to keep. `ids` and `support` are checked."""
+    def _spectrum(self, mask: int, support) -> "_Spectrum":
+        """The `_Spectrum` of a quantum H_B on `support`, memoized by
+        (mask, support) from `_SPLIT_DIM` rows on; a smaller one costs less
+        to build again than to keep. `mask` and `support` are checked."""
         if self.ham.q ** len(support) < _SPLIT_DIM:
-            return _Spectrum(self._on(ids, support))
-        key = (ids, support)
+            return _Spectrum(self._on(mask, support))
+        key = (mask, support)
         spectrum = self._spectra.get(key)
         if spectrum is None:
-            spectrum = self._spectra[key] = _Spectrum(self._on(ids, support))
+            spectrum = self._spectra[key] = _Spectrum(self._on(mask, support))
         return spectrum
 
     def boltzmann(self, bond_ids, support=None) -> tuple[tuple[Site, ...], np.ndarray]:
         """exp(-beta H_B) on `support` (table for classical, matrix for
-        quantum), refused as in `hamiltonian_on`."""
-        ids = self._ids(bond_ids)
-        support = self._support(ids, support)
-        return support, self._boltzmann(ids, support)
+        quantum), refused as in `hamiltonian_on`, and by a NumericalError
+        where an entry leaves the float range."""
+        mask = self._mask(bond_ids)
+        support = self._support(mask, support)
+        return support, self._finite("Boltzmann weight", self._boltzmann, mask, support)
 
-    def _boltzmann(self, ids: frozenset, support) -> np.ndarray:
-        """`boltzmann` of ids and a support already checked."""
-        total = self._on(ids, support)
+    def _boltzmann(self, mask: int, support) -> np.ndarray:
+        """`boltzmann` of a mask and a support already checked."""
+        total = self._on(mask, support)
         if self.ham.kind == CLASSICAL:
             return np.exp(-self.beta * total)
         w, v = np.linalg.eigh(total)
@@ -362,18 +368,25 @@ class Oracle:
     # -- partition functions ------------------------------------------------
 
     def z(self, bond_ids=None) -> complex:
-        """Normalized-trace partition function of a bond subset.
+        """Normalized-trace partition function of a bond subset (every bond
+        if None). The ids are checked before the memo is read."""
+        full = (1 << len(self.ham.bonds)) - 1
+        return self._z_mask(full if bond_ids is None else self._mask(bond_ids))
 
-        A connected subset sums exp(-beta E) over its spectrum; one of
-        several components is the product of their memoized values, taken
-        in the order of their lowest bond id. The ids are checked before
-        the memo is read.
+    def _z_mask(self, mask: int) -> complex:
+        """`z` of a checked mask, read from the memo or computed and kept.
+
+        A connected set sums exp(-beta E) over its spectrum; one of several
+        components is the product of their values, taken in the order of
+        their lowest bond id.
         """
-        ids = self._all if bond_ids is None else self._ids(bond_ids)
-        hit = self._z.get(ids)
-        if hit is not None:
-            return hit
-        mask = self._mask(ids)
+        val = self._z.get(mask)
+        if val is None:
+            val = self._z[mask] = self._finite("partition function", self._z_new, mask)
+        return val
+
+    def _z_new(self, mask: int) -> complex:
+        """Z of a checked mask that is not in the memo."""
         # One bond is connected; the overlaps are built for the first set
         # of several, since many oracles never meet one.
         if mask & (mask - 1):
@@ -383,29 +396,16 @@ class Oracle:
         else:
             parts = [mask] if mask else []
         if len(parts) == 1:
-            support = self.ham.support(ids)
+            support = self.ham.support(_bits(mask))
             if self.ham.kind == CLASSICAL:
-                energies = self._on(ids, support)
+                energies = self._on(mask, support)
             else:
-                energies = self._spectrum(ids, support).energies()
-            # An overflow is reported by the NumericalError below, not by numpy.
-            with np.errstate(over="ignore", invalid="ignore"):
-                val = complex(np.mean(np.exp(-self.beta * energies)))
-        else:
-            val = self._z_of(_bits(parts[0])) if parts else 1.0 + 0.0j
-            for part in parts[1:]:
-                val = val * self._z_of(_bits(part))
-        if not cmath.isfinite(val):
-            raise NumericalError(f"partition function is not finite at beta = {self.beta}")
-        self._z[ids] = val
+                energies = self._spectrum(mask, support).energies()
+            return complex(np.mean(np.exp(-self.beta * energies)))
+        val = self._z_mask(parts[0]) if parts else 1.0 + 0.0j
+        for part in parts[1:]:
+            val = val * self._z_mask(part)
         return val
-
-    def _z_of(self, bond_ids) -> complex:
-        """`z` of ids already checked: the memo is read here, and only a
-        miss goes through `z` (the id check runs on every call of `z`)."""
-        ids = frozenset(bond_ids)
-        hit = self._z.get(ids)
-        return self.z(ids) if hit is None else hit
 
     def z_avoiding(self, x0) -> complex:
         """Partition function with every bond meeting the site set x0 removed."""
@@ -420,18 +420,17 @@ class Oracle:
 
     # -- fugacities and expectations ----------------------------------------
 
-    def _mayer(self, ids, support) -> np.ndarray:
-        """prod over the bonds of `ids`, ascending, of e^{-beta Phi_X} - 1,
+    def _mayer(self, mask: int, support) -> np.ndarray:
+        """prod over the bonds of `mask`, ascending, of e^{-beta Phi_X} - 1,
         as a classical table with the axes of `support` (see `_site_axes`).
 
-        The caller has checked `ids`, runs this under `np.errstate` and
-        checks that the result is finite. Refused past the dense cap on
-        `support`.
+        The caller has checked `mask` and runs this through `_finite`.
+        Refused past the dense cap on `support`.
         """
         ham, q, tables = self.ham, self.ham.q, self._mayer_tables
         _check_dim(q, len(support), CLASSICAL)
         acc = None
-        for i in sorted(ids):
+        for i in _bits(mask):
             table = tables.get(i)
             if table is None:
                 table = tables[i] = np.expm1(-self.beta * ham.ops[i])
@@ -439,33 +438,32 @@ class Oracle:
             acc = factor if acc is None else acc * factor
         return np.ones((), dtype=complex) if acc is None else acc
 
+    def _mayer_mean(self, mask: int, support) -> complex:
+        """The classical activity: the mean of `_mayer` over `support`."""
+        table = self._mayer(mask, support)
+        return complex(table.sum()) / table.size
+
     def xi(self, bond_ids) -> tuple[tuple[Site, ...], np.ndarray]:
         """Fugacity operator of a bond family, on the union support of B.
 
         Quantum: sum over subfamilies B' of B of (-1)^{|B| - |B'|}
-        exp(-beta H_{B'}). Classical: the same sum factorizes into the Mayer
-        product prod_{X in B} (e^{-beta Phi_X} - 1), which is what is built.
-        For a family that is not connected it is the tensor product of its
-        components' fugacity operators, so its normalized trace `rho` is
-        the product of theirs.
+        exp(-beta H_{B'}), refused past 20 bonds. Classical: the same sum
+        factorizes into the Mayer product prod_{X in B} (e^{-beta Phi_X} - 1),
+        which is what is built. For a family that is not connected it is the
+        tensor product of its components' fugacity operators, so its
+        normalized trace `rho` is the product of theirs.
         """
-        ids = self._ids(bond_ids)
-        support = self.ham.support(ids)
+        mask = self._mask(bond_ids)
+        support = self.ham.support(_bits(mask))
         if self.ham.kind == CLASSICAL:
-            # An overflow is reported by the NumericalError below, not by numpy.
-            with np.errstate(over="ignore", invalid="ignore"):
-                table = self._mayer(ids, support)
-            if not np.isfinite(table).all():
-                raise NumericalError(f"fugacity is not finite at beta = {self.beta}")
-            return support, table.flatten()
+            return support, self._finite("fugacity", self._mayer, mask, support).flatten()
         q = self.ham.q
         _check_dim(q, len(support), self.ham.kind)
         dim = q ** len(support)
-        acc = _alternating_sum(
-            ids, lambda sub: self._boltzmann(frozenset(sub), support),
+        return support, self._finite(
+            "fugacity", _alternating_sum, mask, lambda sub: self._boltzmann(sub, support),
             np.zeros((dim, dim), dtype=complex),
         )
-        return support, acc
 
     def rho(self, bond_ids) -> complex:
         """Normalized trace of the fugacity operator.
@@ -474,15 +472,10 @@ class Oracle:
         bonds. Classical: the mean of the Mayer product over the support of
         the family, refused only past the dense cap on that support.
         """
-        ids = self._ids(bond_ids)
+        mask = self._mask(bond_ids)
         if self.ham.kind != CLASSICAL:
-            return _alternating_sum(ids, self._z_of)
-        with np.errstate(over="ignore", invalid="ignore"):
-            table = self._mayer(ids, self.ham.support(ids))
-            val = complex(table.sum()) / table.size
-        if not cmath.isfinite(val):
-            raise NumericalError(f"activity is not finite at beta = {self.beta}")
-        return val
+            return _alternating_sum(mask, self._z_mask)
+        return self._finite("activity", self._mayer_mean, mask, self.ham.support(_bits(mask)))
 
     def expectation(self, obs: Observable) -> complex:
         """Gibbs expectation tr(A exp(-beta H)) / Z on the full region."""
@@ -490,23 +483,30 @@ class Oracle:
         z = self.z()
         if z == 0:
             raise NumericalError("partition function vanished; expectation undefined")
-        return self.weighted_trace(obs, self._all, self.ham.sites) / z
+        full = (1 << len(self.ham.bonds)) - 1
+        return self._finite("Gibbs trace", self._trace, obs, full, self.ham.sites) / z
 
     def weighted_trace(self, obs: Observable, bond_ids, support) -> complex:
         """tr(A exp(-beta H_B)) on a fixed support (not divided by Z).
 
         Quantum: the sum over blocks of e^{-beta E_k} (V^H A V)_kk, so only
-        the diagonal blocks of A enter, and no exp(-beta H) is formed.
-        `support` and the observable's sites are refused as in
-        `hamiltonian_on`.
+        the diagonal blocks of A enter, and no exp(-beta H) is formed. The
+        observable is refused as in `expectation`, and `support` and the
+        observable's sites as in `hamiltonian_on`.
         """
-        ids = self._ids(bond_ids)
-        support = self._support(ids, site_set(support).union(obs.support))
+        _check_observable(self.ham, obs)
+        mask = self._mask(bond_ids)
+        support = self._support(mask, site_set(support).union(obs.support))
+        return self._finite("Gibbs trace", self._trace, obs, mask, support)
+
+    def _trace(self, obs: Observable, mask: int, support) -> complex:
+        """`weighted_trace` of an observable, a mask and a support already
+        checked."""
         q = self.ham.q
         if self.ham.kind == CLASSICAL:
             a = np.broadcast_to(_site_axes(obs.data, obs.support, support, q), (q,) * len(support))
-            return complex(np.mean(a.ravel() * np.exp(-self.beta * self._on(ids, support))))
-        spectrum = self._spectrum(ids, support)
+            return complex(np.mean(a.ravel() * np.exp(-self.beta * self._on(mask, support))))
+        spectrum = self._spectrum(mask, support)
         a = _embed_matrix(obs.data, obs.support, support, q)
         acc = 0j
         for (rows, _), (w, v) in zip(spectrum.groups, spectrum.eigh()):

@@ -506,12 +506,13 @@ def expectation_series(
         max_family_bonds = len(ham.bonds)
     oracle = Oracle(ham, beta)
     x0 = frozenset(obs.support)
-    trace_memo: dict[frozenset[int], complex] = {}
+    trace_memo: dict[int, complex] = {}
 
-    def weighted(ids: frozenset[int]) -> complex:
-        hit = trace_memo.get(ids)
+    def weighted(mask: int) -> complex:
+        hit = trace_memo.get(mask)
         if hit is None:
-            hit = trace_memo[ids] = oracle.weighted_trace(obs, ids, ham.support(ids))
+            ids = tuple(_bits(mask))
+            hit = trace_memo[mask] = oracle.weighted_trace(obs, ids, ham.support(ids))
         return hit
 
     g_memo: dict[frozenset[Site], complex] = {}
@@ -540,7 +541,7 @@ def expectation_series(
                 * _site_axes(xi, xi_support, support, ham.q)
             ))
         else:
-            k_val = _alternating_sum(ids, lambda sub: weighted(frozenset(sub)))
+            k_val = _alternating_sum(oracle._mask(ids), weighted)
         if k_val == 0:
             continue
         sites = x0 | set(ham.support(ids))

@@ -401,4 +401,4 @@ def rho_reference(orc, ids) -> complex:
     """The activity as `Oracle.rho` computed it for classical families
     before the Mayer product: the signed sum of Z over the 2^|B|
     subfamilies, read from the oracle's memo."""
-    return _alternating_sum(orc._ids(ids), orc._z_of)
+    return _alternating_sum(orc._mask(ids), orc._z_mask)

@@ -646,3 +646,18 @@ def test_an_observable_reads_the_same_in_either_site_order(tmp_path, capsys):
         values.append(run_json(capsys, ["exact", "--config", write_cfg(tmp_path, doc)]))
     assert values[0] == values[1]
     assert abs(values[0]["rows"][0]["expectation"] - 0.32985093391668824) < 1e-12
+
+
+def test_a_term_reads_the_same_in_either_site_order(tmp_path, capsys):
+    # An explicit two-site term, rows the first site written: written on
+    # [[1], [0]] with its table transposed, <s_0> read -0.0282 for -0.1967.
+    table = [[0.0, 1.0], [0.3, -0.5]]
+    values = []
+    for sites, data in (([[0], [1]], table), ([[1], [0]], [list(c) for c in zip(*table)])):
+        doc = {"model": {"kind": "classical", "q": 2, "dimension": 1,
+                         "terms": [{"sites": sites, "data": [v for row in data for v in row]}]},
+               "region": {"extent": [2], "boundary": "free"}, "beta": 0.7,
+               "observable": {"sites": [[0]], "data": [[1.0, 0.0], [-1.0, 0.0]]}}
+        values.append(run_json(capsys, ["exact", "--config", write_cfg(tmp_path, doc)]))
+    assert values[0] == values[1]
+    assert abs(values[0]["rows"][0]["expectation"] - (-0.19671)) < 1e-4

@@ -8,6 +8,7 @@ from polymerion import (
     ConfigError,
     Interaction,
     LatticeModel,
+    Observable,
     Oracle,
     Region,
     WrapError,
@@ -385,3 +386,36 @@ def test_a_region_of_mixed_site_dimensions_is_refused():
     # (0, 1) was kept as a site that no bond of a d = 1 model could touch.
     with pytest.raises(ConfigError, match="dimensions"):
         Region.from_sites([(0,), (1,), (0, 1)])
+
+
+def test_terms_read_their_data_in_the_order_of_their_sites(rng):
+    # Rows of the table are the first site written. <s_0> at beta = 0.7
+    # read -0.0282 through both constructors where the term was written on
+    # ((1,), (0,)) with its table transposed, and -0.1967 written sorted.
+    table = np.array([[0.0, 1.0], [0.3, -0.5]])
+    spin = Observable.make([(0,)], [1.0, -1.0])
+    values = []
+    for sites, data in (([(0,), (1,)], table), ([(1,), (0,)], table.T)):
+        for source in (Interaction.from_terms(2, "classical", [(sites, data)]),
+                       LatticeModel.from_templates(1, 2, "classical", [(sites, data)])):
+            ham = assemble_hamiltonian(source, Region.box([2]), boundary="free")
+            values.append(Oracle(ham, 0.7).expectation(spin))
+    assert values == [values[0]] * 4
+    assert abs(values[0] - (-0.19671)) < 1e-4
+
+    # Three sites in every order, tables and matrices: the data is permuted
+    # into sorted-site order, entry for entry, and stays read-only.
+    sites = [(0,), (1,), (2,)]
+    table = random_table(rng, 2, 3, 1.0)
+    mat = random_hermitian(rng, 2, 3, 1.0)
+    for kind, data in (("classical", table), (QUANTUM, mat)):
+        tensor = data.reshape((2,) * (3 if kind == "classical" else 6))
+        for p in itertools.permutations(range(3)):
+            axes = list(p) if kind == "classical" else list(p) + [3 + i for i in p]
+            given = tensor.transpose(axes).reshape(data.shape)
+            written = [sites[i] for i in p]
+            inter = Interaction.from_terms(2, kind, [(written, given)])
+            model = LatticeModel.from_templates(1, 2, kind, [(written, given)])
+            for stored in (inter.terms[tuple(sites)], model.templates[0][1]):
+                assert np.array_equal(stored, data.reshape(stored.shape))
+                assert not stored.flags.writeable

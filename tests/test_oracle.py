@@ -28,7 +28,7 @@ from polymerion import (
     xy_model,
 )
 
-from polymerion.model import CLASSICAL, QUANTUM
+from polymerion.model import CLASSICAL, QUANTUM, embed_matrix, embed_table
 from polymerion.oracle import _SPLIT_DIM, _Spectrum, _alternating_sum, _check_dim, _pattern_blocks
 from polymerion.ursell import _bits, _components, _overlap_masks
 
@@ -244,18 +244,70 @@ def test_overflowing_z_raises_without_numpy_warnings():
     quantum = assemble_hamiltonian(heisenberg_model(1), Region.box([4]), boundary="free")
     chain = ising_chain(8)
     every = range(len(chain.bonds))
+    # Boltzmann weights, Gibbs traces and the quantum fugacity returned inf
+    # or nan with only a numpy RuntimeWarning.
+    short = ising_chain(4)
+    triple = assemble_hamiltonian(heisenberg_model(1), Region.box([3]), boundary="free")
+    spin = Observable.make([(0,)], [1.0, -1.0])
+    sz = Observable.make([(0,)], np.diag([1.0, -1.0]))
     # The classical Mayer product of all 7 bonds holds e^{2800} in one entry.
     calls = [
         (chain, 400.0, lambda orc: orc.z()),
         (quantum, 2000.0, lambda orc: orc.z()),
         (chain, 400.0, lambda orc: orc.rho(every)),
         (chain, 400.0, lambda orc: orc.xi(every)),
+        (short, -800.0, lambda orc: orc.boltzmann(range(3))),
+        (quantum, -800.0, lambda orc: orc.boltzmann(range(3))),
+        (short, -800.0, lambda orc: orc.weighted_trace(spin, range(3), short.sites)),
+        (quantum, -800.0, lambda orc: orc.weighted_trace(sz, range(3), quantum.sites)),
+        (triple, -400.0, lambda orc: orc.xi(range(2))),
     ]
     for ham, beta, call in calls:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="not finite"):
                 call(Oracle(ham, beta))
+
+
+def test_hamiltonian_on_sums_in_ascending_bond_order(rng):
+    # {1, 3, 8} iterates 8, 1, 3 as a frozenset, the order it was summed in.
+    ids = [8, 1, 3]
+    assert list(frozenset(ids)) != sorted(ids)
+    for kind, embed in (("classical", embed_table), ("quantum", embed_matrix)):
+        ham = assemble_hamiltonian(
+            chain_interaction(rng, 2, kind, 8, 0.5, with_fields=True),
+            Region.from_sites((i,) for i in range(8)), "free",
+        )
+        assert len(ham.bonds) == 11
+        support, got = Oracle(ham, 0.3).hamiltonian_on(ids)
+        want = np.zeros_like(got)
+        for i in sorted(ids):
+            want = want + embed(ham.ops[i], ham.bonds[i], support, ham.q)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_bond_ids_in_any_order_or_integer_type_hit_one_memo_entry():
+    # Bonds 0, 1 and 3 of a 6-chain: two components, so three entries.
+    ham = ising_chain(6)
+    orc = Oracle(ham, 0.3)
+    first = orc.z([3, 0, 1])
+    assert sorted(orc._z) == [0b11, 0b1000, 0b1011]
+    memo = dict(orc._z)
+    for ids in ([0, 1, 3], (1, 3, 0), np.array([3, 1, 0]), [np.int32(0), np.uint8(3), np.int64(1)]):
+        assert orc.z(ids) == first
+        assert orc._z == memo
+    # The quantum activity reads its subfamilies from the same memo, and a
+    # blocked spectrum is kept once per (mask, support).
+    quantum = assemble_hamiltonian(heisenberg_model(1), Region.box([7]), boundary="free")
+    orc = Oracle(quantum, 0.3)
+    rho = orc.rho([2, 0, 1])
+    memo = dict(orc._z)
+    assert orc.rho(np.array([1, 2, 0])) == rho and orc._z == memo
+    full = list(range(6))
+    z = orc.z(full)
+    assert list(orc._spectra) == [(0b111111, quantum.sites)]
+    assert orc.z(full[::-1]) == z and orc.z(np.array(full)) == z
+    assert len(orc._spectra) == 1
 
 
 def test_classical_rho_matches_the_even_subgraph_closed_form():
@@ -305,8 +357,10 @@ def test_classical_rho_and_xi_agree_with_the_subfamily_sums(rng):
             z_max = max(abs(orc.z(sub)) for sub in subs)
             assert abs(orc.rho(p.bonds) - rho_reference(orc, p.bonds)) <= 2**n * eps * z_max
             support, xi = orc.xi(p.bonds)
-            tables = {sub: orc.boltzmann(sub, support)[1] for sub in subs}
-            want = _alternating_sum(p.bonds, tables.__getitem__, np.zeros(xi.shape, complex))
+            tables = {orc._mask(sub): orc.boltzmann(sub, support)[1] for sub in subs}
+            want = _alternating_sum(
+                orc._mask(p.bonds), tables.__getitem__, np.zeros(xi.shape, complex)
+            )
             top = max(float(np.max(np.abs(t))) for t in tables.values())
             assert np.max(np.abs(xi - want)) <= 2**n * eps * top
     assert seen == {"free", "product", "periodic", "q=2", "q=3", "real", "complex", "field"}
@@ -365,15 +419,17 @@ def test_alternating_sum_keeps_its_order_and_refuses_past_2_20():
     seen = []
 
     def term(sub):
-        seen.append(sub)
-        return len(sub) + 1
+        seen.append(tuple(_bits(sub)))
+        return len(seen[-1]) + 1
 
+    # Bonds 1, 3 and 4: the submasks come by size, then in the
+    # `itertools.combinations` order of the ascending ids.
     # (-1)^{3-r} (r + 1) summed with multiplicity C(3, r): -1 + 6 - 9 + 4 = 0
-    assert _alternating_sum([2, 0, 1], term) == 0
-    assert seen == [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
-    assert _alternating_sum([], term, start=1.5) == 2.5
+    assert _alternating_sum(0b11010, term) == 0
+    assert seen == [(), (1,), (3,), (4,), (1, 3), (1, 4), (3, 4), (1, 3, 4)]
+    assert _alternating_sum(0, term, start=1.5) == 2.5
     with pytest.raises(NumericalError, match="2\\^20"):
-        _alternating_sum(range(21), term)
+        _alternating_sum((1 << 21) - 1, term)
 
 
 # -- exactly-real operators take the real symmetric solvers ----------------

@@ -180,6 +180,15 @@ PROBES = {
     "weighted_trace-support-outside": (
         "not in the volume", lambda: Oracle(HCHAIN, 0.3).weighted_trace(SPIN, [0], [(7,)])
     ),
+    # An observable of the wrong shape raised a bare ValueError from reshape.
+    "weighted_trace-shape": (
+        "3 entries",
+        lambda: Oracle(CHAIN, 0.3).weighted_trace(Observable(((0,),), np.ones(3)), [0], TWO),
+    ),
+    "weighted_trace-shape-quantum": (
+        "shape \\(3,\\)",
+        lambda: Oracle(HCHAIN, 0.3).weighted_trace(Observable(((0,),), np.ones(3)), [0], TWO),
+    ),
     "free_energy_series-weights-nan": (
         "weights",
         lambda: free_energy_series(
