@@ -36,13 +36,20 @@ multiplicities within the order budget, each weighted by the Ursell
 function of its multiset graph. It is the independent reference for
 the routes above, and the route of `free_energy_density`, whose
 per-cluster weight 1/|support| is no ratio of partition functions.
+
+The log Xi routes weigh no cluster, and they count none until
+`n_clusters` is read: a result holds its kept polymers, their
+incompatibility masks and the cut, and walks the connected sets with
+`_count_clusters` on the first read only.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 from operator import itemgetter
 
 import numpy as np
@@ -90,13 +97,23 @@ class TruncatedSeries:
     by_order[k] is the sum of all cluster weights of order k, so value ==
     sum(by_order). `converged` is set by the adaptive driver when the
     last increments fell below its tolerance, and is None otherwise.
+
+    `n_clusters` is the number of clusters the sum stands for, counted
+    on first read, once per result. `_count` is the zero-argument
+    callable that counts them; it holds the kept polymers, their masks
+    and the cut, never the oracle or the activities, and takes no part
+    in ==.
     """
 
     value: complex
     by_order: tuple[complex, ...]
     truncation: int
-    n_clusters: int
+    _count: Callable[[], int] = field(compare=False, repr=False)
     converged: bool | None = None
+
+    @cached_property
+    def n_clusters(self) -> int:
+        return self._count()
 
 
 class _LazyValues:
@@ -148,12 +165,12 @@ def _prepare(ham: Hamiltonian, beta: complex, max_total: int, weights):
     return max_total, polymers, _LazyValues(Oracle(ham, beta), polymers)
 
 
-def _series(by_order, truncation: int, n_clusters: int, converged=None) -> TruncatedSeries:
+def _series(by_order, truncation: int, count: Callable[[], int], converged=None) -> TruncatedSeries:
     return TruncatedSeries(
         value=sum(by_order),
         by_order=tuple(by_order),
         truncation=truncation,
-        n_clusters=n_clusters,
+        _count=count,
         converged=converged,
     )
 
@@ -251,6 +268,14 @@ def _count_clusters(polymers, adjacency, max_total: int, pin: int | None = None)
     return count
 
 
+def _count_meeting(kept, adjacency, kept_away, adjacency_away, max_total: int) -> int:
+    """Clusters meeting a site set: all of them less those of the polymers
+    that avoid it."""
+    return _count_clusters(kept, adjacency, max_total) - _count_clusters(
+        kept_away, adjacency_away, max_total
+    )
+
+
 def free_energy_series(
     ham: Hamiltonian,
     beta: complex,
@@ -264,7 +289,7 @@ def free_energy_series(
     `max_total_bonds` bonds by the power-series logarithm. With
     `weights` the activities come from that list, and a polymer missing
     from it has activity 0. n_clusters counts the clusters the sum
-    stands for.
+    stands for, on first read.
 
     The series is infinite even on a finite bond set (polymers repeat),
     so exponentiating the value approximates Z with an error set by the
@@ -276,7 +301,7 @@ def free_energy_series(
     return _series(
         _log_series(xi),
         max_total_bonds,
-        _count_clusters(kept, adjacency, max_total_bonds),
+        partial(_count_clusters, kept, adjacency, max_total_bonds),
     )
 
 
@@ -292,7 +317,8 @@ def adaptive_free_energy_series(
 
     Every round enumerates its own polymers, and all rounds share one
     oracle and one activity memo, so no activity is computed twice.
-    Clusters are counted only for the truncation that is returned.
+    Clusters are counted only for the truncation that is returned, and
+    only when its `n_clusters` is read.
     """
     tol = _cast(tol, "tol", float, least=0)
     cap = _cast(cap, "cap", int, least=0)
@@ -306,7 +332,7 @@ def adaptive_free_energy_series(
         scale = max(1.0, abs(sum(by_order)))
         converged = all(abs(t) <= tol * scale for t in by_order[-2:])
         if converged or k >= cap:
-            count = _count_clusters(kept, adjacency, k)
+            count = partial(_count_clusters, kept, adjacency, k)
             return _series(by_order, k, count, converged=converged)
         k = min(k + step, cap)
 
@@ -353,18 +379,22 @@ def pinned_series(
     With `absolute` the Ursell signs and activities are replaced by
     absolute values, giving the majorant used in convergence
     certificates. An Ursell function on n vertices has sign (-1)^(n-1),
-    so that is the same ratio at activities -|rho|.
+    so that is the same ratio at activities -|rho|. The pin's support
+    must be a nonempty set of sites of the volume.
     """
+    support = ham.volume_sites(getattr(pin, "support", ()))
+    if not support:
+        raise ConfigError(f"the pin must be a polymer with a nonempty support, got {pin!r}")
     max_total_bonds, polymers, values = _prepare(ham, beta, max_total_bonds, weights)
     if absolute:
         values = [-abs(values[i]) for i in range(len(polymers))]
     xi, kept, adjacency = _families(polymers, values, max_total_bonds)
-    xi_pin = _families(polymers, values, max_total_bonds, pin.support)[0]
-    pin_adj = _pin_mask([p.support for p in kept], pin.support)
+    xi_pin = _families(polymers, values, max_total_bonds, support)[0]
+    pin_adj = _pin_mask([p.support for p in kept], support)
     return _series(
         _divide_series(xi_pin, xi),
         max_total_bonds,
-        _count_clusters(kept, adjacency, max_total_bonds, pin=pin_adj),
+        partial(_count_clusters, kept, adjacency, max_total_bonds, pin=pin_adj),
     )
 
 
@@ -420,7 +450,7 @@ def site_pinned_series(
             term *= weight
             by_order[order] += term
             count += 1
-    return _series(by_order, max_total_bonds, count)
+    return _series(by_order, max_total_bonds, partial(int, count))
 
 
 @dataclass(frozen=True)
@@ -449,9 +479,7 @@ def correlation_series(
     xi, kept, adjacency = _families(polymers, values, max_total_bonds)
     xi_away, kept_away, adjacency_away = _families(polymers, values, max_total_bonds, x0)
     by_order = [a - b for a, b in zip(_log_series(xi), _log_series(xi_away))]
-    count = _count_clusters(kept, adjacency, max_total_bonds) - _count_clusters(
-        kept_away, adjacency_away, max_total_bonds
-    )
+    count = partial(_count_meeting, kept, adjacency, kept_away, adjacency_away, max_total_bonds)
     s = _series(by_order, max_total_bonds, count)
     return CorrelationSeries(pinned_sum=s, value=np.exp(-s.value))
 
@@ -497,13 +525,20 @@ def expectation_series(
     taken so. At max_family_bonds == len(ham.bonds)
     and g_mode == "oracle" the sum is a finite identity, exact up to
     rounding; g_mode == "series" replaces each ratio g by its cluster
-    series at `correlation_truncation`.
+    series at `correlation_truncation` (by default the number of bonds),
+    which is checked up front whenever it is given.
     """
     _check_observable(ham, obs)
     if g_mode not in ("oracle", "series"):
         raise ConfigError(f"unknown g_mode {g_mode!r}")
     if max_family_bonds is None:
         max_family_bonds = len(ham.bonds)
+    if correlation_truncation is None:
+        correlation_truncation = len(ham.bonds)
+    else:
+        correlation_truncation = _cast(
+            correlation_truncation, "correlation_truncation", int, least=0
+        )
     oracle = Oracle(ham, beta)
     x0 = frozenset(obs.support)
     trace_memo: dict[int, complex] = {}
@@ -523,10 +558,7 @@ def expectation_series(
             if g_mode == "oracle":
                 hit = oracle.reduced_correlation(sites)
             else:
-                k = correlation_truncation
-                if k is None:
-                    k = len(ham.bonds)
-                hit = correlation_series(ham, beta, sites, k).value
+                hit = correlation_series(ham, beta, sites, correlation_truncation).value
             g_memo[sites] = hit
         return hit
 

@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -80,6 +81,7 @@ def test_adaptive_series_reports_convergence():
         assert got.truncation > 4
         fixed = free_energy_series(ham, beta, got.truncation)
         assert got == dataclasses.replace(fixed, converged=got.converged)
+        assert got.n_clusters == fixed.n_clusters
 
 
 def test_adaptive_series_is_the_fixed_truncation_series(rng):
@@ -89,6 +91,7 @@ def test_adaptive_series_is_the_fixed_truncation_series(rng):
         got = adaptive_free_energy_series(ham, beta, tol=1e-12)
         fixed = free_energy_series(ham, beta, got.truncation)
         assert got == dataclasses.replace(fixed, converged=got.converged), label
+        assert got.n_clusters == fixed.n_clusters, label
 
 
 def test_by_site_shares_sum_to_total():
@@ -249,6 +252,20 @@ def test_expectation_series_g_mode():
     )
     assert viaseries.g_mode == "series"
     assert abs(viaseries.value - exact) < 1e-8 * max(1.0, abs(exact))
+
+
+def test_expectation_series_checks_the_correlation_truncation_up_front():
+    # Checked when the first ratio was computed, under the name of the
+    # series' own cut; with no ratio to compute, -1 answered 0.
+    ham = small_chain()
+    nonzero = Observable.make([(0,)], np.array([1.0, -1.0]))
+    never = Observable.make([(1,)], [1, -1])
+    assert expectation_series(ham, 0.3, never, g_mode="series").value == 0
+    for obs in (nonzero, never):
+        for bad, match in ((-1, "correlation_truncation must be at least 0"),
+                           (2.5, "correlation_truncation must be an integer")):
+            with pytest.raises(ConfigError, match=match):
+                expectation_series(ham, 0.3, obs, g_mode="series", correlation_truncation=bad)
 
 
 def test_expectation_series_refuses_a_misshaped_observable():
@@ -596,6 +613,20 @@ def test_explicit_weights_give_the_same_series(rng):
     assert backwards.n_clusters == plain.n_clusters
 
 
+def test_pinned_series_refuses_a_pin_it_cannot_place():
+    # A pin outside the volume read as one no polymer meets (value 1, one
+    # cluster), and a pin that is no polymer raised a bare AttributeError.
+    ham = small_chain()
+    outside = Polymer(bonds=(0,), support=frozenset({(7,), (8,)}))
+    with pytest.raises(ConfigError, match="not in the volume"):
+        pinned_series(ham, 0.2, outside, 4)
+    with pytest.raises(ConfigError, match="not in the volume"):
+        Oracle(ham, 0.2).reduced_correlation(outside.support)
+    for pin in ("x", Polymer(bonds=(0,), support=frozenset())):
+        with pytest.raises(ConfigError, match="nonempty support"):
+            pinned_series(ham, 0.2, pin, 4)
+
+
 def test_pinned_series_is_the_reduced_correlation_of_the_pin(rng):
     # Xi over the families that miss the pin, divided by Xi, is the ratio
     # of the partition function without the pin's sites to Z.
@@ -625,3 +656,44 @@ def test_log_xi_routes_match_the_site_walk(rng):
             assert max(abs(a - b) for a, b in zip(corr.by_order, walk.by_order)) < 1e-15
             rest = site_pinned_series(ham.restricted_away(ordered[:n]), beta, x, k)
             assert abs(shares[x] - rest.value) < 1e-15, label
+
+
+def test_series_values_do_not_count_clusters(monkeypatch):
+    # The count feeds `n_clusters` only, so a caller that reads the value
+    # never walks the connected sets.
+    def refuse(*args, **kwargs):
+        raise AssertionError("clusters counted")
+
+    monkeypatch.setattr(series, "_count_clusters", refuse)
+    ham = small_chain()
+    obs = Observable.make([(0,)], np.array([1.0, -1.0]))
+    adaptive = adaptive_free_energy_series(ham, 0.3, tol=1e-12, cap=8)
+    corr = correlation_series(ham, 0.3, (1,), 6)
+    expectation = expectation_series(ham, 0.3, obs, g_mode="series", correlation_truncation=6)
+    assert abs(cmath.exp(adaptive.value) - partition_function(ham, 0.3)) < 1e-9
+    assert abs(corr.value - reduced_correlation_exact(ham, 0.3, (1,))) < 1e-8
+    want = gibbs_expectation(ham, 0.3, obs)
+    assert abs(expectation.value - want) < 1e-8 * max(1.0, abs(want))
+    # The count runs on the first read of `n_clusters`, and only then.
+    for result in (adaptive, corr.pinned_sum):
+        with pytest.raises(AssertionError, match="clusters counted"):
+            result.n_clusters
+
+
+def test_series_results_count_once_and_pickle():
+    ham = small_chain()
+    calls = []
+    s = free_energy_series(ham, 0.3, 8)
+    count = s._count
+    object.__setattr__(s, "_count", lambda: calls.append(1) or count())
+    assert [s.n_clusters, s.n_clusters] == [574, 574] and calls == [1]
+    pin = enumerate_polymers(ham, 1)[0]
+    for fresh, want in (
+        (free_energy_series(ham, 0.3, 8), 574),
+        (correlation_series(ham, 0.3, (0,), 8).pinned_sum, 480),
+        (pinned_series(ham, 0.3, pin, 8), 567),
+        (site_pinned_series(ham, 0.3, (0,), 8), 480),
+    ):
+        back = pickle.loads(pickle.dumps(fresh))
+        assert back == fresh and back.n_clusters == want
+        assert "n_clusters" not in repr(back)
