@@ -49,7 +49,7 @@ import math
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from operator import itemgetter
 
 import numpy as np
@@ -476,12 +476,20 @@ def correlation_series(
     """
     x0 = ham.volume_sites(x0)
     max_total_bonds, polymers, values = _prepare(ham, beta, max_total_bonds, weights)
-    xi, kept, adjacency = _families(polymers, values, max_total_bonds)
-    xi_away, kept_away, adjacency_away = _families(polymers, values, max_total_bonds, x0)
-    by_order = [a - b for a, b in zip(_log_series(xi), _log_series(xi_away))]
-    count = partial(_count_meeting, kept, adjacency, kept_away, adjacency_away, max_total_bonds)
-    s = _series(by_order, max_total_bonds, count)
+    full = _families(polymers, values, max_total_bonds)
+    s = _meeting_series(polymers, values, max_total_bonds, x0, full)
     return CorrelationSeries(pinned_sum=s, value=np.exp(-s.value))
+
+
+def _meeting_series(polymers, values, max_total: int, x0, full) -> TruncatedSeries:
+    """The clusters meeting the site set `x0`, log Xi - log Xi_X0 order by
+    order, with `full` the whole-volume `_families` of the same polymers,
+    which several site sets may share."""
+    xi, kept, adjacency = full
+    xi_away, kept_away, adjacency_away = _families(polymers, values, max_total, x0)
+    by_order = [a - b for a, b in zip(_log_series(xi), _log_series(xi_away))]
+    count = partial(_count_meeting, kept, adjacency, kept_away, adjacency_away, max_total)
+    return _series(by_order, max_total, count)
 
 
 def expectation_families(ham: Hamiltonian, x0, max_family_bonds: int):
@@ -526,7 +534,9 @@ def expectation_series(
     and g_mode == "oracle" the sum is a finite identity, exact up to
     rounding; g_mode == "series" replaces each ratio g by its cluster
     series at `correlation_truncation` (by default the number of bonds),
-    which is checked up front whenever it is given.
+    which is checked up front whenever it is given. The ratios share one
+    oracle, one polymer list with its activity memo, and the
+    whole-volume families, built at the first ratio.
     """
     _check_observable(ham, obs)
     if g_mode not in ("oracle", "series"):
@@ -550,6 +560,12 @@ def expectation_series(
             hit = trace_memo[mask] = oracle.weighted_trace(obs, ids, ham.support(ids))
         return hit
 
+    @cache
+    def shared():
+        polymers = list(enumerate_polymers(ham, correlation_truncation))
+        values = _LazyValues(oracle, polymers)
+        return polymers, values, _families(polymers, values, correlation_truncation)
+
     g_memo: dict[frozenset[Site], complex] = {}
 
     def g_of(sites: frozenset[Site]) -> complex:
@@ -558,7 +574,9 @@ def expectation_series(
             if g_mode == "oracle":
                 hit = oracle.reduced_correlation(sites)
             else:
-                hit = correlation_series(ham, beta, sites, correlation_truncation).value
+                polymers, values, full = shared()
+                pinned = _meeting_series(polymers, values, correlation_truncation, sites, full)
+                hit = np.exp(-pinned.value)
             g_memo[sites] = hit
         return hit
 

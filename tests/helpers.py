@@ -24,7 +24,9 @@ on its whole support, as the reference of the product over components.
 the whole matrix and the matrix exp(-beta H), as the reference of the
 trace over the blocked spectrum. `rho_reference` keeps the classical
 activity as the inclusion-exclusion over the Z memo, as the reference of
-the Mayer product.
+the Mayer product. `ks_kernel_reference` keeps the exact hierarchy
+kernel as the per-polymer sum of activities, as the reference of the
+quantum kernel built from one Z per support.
 """
 
 from __future__ import annotations
@@ -35,11 +37,13 @@ import numpy as np
 
 from polymerion import (
     Interaction,
+    KSKernel,
     LatticeModel,
     Observable,
     Oracle,
     Region,
     assemble_hamiltonian,
+    enumerate_polymers,
 )
 from polymerion.convergence import _margins
 from polymerion.model import CLASSICAL, embed_matrix
@@ -402,3 +406,21 @@ def rho_reference(orc, ids) -> complex:
     before the Mayer product: the signed sum of Z over the 2^|B|
     subfamilies, read from the oracle's memo."""
     return _alternating_sum(orc._mask(ids), orc._z_mask)
+
+
+def ks_kernel_reference(ham, beta) -> KSKernel:
+    """The exact kernel as `build_ks_kernel` built it for every Hamiltonian
+    before quantum kernels were summed by support: each polymer's
+    `Oracle.rho`, in polymer order, added to the entry of every site of its
+    support."""
+    polymers = enumerate_polymers(ham, len(ham.bonds))
+    oracle = Oracle(ham, beta)
+    entries: dict = {}
+    for p in polymers:
+        rho = oracle.rho(p.bonds)
+        for x in p.support:
+            entries[x, p.support] = entries.get((x, p.support), 0.0) + rho
+    return KSKernel(
+        sites=tuple(ham.sites), entries=entries, n_polymers=len(polymers),
+        truncation=len(ham.bonds),
+    )

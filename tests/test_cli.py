@@ -288,7 +288,10 @@ def test_ks_output_matches_golden_bytes(tmp_path, golden, doc):
     # as the product over its components. The Heisenberg chain was
     # rewritten again when quantum Gibbs traces began to be summed over
     # the eigenvectors, with no exp(-beta H) matrix. The Ising one was
-    # rewritten when classical activities became one Mayer product.
+    # rewritten when classical activities became one Mayer product. The
+    # Heisenberg one was rewritten again when exact quantum kernels began
+    # to be built by support, from one Z per site set, in place of each
+    # polymer's inclusion-exclusion.
     cfg = write_cfg(tmp_path, doc)
     out = tmp_path / golden
     assert main(["ks", "--config", cfg, "--output", str(out)]) == 0

@@ -22,7 +22,15 @@ from polymerion import (
 )
 from polymerion.config import build_model
 
-from helpers import chain_interaction, ks_reference, random_instance, random_observable
+from helpers import (
+    chain_interaction,
+    ks_kernel_reference,
+    ks_reference,
+    random_instance,
+    random_observable,
+    ring_model,
+    scattered_interaction,
+)
 
 
 def ising_chain(n: int):
@@ -91,6 +99,37 @@ def test_complex_beta_solution_matches_oracle(rng):
     for r in range(1, 4):
         for sub in itertools.combinations(ham.sites, r):
             assert abs(sol.value(sub) - orc.reduced_correlation(sub)) < 1e-10
+
+
+def quantum_volume(rng, style: str, scale: float):
+    if style == "chain":
+        n = int(rng.integers(4, 7))
+        inter = chain_interaction(rng, 2, "quantum", n, scale, with_fields=True)
+        return assemble_hamiltonian(inter, Region.from_sites((i,) for i in range(n)))
+    if style == "product":
+        # The bonds at (2, 0) are contracted against the product state,
+        # and the 3-site bond stays.
+        inter = scattered_interaction(rng, 2, "quantum", scale)
+        region = Region.from_sites([(0, 0), (1, 0), (0, 1), (1, 1)])
+        return assemble_hamiltonian(inter, region, boundary="product")
+    n = int(rng.integers(4, 7))
+    model = ring_model(rng, 2, "quantum", scale)
+    return assemble_hamiltonian(model, Region.box([n]), boundary="periodic")
+
+
+@pytest.mark.parametrize("style", ["chain", "product", "ring"])
+def test_exact_quantum_kernel_is_the_per_polymer_sum(rng, style):
+    # An exact quantum kernel is built from one Z per support; it sums the
+    # same activities as the per-polymer inclusion-exclusion, in another
+    # order.
+    for beta in (0.3, -0.2, 0.25 + 0.2j, -0.1 - 0.3j):
+        ham = quantum_volume(rng, style, 0.1 / abs(beta))
+        kern = build_ks_kernel(ham, beta)
+        ref = ks_kernel_reference(ham, beta)
+        assert list(kern.entries) == list(ref.entries)
+        assert (kern.n_polymers, kern.truncation) == (ref.n_polymers, ref.truncation)
+        for key, val in kern.entries.items():
+            assert abs(val - ref.entries[key]) < 1e-14
 
 
 def test_norm_bound_recomputes_from_entries():

@@ -254,6 +254,21 @@ def test_expectation_series_g_mode():
     assert abs(viaseries.value - exact) < 1e-8 * max(1.0, abs(exact))
 
 
+def test_series_ratios_share_one_oracle_and_one_polymer_list(monkeypatch):
+    # Each distinct ratio called correlation_series, with its own oracle
+    # and enumeration: 3 876 activities on this patch, against 204 for
+    # one free-energy series at the same cut.
+    ham = assemble_hamiltonian(ising_model(2, field_h=0.3), Region.box([2, 3]), boundary="free")
+    obs = Observable.make([(0, 0)], [1.0, -1.0])
+    calls = []
+    rho = Oracle.rho
+    monkeypatch.setattr(Oracle, "rho", lambda self, ids: calls.append(tuple(ids)) or rho(self, ids))
+    got = expectation_series(ham, 0.05, obs, g_mode="series", correlation_truncation=4)
+    assert len(calls) == len(set(calls)) == len(enumerate_polymers(ham, 4)) == 204
+    exact = gibbs_expectation(ham, 0.05, obs)
+    assert abs(got.value - exact) < 1e-6
+
+
 def test_expectation_series_checks_the_correlation_truncation_up_front():
     # Checked when the first ratio was computed, under the name of the
     # series' own cut; with no ratio to compute, -1 answered 0.
