@@ -17,7 +17,10 @@ rooting that sum at m = min S gives
 
     K(S) = Z_S - Z_{S minus m} - sum_{T support, m in T, T < S} K(T) Z_{S minus T},
 
-one spectrum per support and no subfamily sum. Classical kernels sum
+one spectrum per support and no subfamily sum. `oracle._rooted_sums`
+solves it in order of size, over the distinct supports of the polymers
+already enumerated, with Z_U from `Oracle._z_inside`; local expectations
+share that recursion. Classical kernels sum
 each polymer's Mayer product, and truncated quantum kernels each
 polymer's inclusion-exclusion over the Z memo. The Mayer product has no
 cancellation, while a difference of Z's loses the digits of K(S) below
@@ -47,7 +50,6 @@ solves in about 0.7 s on a 2-core machine.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -56,7 +58,7 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from .model import CLASSICAL, as_site, site_set
 from .numeric import _cast, _unbounded
-from .oracle import Oracle
+from .oracle import Oracle, _rooted_sums
 from .polymers import enumerate_polymers
 
 __all__ = ["KSKernel", "KSSolution", "build_ks_kernel", "ks_solve"]
@@ -114,34 +116,6 @@ class KSKernel:
         return _weight(a, 1) * (1.0 + worst)
 
 
-def _support_sums(ham, oracle: Oracle, supports) -> dict:
-    """K(S) for each support S in `supports`, by the rooted recursion of
-    the module docstring, solved in order of size.
-
-    Z_U is the oracle's Z of the bonds inside U, the bonds that avoid the
-    sites outside U. The supports T of the sum are every support in
-    `supports` that holds m and lies strictly inside S, taken in order of
-    size.
-    """
-    everywhere = frozenset(ham.sites)
-
-    @functools.cache
-    def z(sites):
-        return oracle.z(ham._ids_avoiding(everywhere - sites))
-
-    sums: dict = {}
-    rooted: dict = {}  # the supports done so far, by their smallest site
-    for s in sorted(supports, key=len):
-        m = min(s)
-        acc = z(s) - z(s - {m})
-        for t in rooted.setdefault(m, []):
-            if t < s:
-                acc -= sums[t] * z(s - t)
-        sums[s] = acc
-        rooted[m].append(s)
-    return sums
-
-
 def build_ks_kernel(ham, beta: complex, max_polymer_bonds: int | None = None) -> KSKernel:
     """Assemble K(x0, S) from the polymer activities of `ham` at `beta`.
 
@@ -160,7 +134,8 @@ def build_ks_kernel(ham, beta: complex, max_polymer_bonds: int | None = None) ->
     oracle = Oracle(ham, beta)
     supports = dict.fromkeys(p.support for p in polymers)
     if ham.kind != CLASSICAL and max_polymer_bonds >= len(ham.bonds):
-        sums = _support_sums(ham, oracle, supports)
+        z = oracle._z_inside
+        sums = _rooted_sums(z, supports, min, lambda s: z(s) - z(s - {min(s)}))
     else:
         sums = dict.fromkeys(supports, 0.0)
         for p in polymers:

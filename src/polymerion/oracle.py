@@ -90,43 +90,33 @@ __all__ = [
 @dataclass(frozen=True)
 class Observable:
     """A local observable: a table (classical) or matrix (quantum) on a
-    bond, whose sites are given sorted (`make` sorts them and the data)."""
+    bond, given by its sorted sites. `order` holds the same sites in the
+    order the data's axes follow when that is not sorted (`make` records
+    it), and is empty otherwise; `_check_observable` permutes such data
+    into sorted-site order once the volume's q is known."""
 
     support: Bond
     data: np.ndarray
+    order: Bond = ()
 
     def __post_init__(self):
         if as_bond(self.support) != tuple(self.support):
             raise ConfigError(f"the observable's sites {self.support} are not a sorted bond")
+        if self.order and as_bond(self.order) != self.support:
+            raise ConfigError(f"the sites {self.order} are not an order of {self.support}")
         object.__setattr__(self, "data", _array(self.data, "the observable"))
 
     @classmethod
     def make(cls, sites, data) -> "Observable":
         """An observable whose data follows `sites` in the order given.
 
-        The data's axes are permuted into sorted-site order by
-        `model._site_ordered`, as for terms. A square 2-D array whose side
-        is q^k on k sites is read as a matrix, any other array of q^k
-        entries as a table; data of another size is kept as given, for the
-        volume's shape check to refuse.
+        The sites are sorted, and an unsorted order is kept in `order`: the
+        data can be read as a table or a matrix only once q is known, so it
+        is permuted by `_check_observable`, as terms are when q is given.
         """
         given = tuple(as_site(s) for s in sites)
         support = as_bond(given)
-        if given != support:
-            data = _array(data, "the observable")
-            k, square = len(given), data.ndim == 2 and data.shape[0] == data.shape[1]
-            q = _root(data.shape[0], k) if square else None
-            if q is None:
-                data, q = data.reshape(-1), _root(data.size, k)
-            if q is not None:
-                data = _site_ordered(data, given, q)
-        return cls(support=support, data=data)
-
-
-def _root(n: int, k: int) -> int | None:
-    """The integer q with q^k = n, or None."""
-    q = round(n ** (1.0 / k))
-    return q if q**k == n else None
+        return cls(support=support, data=data, order=() if given == support else given)
 
 
 def _check_dim(q: int, nsites: int, kind: str):
@@ -155,11 +145,43 @@ def _alternating_sum(mask: int, term, start=0j):
     return acc
 
 
-def _check_observable(ham: Hamiltonian, obs: Observable):
-    """Refuse an observable off the volume or of the wrong shape for `ham`."""
+def _rooted_sums(z, sets, root, top) -> dict:
+    """K(S) = top(S) - sum_T K(T) z(S minus T) for each site set S of
+    `sets`, solved in order of size, where T runs over the sets before S
+    with the same `root(T)` that lie strictly inside S, in that order.
+
+    This is Park's decoupling solved for its rooted terms: z(U) is the
+    partition function of the bonds inside the site set U, the sum over
+    families of site-disjoint polymers inside U of their activity
+    products. `ks` roots each polymer support at its smallest site m,
+    with top(S) = Z_S - Z_{S minus m}, the families that meet m;
+    `series.expectation_series` roots every site set at the observable's
+    support X0, with top(S) the A-weighted trace over the bonds inside S.
+    """
+    sums: dict = {}
+    rooted: dict = {}  # the sets done so far, by their root
+    for s in sorted(sets, key=len):
+        r = root(s)
+        acc = top(s)
+        for t in rooted.setdefault(r, []):
+            if t < s:
+                acc -= sums[t] * z(s - t)
+        sums[s] = acc
+        rooted[r].append(s)
+    return sums
+
+
+def _check_observable(ham: Hamiltonian, obs: Observable) -> Observable:
+    """`obs` with its data in sorted-site order, refused if it is off the
+    volume or of the wrong shape for `ham`. Data on sites written out of
+    order is permuted here by `model._site_ordered`, with the volume's q."""
     ham.volume_sites(obs.support)
     nsites = len(obs.support)
     _local_operator(obs.data, nsites, ham.q, ham.kind, "the observable", hermitian=False)
+    if not obs.order:
+        return obs
+    data = obs.data.reshape(-1) if ham.kind == CLASSICAL else obs.data
+    return Observable(obs.support, _site_ordered(data, obs.order, ham.q))
 
 
 def _pattern_blocks(total: np.ndarray) -> list[np.ndarray]:
@@ -248,6 +270,7 @@ class Oracle:
         self._spectra: dict = {}
         self._mayer_tables: dict[int, np.ndarray] = {}
         self._placements: dict = {}
+        self._inside_masks: dict[frozenset, int] = {}
         self._adj = None
         # Dense operators take the ops' own dtype: float64 when every
         # term is exactly real, so eigh runs the real symmetric solver.
@@ -411,6 +434,22 @@ class Oracle:
         """Partition function with every bond meeting the site set x0 removed."""
         return self.z(self.ham._ids_avoiding(x0))
 
+    def _inside(self, sites: frozenset) -> int:
+        """Mask of the bonds inside the site set `sites` of the volume, the
+        bonds that avoid every other site, memoized by site set."""
+        mask = self._inside_masks.get(sites)
+        if mask is None:
+            mask = 0
+            for i, b in enumerate(self.ham.bonds):
+                if sites.issuperset(b):
+                    mask |= 1 << i
+            self._inside_masks[sites] = mask
+        return mask
+
+    def _z_inside(self, sites: frozenset) -> complex:
+        """Z of the bonds inside the site set `sites` of the volume."""
+        return self._z_mask(self._inside(sites))
+
     def reduced_correlation(self, x0) -> complex:
         """g(X0) = Z with bonds meeting X0 removed, over the full Z."""
         denom = self.z()
@@ -479,7 +518,7 @@ class Oracle:
 
     def expectation(self, obs: Observable) -> complex:
         """Gibbs expectation tr(A exp(-beta H)) / Z on the full region."""
-        _check_observable(self.ham, obs)
+        obs = _check_observable(self.ham, obs)
         z = self.z()
         if z == 0:
             raise NumericalError("partition function vanished; expectation undefined")
@@ -494,7 +533,7 @@ class Oracle:
         observable is refused as in `expectation`, and `support` and the
         observable's sites as in `hamiltonian_on`.
         """
-        _check_observable(self.ham, obs)
+        obs = _check_observable(self.ham, obs)
         mask = self._mask(bond_ids)
         support = self._support(mask, site_set(support).union(obs.support))
         return self._finite("Gibbs trace", self._trace, obs, mask, support)

@@ -25,9 +25,19 @@ X0); `free_energy_by_site` gives site x the share log Xi_{s < x} -
 log Xi_{s <= x} (clusters whose smallest site is x); `pinned_series`
 is Xi_pin / Xi = d log Xi / d rho_pin (clusters rooted at the pin).
 
-`expectation_series` sums the local-expectation identity over the bond
-families whose every component meets the observable's support X0:
-the connected sets of the pinned bond walk rooted at X0.
+`expectation_series` sums the local-expectation identity
+<A> = sum_B K(A, B) g(X0 union supp B) over the bond families B whose
+every component meets the observable's support X0: the connected sets of
+the pinned bond walk rooted at X0. A quantum volume with every family
+kept sums by site set V = X0 union supp B: splitting the A-weighted trace
+T_V over the bonds inside V at the components that meet X0 gives
+T_V = sum_{X0 <= W <= V} Kt(A, W) Z_{V minus W}, with Kt(A, W) the sum of
+K(A, B) over the families of site set W and Z_U the Z of the bonds
+inside U. Solved rooted at X0 by `oracle._rooted_sums`, as the exact
+hierarchy kernel is, that is one trace per site set. Classical families
+keep the Mayer product, which has no cancellation, and truncated quantum
+families their inclusion-exclusion over 2^|B| subfamily traces, since
+the rooted sum needs every family of a site set.
 
 `site_pinned_series` walks the clusters through one site instead:
 connected subsets of the distinct-polymer graph (a multiset is
@@ -57,7 +67,7 @@ import numpy as np
 from .errors import ConfigError
 from .model import CLASSICAL, Hamiltonian, LatticeModel, Site, _site_axes
 from .numeric import _array, _cast
-from .oracle import Observable, Oracle, _alternating_sum, _check_observable
+from .oracle import Observable, Oracle, _alternating_sum, _check_observable, _rooted_sums
 from .polymers import (
     Polymer,
     _capped,
@@ -496,10 +506,12 @@ def expectation_families(ham: Hamiltonian, x0, max_family_bonds: int):
     """Bond families whose every connected component meets X0.
 
     Yields tuples of bond indices, sorted by size and then by index (the
-    empty family first). These index the inclusion-exclusion terms of the
-    local-expectation identity. They are the bond sets that become
-    connected once a pin vertex for X0 is added, so they come from the
-    pinned walk, counted against `MAX_EXPECTATION_FAMILIES` as they stream.
+    empty family first). These index the terms of the local-expectation
+    identity: one term per family where `expectation_series` takes
+    K(A, B) by family, and their site sets X0 union supp B where it sums
+    by site set. They are the bond sets that become connected once a pin
+    vertex for X0 is added, so they come from the pinned walk, counted
+    against `MAX_EXPECTATION_FAMILIES` as they stream.
     """
     m = len(ham.bonds)
     pin = _pin_mask(ham.bonds, ham.volume_sites(x0))
@@ -511,6 +523,14 @@ def expectation_families(ham: Hamiltonian, x0, max_family_bonds: int):
 
 @dataclass(frozen=True)
 class ExpectationResult:
+    """A local expectation from `expectation_series`.
+
+    `n_families` counts the nonzero terms summed: bond families where
+    K(A, B) is taken by family (classical volumes, or a cut below the
+    number of bonds), and site sets X0 union supp B where the terms are
+    summed by site set (quantum volumes with every family kept).
+    """
+
     value: complex
     n_families: int
     g_mode: str
@@ -526,23 +546,30 @@ def expectation_series(
 ) -> ExpectationResult:
     """Local expectation through the inclusion-exclusion identity.
 
-    <A> = sum over bond families B (components meeting supp A) of
-    K(A, B) g(supp A union supp B), with K the Möbius transform of the
-    A-weighted Boltzmann traces. For classical bonds that transform is
-    tr(A xi_B), the trace of A times the Mayer product of B, and is
-    taken so. At max_family_bonds == len(ham.bonds)
-    and g_mode == "oracle" the sum is a finite identity, exact up to
-    rounding; g_mode == "series" replaces each ratio g by its cluster
-    series at `correlation_truncation` (by default the number of bonds),
-    which is checked up front whenever it is given. The ratios share one
-    oracle, one polymer list with its activity memo, and the
+    <A> = sum over bond families B (components meeting X0 = supp A) of
+    K(A, B) g(X0 union supp B), with K the Möbius transform of the
+    A-weighted Boltzmann traces. A quantum volume with every family kept
+    (`max_family_bonds` at least the number of bonds, the default) sums
+    the weights by site set V = X0 union supp B, one trace each (see the
+    module docstring). Classical bonds take K(A, B) = tr(A xi_B) with the
+    Mayer product xi_B, and truncated quantum families the
+    inclusion-exclusion over the traces of their 2^|B| subfamilies,
+    refused past 20 bonds.
+
+    At the full cut and g_mode == "oracle" the sum is a finite identity,
+    exact up to rounding; g_mode == "series" replaces each ratio g by its
+    cluster series at `correlation_truncation` (by default the number of
+    bonds), which is checked up front whenever it is given. The ratios
+    share one oracle, one polymer list with its activity memo, and the
     whole-volume families, built at the first ratio.
     """
-    _check_observable(ham, obs)
+    obs = _check_observable(ham, obs)
     if g_mode not in ("oracle", "series"):
         raise ConfigError(f"unknown g_mode {g_mode!r}")
     if max_family_bonds is None:
         max_family_bonds = len(ham.bonds)
+    else:
+        max_family_bonds = _cast(max_family_bonds, "max_family_bonds", int, least=0)
     if correlation_truncation is None:
         correlation_truncation = len(ham.bonds)
     else:
@@ -551,14 +578,22 @@ def expectation_series(
         )
     oracle = Oracle(ham, beta)
     x0 = frozenset(obs.support)
-    trace_memo: dict[int, complex] = {}
 
-    def weighted(mask: int) -> complex:
-        hit = trace_memo.get(mask)
-        if hit is None:
-            ids = tuple(_bits(mask))
-            hit = trace_memo[mask] = oracle.weighted_trace(obs, ids, ham.support(ids))
-        return hit
+    def trace(mask: int, sites) -> complex:
+        support = tuple(sorted(sites))
+        return oracle._finite("Gibbs trace", oracle._trace, obs, mask, support)
+
+    weighted = cache(lambda mask: trace(mask, x0.union(ham.support(_bits(mask)))))
+
+    def family_weight(ids) -> complex:
+        if ham.kind != CLASSICAL:
+            return _alternating_sum(oracle._mask(ids), weighted)
+        xi_support, xi = oracle.xi(ids)
+        support = tuple(sorted(x0.union(xi_support)))
+        return complex(np.mean(
+            _site_axes(obs.data, obs.support, support, ham.q)
+            * _site_axes(xi, xi_support, support, ham.q)
+        ))
 
     @cache
     def shared():
@@ -580,22 +615,21 @@ def expectation_series(
             g_memo[sites] = hit
         return hit
 
+    families = expectation_families(ham, x0, max_family_bonds)
+    if ham.kind != CLASSICAL and max_family_bonds >= len(ham.bonds):
+        volumes = dict.fromkeys(x0.union(ham.support(ids)) for ids in families)
+        terms = _rooted_sums(
+            oracle._z_inside, volumes, lambda v: x0,
+            lambda v: trace(oracle._inside(v), v),
+        ).items()
+    else:
+        terms = ((x0.union(ham.support(ids)), family_weight(ids)) for ids in families)
     total = 0j
     count = 0
-    for ids in expectation_families(ham, x0, max_family_bonds):
-        if ham.kind == CLASSICAL:
-            xi_support, xi = oracle.xi(ids)
-            support = tuple(sorted(x0.union(xi_support)))
-            k_val = complex(np.mean(
-                _site_axes(obs.data, obs.support, support, ham.q)
-                * _site_axes(xi, xi_support, support, ham.q)
-            ))
-        else:
-            k_val = _alternating_sum(oracle._mask(ids), weighted)
+    for sites, k_val in terms:
         if k_val == 0:
             continue
-        sites = x0 | set(ham.support(ids))
-        total += k_val * g_of(frozenset(sites))
+        total += k_val * g_of(sites)
         count += 1
     return ExpectationResult(value=total, n_families=count, g_mode=g_mode)
 

@@ -26,7 +26,10 @@ trace over the blocked spectrum. `rho_reference` keeps the classical
 activity as the inclusion-exclusion over the Z memo, as the reference of
 the Mayer product. `ks_kernel_reference` keeps the exact hierarchy
 kernel as the per-polymer sum of activities, as the reference of the
-quantum kernel built from one Z per support.
+quantum kernel built from one Z per support. `expectation_reference`
+keeps the quantum local expectation as the per-family sum of subfamily
+inclusion-exclusions over weighted traces, as the reference of the sum
+over site sets.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from polymerion.model import CLASSICAL, embed_matrix
 from polymerion.oracle import _alternating_sum
 from polymerion.numeric import golden_max
 from polymerion.polymers import _connected_families, _induced, _pinned_families
+from polymerion.series import expectation_families
 from polymerion.ursell import _bits
 
 # A qubit boundary state with imaginary coherences: contracting sigma . sigma
@@ -424,3 +428,28 @@ def ks_kernel_reference(ham, beta) -> KSKernel:
         sites=tuple(ham.sites), entries=entries, n_polymers=len(polymers),
         truncation=len(ham.bonds),
     )
+
+
+def expectation_reference(ham, beta, obs) -> complex:
+    """<A> as `expectation_series` summed it for quantum volumes at the full
+    cut before the sum over site sets: for each family B, in family order,
+    K(A, B) as the inclusion-exclusion over its subfamilies B' of
+    `Oracle.weighted_trace` on supp A and the sites of B' (memoized by
+    subfamily), times the oracle's g of supp A and the sites of B; zero
+    weights are skipped."""
+    oracle = Oracle(ham, beta)
+    x0 = frozenset(obs.support)
+    traces: dict = {}
+
+    def weighted(mask: int) -> complex:
+        if mask not in traces:
+            ids = tuple(_bits(mask))
+            traces[mask] = oracle.weighted_trace(obs, ids, ham.support(ids))
+        return traces[mask]
+
+    total = 0j
+    for ids in expectation_families(ham, x0, len(ham.bonds)):
+        k = _alternating_sum(oracle._mask(ids), weighted)
+        if k != 0:
+            total += k * oracle.reduced_correlation(x0.union(ham.support(ids)))
+    return total

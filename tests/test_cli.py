@@ -10,7 +10,17 @@ import sys
 
 import pytest
 
-from polymerion import Oracle, Region, assemble_hamiltonian, ising_model, ks_solve
+from polymerion import (
+    LatticeModel,
+    Observable,
+    Oracle,
+    Region,
+    assemble_hamiltonian,
+    expectation_series,
+    gibbs_expectation,
+    ising_model,
+    ks_solve,
+)
 from polymerion.cli import main
 
 from helpers import ks_rows_reference
@@ -649,6 +659,35 @@ def test_an_observable_reads_the_same_in_either_site_order(tmp_path, capsys):
         values.append(run_json(capsys, ["exact", "--config", write_cfg(tmp_path, doc)]))
     assert values[0] == values[1]
     assert abs(values[0]["rows"][0]["expectation"] - 0.32985093391668824) < 1e-12
+
+
+def test_a_q4_observable_on_unsorted_sites_is_read_with_the_volumes_q(tmp_path, capsys):
+    # A nested 4x4 table on sites written (1), (0) of a q = 4 chain was
+    # guessed to be a q = 2 matrix before q was known, and permuted as one:
+    # it read 0.39825 where 0.39501 is right, in the library and the config
+    # alike.
+    pair = [[0.25, 0.79, 0.55, -0.55], [-0.4, 0.75, -0.99, 0.64],
+            [0.59, -0.06, -0.39, -0.44], [-0.49, -0.11, 0.01, 0.11]]
+    field = [0.99, 0.59, 0.24, 0.98]
+    table = [[0.22, 0.16, 0.61, 0.04], [0.04, 0.51, 0.47, 0.92],
+             [0.63, 0.51, 0.5, 0.25], [0.01, 0.19, 0.69, 0.2]]
+    want = 0.39500751541319734
+    model = LatticeModel.from_templates(1, 4, "classical", [(((0,), (1,)), pair), (((0,),), field)])
+    ham = assemble_hamiltonian(model, Region.box([3]), boundary="free")
+    unsorted = Observable.make([(1,), (0,)], table)
+    assert gibbs_expectation(ham, 0.3, Observable.make([(0,), (1,)], list(zip(*table)))) == want
+    assert gibbs_expectation(ham, 0.3, unsorted) == want
+    assert abs(expectation_series(ham, 0.3, unsorted).value - want) < 1e-14
+    doc = {"model": {"kind": "classical", "q": 4, "dimension": 1,
+                     "terms": [{"sites": [[0], [1]], "data": pair},
+                               {"sites": [[0]], "data": field}]},
+           "region": {"extent": [3], "boundary": "free"}, "beta": 0.3,
+           "observable": {"sites": [[1], [0]], "data": table}}
+    exact = run_json(capsys, ["exact", "--config", write_cfg(tmp_path, doc)])
+    assert exact["rows"][0]["expectation"] == want
+    doc["series"] = {"max_total_bonds": 2}
+    series = run_json(capsys, ["series", "--config", write_cfg(tmp_path, doc)])
+    assert abs(series["rows"][0]["expectation"] - want) < 1e-14
 
 
 def test_a_term_reads_the_same_in_either_site_order(tmp_path, capsys):

@@ -29,7 +29,9 @@ from polymerion import (
 )
 
 from polymerion.model import CLASSICAL, QUANTUM, embed_matrix, embed_table
-from polymerion.oracle import _SPLIT_DIM, _Spectrum, _alternating_sum, _check_dim, _pattern_blocks
+from polymerion.oracle import (
+    _SPLIT_DIM, _Spectrum, _alternating_sum, _check_dim, _check_observable, _pattern_blocks,
+)
 from polymerion.ursell import _bits, _components, _overlap_masks
 
 from helpers import (
@@ -161,8 +163,9 @@ def test_observable_make_reads_the_data_in_the_order_of_its_sites(rng):
     for data in (table.T.ravel(), table.T):  # flat and nested tables alike
         assert gibbs_expectation(ham, 0.3, Observable.make([(1,), (0,)], data)) == want
 
-    # Three sites in every order, tables and matrices: the data is permuted
-    # into sorted-site order, entry for entry.
+    # Three sites in every order, tables and matrices: once checked against
+    # a volume, which gives q, the data is in sorted-site order, entry for
+    # entry.
     sites = [(0,), (1,), (2,)]
     quantum = assemble_hamiltonian(heisenberg_model(1), Region.box([3]), boundary="free")
     table = rng.standard_normal((2,) * 3)
@@ -172,9 +175,9 @@ def test_observable_make_reads_the_data_in_the_order_of_its_sites(rng):
         given = [sites[i] for i in p]
         obs = Observable.make(given, table.transpose(p).ravel())
         assert obs.support == tuple(sites)
-        assert np.array_equal(obs.data, table.ravel())
+        assert np.array_equal(_check_observable(ham, obs).data, table.ravel())
         obs = Observable.make(given, tensor.transpose(list(p) + [3 + i for i in p]).reshape(8, 8))
-        assert np.array_equal(obs.data, mat)
+        assert np.array_equal(_check_observable(quantum, obs).data, mat)
         assert gibbs_expectation(quantum, 0.4, obs) == gibbs_expectation(
             quantum, 0.4, Observable.make(sites, mat))
 
