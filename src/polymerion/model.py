@@ -432,19 +432,14 @@ class Hamiltonian:
             raise ConfigError(f"sites {sorted(outside)} are not in the volume")
         return sites
 
-    def _ids_avoiding(self, x0) -> list[int]:
-        """Ids of the bonds whose support misses the site set `x0`, which
-        `volume_sites` checks."""
-        x0 = self.volume_sites(x0)
-        return [i for i, b in enumerate(self.bonds) if x0.isdisjoint(b)]
-
     def restricted_away(self, x0) -> "Hamiltonian":
         """Drop every bond whose support meets the site set `x0`.
 
         The sites stay; under the normalized trace, free sites do not
         change any partition function.
         """
-        keep = self._ids_avoiding(x0)
+        x0 = self.volume_sites(x0)
+        keep = [i for i, b in enumerate(self.bonds) if x0.isdisjoint(b)]
         return replace(
             self,
             bonds=tuple(self.bonds[i] for i in keep),

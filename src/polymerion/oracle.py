@@ -125,19 +125,19 @@ def _check_dim(q: int, nsites: int, kind: str):
         raise NumericalError(f"exact oracle refused: q^{nsites} states exceeds {cap}")
 
 
-def _alternating_sum(mask: int, term, start=0j):
+def _alternating_sum(mask: int, term):
     """Sum of (-1)^{|B| - |sub|} term(sub) over the submasks sub of the bond
     mask B.
 
     Submasks are taken by size and then in `itertools.combinations` order
-    of the ascending bond ids, and added to `start` one at a time. More than
-    20 bonds is refused.
+    of the ascending bond ids, and added to 0j one at a time. More than 20
+    bonds is refused.
     """
     bits = [1 << i for i in _bits(mask)]
     n = len(bits)
     if n > 20:
         raise NumericalError("inclusion-exclusion over more than 2^20 subfamilies")
-    acc = start
+    acc = 0j
     for r in range(n + 1):
         sign = (-1) ** (n - r)
         for sub in itertools.combinations(bits, r):
@@ -431,8 +431,9 @@ class Oracle:
         return val
 
     def z_avoiding(self, x0) -> complex:
-        """Partition function with every bond meeting the site set x0 removed."""
-        return self.z(self.ham._ids_avoiding(x0))
+        """Partition function with every bond meeting the site set x0 removed:
+        Z of the bonds inside the other sites of the volume."""
+        return self._z_inside(frozenset(self.ham.sites) - self.ham.volume_sites(x0))
 
     def _inside(self, sites: frozenset) -> int:
         """Mask of the bonds inside the site set `sites` of the volume, the
@@ -496,12 +497,9 @@ class Oracle:
         support = self.ham.support(_bits(mask))
         if self.ham.kind == CLASSICAL:
             return support, self._finite("fugacity", self._mayer, mask, support).flatten()
-        q = self.ham.q
-        _check_dim(q, len(support), self.ham.kind)
-        dim = q ** len(support)
+        _check_dim(self.ham.q, len(support), self.ham.kind)
         return support, self._finite(
-            "fugacity", _alternating_sum, mask, lambda sub: self._boltzmann(sub, support),
-            np.zeros((dim, dim), dtype=complex),
+            "fugacity", _alternating_sum, mask, lambda sub: self._boltzmann(sub, support)
         )
 
     def rho(self, bond_ids) -> complex:

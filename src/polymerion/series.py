@@ -28,16 +28,16 @@ is Xi_pin / Xi = d log Xi / d rho_pin (clusters rooted at the pin).
 `expectation_series` sums the local-expectation identity
 <A> = sum_B K(A, B) g(X0 union supp B) over the bond families B whose
 every component meets the observable's support X0: the connected sets of
-the pinned bond walk rooted at X0. A quantum volume with every family
-kept sums by site set V = X0 union supp B: splitting the A-weighted trace
-T_V over the bonds inside V at the components that meet X0 gives
+the pinned bond walk rooted at X0. It sums by site sets on quantum
+volumes, by families on classical ones. A quantum volume sums by site
+set V = X0 union supp B: splitting the A-weighted trace T_V over the
+bonds inside V at the components that meet X0 gives
 T_V = sum_{X0 <= W <= V} Kt(A, W) Z_{V minus W}, with Kt(A, W) the sum of
 K(A, B) over the families of site set W and Z_U the Z of the bonds
 inside U. Solved rooted at X0 by `oracle._rooted_sums`, as the exact
-hierarchy kernel is, that is one trace per site set. Classical families
-keep the Mayer product, which has no cancellation, and truncated quantum
-families their inclusion-exclusion over 2^|B| subfamily traces, since
-the rooted sum needs every family of a site set.
+hierarchy kernel is, that is one trace per site set. A classical volume
+sums by family, each K(A, B) the mean of A times the Mayer product of B,
+which has no cancellation.
 
 `site_pinned_series` walks the clusters through one site instead:
 connected subsets of the distinct-polymer graph (a multiset is
@@ -67,7 +67,7 @@ import numpy as np
 from .errors import ConfigError
 from .model import CLASSICAL, Hamiltonian, LatticeModel, Site, _site_axes
 from .numeric import _array, _cast
-from .oracle import Observable, Oracle, _alternating_sum, _check_observable, _rooted_sums
+from .oracle import Observable, Oracle, _check_observable, _rooted_sums
 from .polymers import (
     Polymer,
     _capped,
@@ -508,10 +508,11 @@ def expectation_families(ham: Hamiltonian, x0, max_family_bonds: int):
     Yields tuples of bond indices, sorted by size and then by index (the
     empty family first). These index the terms of the local-expectation
     identity: one term per family where `expectation_series` takes
-    K(A, B) by family, and their site sets X0 union supp B where it sums
-    by site set. They are the bond sets that become connected once a pin
-    vertex for X0 is added, so they come from the pinned walk, counted
-    against `MAX_EXPECTATION_FAMILIES` as they stream.
+    K(A, B) by family (classical volumes), and their site sets
+    X0 union supp B where it sums by site set (quantum ones). They are the
+    bond sets that become connected once a pin vertex for X0 is added, so
+    they come from the pinned walk, counted against
+    `MAX_EXPECTATION_FAMILIES` as they stream.
     """
     m = len(ham.bonds)
     pin = _pin_mask(ham.bonds, ham.volume_sites(x0))
@@ -525,10 +526,8 @@ def expectation_families(ham: Hamiltonian, x0, max_family_bonds: int):
 class ExpectationResult:
     """A local expectation from `expectation_series`.
 
-    `n_families` counts the nonzero terms summed: bond families where
-    K(A, B) is taken by family (classical volumes, or a cut below the
-    number of bonds), and site sets X0 union supp B where the terms are
-    summed by site set (quantum volumes with every family kept).
+    `n_families` counts the nonzero terms summed: site sets
+    X0 union supp B on quantum volumes, bond families on classical ones.
     """
 
     value: complex
@@ -540,7 +539,6 @@ def expectation_series(
     ham: Hamiltonian,
     beta: complex,
     obs: Observable,
-    max_family_bonds: int | None = None,
     g_mode: str = "oracle",
     correlation_truncation: int | None = None,
 ) -> ExpectationResult:
@@ -548,28 +546,22 @@ def expectation_series(
 
     <A> = sum over bond families B (components meeting X0 = supp A) of
     K(A, B) g(X0 union supp B), with K the Möbius transform of the
-    A-weighted Boltzmann traces. A quantum volume with every family kept
-    (`max_family_bonds` at least the number of bonds, the default) sums
-    the weights by site set V = X0 union supp B, one trace each (see the
-    module docstring). Classical bonds take K(A, B) = tr(A xi_B) with the
-    Mayer product xi_B, and truncated quantum families the
-    inclusion-exclusion over the traces of their 2^|B| subfamilies,
-    refused past 20 bonds.
+    A-weighted Boltzmann traces, taken over every such family. It sums by
+    site sets on quantum volumes, by families on classical ones: one
+    trace per site set V = X0 union supp B (see the module docstring),
+    and K(A, B) = tr(A xi_B) per family, with the Mayer product xi_B on
+    X0 union supp B.
 
-    At the full cut and g_mode == "oracle" the sum is a finite identity,
-    exact up to rounding; g_mode == "series" replaces each ratio g by its
-    cluster series at `correlation_truncation` (by default the number of
-    bonds), which is checked up front whenever it is given. The ratios
-    share one oracle, one polymer list with its activity memo, and the
-    whole-volume families, built at the first ratio.
+    With g_mode == "oracle" the sum is a finite identity, exact up to
+    rounding; g_mode == "series" replaces each ratio g by its cluster
+    series at `correlation_truncation` (by default the number of bonds),
+    which is checked up front whenever it is given. The ratios share one
+    oracle, one polymer list with its activity memo, and the whole-volume
+    families, built at the first ratio.
     """
     obs = _check_observable(ham, obs)
     if g_mode not in ("oracle", "series"):
         raise ConfigError(f"unknown g_mode {g_mode!r}")
-    if max_family_bonds is None:
-        max_family_bonds = len(ham.bonds)
-    else:
-        max_family_bonds = _cast(max_family_bonds, "max_family_bonds", int, least=0)
     if correlation_truncation is None:
         correlation_truncation = len(ham.bonds)
     else:
@@ -579,21 +571,16 @@ def expectation_series(
     oracle = Oracle(ham, beta)
     x0 = frozenset(obs.support)
 
-    def trace(mask: int, sites) -> complex:
+    def family_term(ids) -> tuple[frozenset[Site], complex]:
+        sites = x0.union(ham.support(ids))
         support = tuple(sorted(sites))
+        mayer = oracle._finite("fugacity", oracle._mayer, sum(1 << i for i in ids), support)
+        a = _site_axes(obs.data, obs.support, support, ham.q)
+        return sites, complex(np.mean(a * mayer))
+
+    def trace(sites: frozenset[Site]) -> complex:
+        mask, support = oracle._inside(sites), tuple(sorted(sites))
         return oracle._finite("Gibbs trace", oracle._trace, obs, mask, support)
-
-    weighted = cache(lambda mask: trace(mask, x0.union(ham.support(_bits(mask)))))
-
-    def family_weight(ids) -> complex:
-        if ham.kind != CLASSICAL:
-            return _alternating_sum(oracle._mask(ids), weighted)
-        xi_support, xi = oracle.xi(ids)
-        support = tuple(sorted(x0.union(xi_support)))
-        return complex(np.mean(
-            _site_axes(obs.data, obs.support, support, ham.q)
-            * _site_axes(xi, xi_support, support, ham.q)
-        ))
 
     @cache
     def shared():
@@ -601,29 +588,20 @@ def expectation_series(
         values = _LazyValues(oracle, polymers)
         return polymers, values, _families(polymers, values, correlation_truncation)
 
-    g_memo: dict[frozenset[Site], complex] = {}
-
+    @cache
     def g_of(sites: frozenset[Site]) -> complex:
-        hit = g_memo.get(sites)
-        if hit is None:
-            if g_mode == "oracle":
-                hit = oracle.reduced_correlation(sites)
-            else:
-                polymers, values, full = shared()
-                pinned = _meeting_series(polymers, values, correlation_truncation, sites, full)
-                hit = np.exp(-pinned.value)
-            g_memo[sites] = hit
-        return hit
+        if g_mode == "oracle":
+            return oracle.reduced_correlation(sites)
+        polymers, values, full = shared()
+        pinned = _meeting_series(polymers, values, correlation_truncation, sites, full)
+        return np.exp(-pinned.value)
 
-    families = expectation_families(ham, x0, max_family_bonds)
-    if ham.kind != CLASSICAL and max_family_bonds >= len(ham.bonds):
-        volumes = dict.fromkeys(x0.union(ham.support(ids)) for ids in families)
-        terms = _rooted_sums(
-            oracle._z_inside, volumes, lambda v: x0,
-            lambda v: trace(oracle._inside(v), v),
-        ).items()
+    families = expectation_families(ham, x0, len(ham.bonds))
+    if ham.kind == CLASSICAL:
+        terms = map(family_term, families)
     else:
-        terms = ((x0.union(ham.support(ids)), family_weight(ids)) for ids in families)
+        volumes = dict.fromkeys(x0.union(ham.support(ids)) for ids in families)
+        terms = _rooted_sums(oracle._z_inside, volumes, lambda v: x0, trace).items()
     total = 0j
     count = 0
     for sites, k_val in terms:

@@ -27,9 +27,11 @@ activity as the inclusion-exclusion over the Z memo, as the reference of
 the Mayer product. `ks_kernel_reference` keeps the exact hierarchy
 kernel as the per-polymer sum of activities, as the reference of the
 quantum kernel built from one Z per support. `expectation_reference`
-keeps the quantum local expectation as the per-family sum of subfamily
-inclusion-exclusions over weighted traces, as the reference of the sum
-over site sets.
+keeps the local expectation as the per-family sum: for quantum volumes
+of subfamily inclusion-exclusions over weighted traces, as the reference
+of the sum over site sets; for classical ones of `Oracle.xi` re-axed
+onto the observable's sites, as the reference of the Mayer product
+built on them.
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ from polymerion import (
     enumerate_polymers,
 )
 from polymerion.convergence import _margins
-from polymerion.model import CLASSICAL, embed_matrix
-from polymerion.oracle import _alternating_sum
+from polymerion.model import CLASSICAL, _site_axes, embed_matrix
+from polymerion.oracle import _alternating_sum, _check_observable
 from polymerion.numeric import golden_max
 from polymerion.polymers import _connected_families, _induced, _pinned_families
 from polymerion.series import expectation_families
@@ -431,12 +433,15 @@ def ks_kernel_reference(ham, beta) -> KSKernel:
 
 
 def expectation_reference(ham, beta, obs) -> complex:
-    """<A> as `expectation_series` summed it for quantum volumes at the full
-    cut before the sum over site sets: for each family B, in family order,
-    K(A, B) as the inclusion-exclusion over its subfamilies B' of
+    """<A> as `expectation_series` summed it at the full cut before the sum
+    over site sets: for each family B, in family order, K(A, B) times the
+    oracle's g of supp A and the sites of B; zero weights are skipped.
+    Quantum K(A, B) is the inclusion-exclusion over its subfamilies B' of
     `Oracle.weighted_trace` on supp A and the sites of B' (memoized by
-    subfamily), times the oracle's g of supp A and the sites of B; zero
-    weights are skipped."""
+    subfamily). Classical K(A, B) is the mean of A times `Oracle.xi`, the
+    Mayer product on the sites of B, both re-axed onto supp A and the
+    sites of B."""
+    obs = _check_observable(ham, obs)
     oracle = Oracle(ham, beta)
     x0 = frozenset(obs.support)
     traces: dict = {}
@@ -447,9 +452,19 @@ def expectation_reference(ham, beta, obs) -> complex:
             traces[mask] = oracle.weighted_trace(obs, ids, ham.support(ids))
         return traces[mask]
 
+    def family_weight(ids) -> complex:
+        if ham.kind != CLASSICAL:
+            return _alternating_sum(oracle._mask(ids), weighted)
+        xi_support, xi = oracle.xi(ids)
+        support = tuple(sorted(x0.union(xi_support)))
+        return complex(np.mean(
+            _site_axes(obs.data, obs.support, support, ham.q)
+            * _site_axes(xi, xi_support, support, ham.q)
+        ))
+
     total = 0j
     for ids in expectation_families(ham, x0, len(ham.bonds)):
-        k = _alternating_sum(oracle._mask(ids), weighted)
+        k = family_weight(ids)
         if k != 0:
             total += k * oracle.reduced_correlation(x0.union(ham.support(ids)))
     return total

@@ -32,6 +32,7 @@ from polymerion import (
     site_pinned_series,
 )
 from polymerion import series
+from polymerion.model import CLASSICAL, QUANTUM
 from polymerion.polymers import Polymer, _pin_mask, incompatibility_graph
 from polymerion.series import _count_clusters, expectation_families
 
@@ -42,6 +43,7 @@ from helpers import (
     random_hermitian,
     random_instance,
     random_observable,
+    random_table,
 )
 
 
@@ -192,16 +194,11 @@ def test_site_pinned_series_pins_exactly_one_site():
         lambda ham: free_energy_by_site(ham, 0.3, -1),
         lambda ham: site_pinned_series(ham, 0.3, (0,), -1),
         lambda ham: adaptive_free_energy_series(ham, 0.3, start=-2),
-        lambda ham: expectation_series(
-            ham, 0.3, Observable.make([(0,)], np.array([1.0, -1.0])), max_family_bonds=-1
-        ),
     ],
-    ids=["free_energy", "correlation", "pinned", "by_site", "site_pinned", "adaptive",
-         "expectation"],
+    ids=["free_energy", "correlation", "pinned", "by_site", "site_pinned", "adaptive"],
 )
 def test_negative_truncations_are_refused(call):
-    # Each used to fail with a bare IndexError, or (the expectation) to
-    # answer as if the cut were 0.
+    # Each used to fail with a bare IndexError.
     with pytest.raises(ConfigError, match="at least 0"):
         call(small_chain())
 
@@ -248,22 +245,28 @@ def test_expectation_identity_exact_quantum(rng):
 
 
 def test_quantum_expectations_by_site_set_match_the_per_family_sum(rng):
-    # The odd instances of the generator are quantum: free chains, the
-    # product-boundary cluster with its 3-site bond, periodic rings. Each
-    # takes a one-site and a two-site observable, at its own beta and at a
-    # complex beta of the same modulus.
+    # The generator alternates classical and quantum instances: free chains,
+    # the product-boundary cluster with its 3-site bond, periodic rings.
+    # Each takes a one-site and a two-site observable, at its own beta and
+    # at a complex beta of the same modulus. Quantum sums by site set agree
+    # with the per-family sum to rounding; classical ones are that sum, and
+    # equal it bit for bit.
     seen = set()
-    for i in range(1, 30, 2):
+    for i in range(30):
         label, ham, beta = random_instance(rng, i)
         sites = sorted(ham.sites)
+        random_data = random_table if ham.kind == CLASSICAL else random_hermitian
         for pick in ([sites[int(rng.integers(len(sites)))]], sites[:2]):
-            obs = Observable.make(pick, random_hermitian(rng, ham.q, len(pick), 1.0))
+            obs = Observable.make(pick, random_data(rng, ham.q, len(pick), 1.0))
             for b in (beta, abs(beta) * cmath.exp(1j * rng.uniform(0.3, 2.8))):
                 got = expectation_series(ham, b, obs).value
-                for want in (expectation_reference(ham, b, obs), Oracle(ham, b).expectation(obs)):
+                reference = expectation_reference(ham, b, obs)
+                if ham.kind == CLASSICAL:
+                    assert got == reference, label
+                for want in (reference, Oracle(ham, b).expectation(obs)):
                     assert abs(got - want) <= 1e-10 * abs(want), label
-        seen.add(label.split("-")[0])
-    assert seen == {"free", "product", "periodic"}, seen
+        seen.add((label.split("-")[0], ham.kind))
+    assert seen == set(itertools.product(("free", "product", "periodic"), (CLASSICAL, QUANTUM)))
 
 
 def test_expectation_on_the_heisenberg_3x3_patch():
