@@ -213,6 +213,9 @@ def _cmd_series(cfg):
     betas = cfgmod.beta_values(cfg)
     sec = cfgmod.section(cfg, "series")
     k = cfgmod.option(sec, "series", "max_total_bonds", int, 6, least=0)
+    g_mode = sec.get("g_mode", "oracle")
+    if g_mode not in ("oracle", "series"):
+        raise ConfigError(f"unknown g_mode {g_mode!r}")
 
     if "region" not in cfg:
         # No finite window: report the thermodynamic free-energy density
@@ -236,7 +239,6 @@ def _cmd_series(cfg):
         raise ConfigError(f"series.per_site must be true or false, got {per_site!r}")
     obs = _observable(cfg)
     corr = _correlation_sites(cfg)
-    g_mode = sec.get("g_mode", "oracle")
     orders = cfgmod.option(sec, "series", "sweep", int, None, many=True, least=0) or [k]
 
     def one(b, kk):

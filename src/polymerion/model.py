@@ -8,12 +8,13 @@ product basis), or a Hermitian q^k x q^k matrix for quantum models.
 Tensor index convention: local state spaces are ordered by sorting the
 sites lexicographically, and flattened row-major, so the largest site is
 the fastest-varying index. Four functions spell the convention out:
-`_site_axes` lifts a local table and `_placement` a local matrix onto a
-larger site set, `_relabel` renames the sites of one (periodic
-wrapping), and `_contract_outside` traces sites out of one (the product
-boundary). Everything else goes through them (`embed_table` and
-classical `Oracle.hamiltonian_on` through `_site_axes`, `embed_matrix`
-and quantum `Oracle.hamiltonian_on` through `_placement`).
+`_site_axes` lifts a local table onto a larger site set and `_placement`
+gives the strided view a local matrix takes there, cached by position;
+`_relabel` renames the sites of one (periodic wrapping), and
+`_contract_outside` traces sites out of one (the product boundary).
+Everything else goes through them (`embed_table` and classical
+`Oracle.hamiltonian_on` through `_site_axes`, `embed_matrix` and quantum
+`Oracle.hamiltonian_on` through `_placement`).
 
 A `Hamiltonian` is the result of assembling an interaction on a finite
 region under one of three boundary conditions:
@@ -33,6 +34,7 @@ import itertools
 import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 import numpy as np
 
@@ -152,22 +154,23 @@ def embed_table(table, support: Bond, sites: Bond, q: int) -> np.ndarray:
     return np.broadcast_to(_site_axes(table, support, sites, q), (q,) * len(sites)).ravel()
 
 
-def _placement(op: np.ndarray, bond: Bond, sites: Bond, q: int, itemsize: int):
-    """(shape, strides, op reshaped) of the view of a C-ordered (q^n, q^n)
-    matrix on `sites` that holds the entries op (x) I reaches, for `op` on
-    `bond` (a subsequence of `sites`, not checked here): the reshaped op
-    broadcasts onto the view. Strides are in bytes of `itemsize`. With step
-    the stride of a site's index and dim = q^n, a site off the bond gets
-    one axis of stride step (dim + 1), a bond site a row axis of stride
-    step dim and a column axis of stride step; adjacent axes that walk
-    memory as one are merged.
+@cache
+def _placement(at: tuple[int, ...], n: int, q: int, itemsize: int):
+    """(shape, strides, op shape) of the view of a C-ordered (q^n, q^n)
+    matrix on n sites that holds the entries op (x) I reaches, for op on
+    the sites at the ascending positions `at` of the n: op reshaped to the
+    op shape broadcasts onto the view. Strides are in bytes of `itemsize`.
+    With step the stride of a site's index and dim = q^n, a site off the
+    bond gets one axis of stride step (dim + 1), a bond site a row axis of
+    stride step dim and a column axis of stride step; adjacent axes that
+    walk memory as one are merged. Cached: the key holds no site and no op.
     """
-    inside = set(bond)
-    dim = q ** len(sites)
+    inside = set(at)
+    dim = q ** n
     step, rows, cols = dim * itemsize, [], []
-    for s in sites:
+    for j in range(n):
         step //= q
-        if s in inside:
+        if j in inside:
             rows.append((q, step * dim, q))
             cols.append((q, step, q))
         else:
@@ -178,8 +181,7 @@ def _placement(op: np.ndarray, bond: Bond, sites: Bond, q: int, itemsize: int):
             axes[-1] = (axes[-1][0] * length, stride, axes[-1][2] * part)
         else:
             axes.append((length, stride, part))
-    shape, strides, op_shape = zip(*axes)
-    return shape, strides, op.reshape(op_shape)
+    return tuple(zip(*axes))
 
 
 def embed_matrix(mat, support: Bond, sites: Bond, q: int) -> np.ndarray:
@@ -201,9 +203,10 @@ def embed_matrix(mat, support: Bond, sites: Bond, q: int) -> np.ndarray:
 def _embed_matrix(mat: np.ndarray, support: Bond, sites: Bond, q: int) -> np.ndarray:
     """`embed_matrix` of a matrix and sites already checked."""
     out = np.zeros((q ** len(sites),) * 2, mat.dtype)
-    shape, strides, op = _placement(mat, support, sites, q, out.itemsize)
+    shape, strides, op_shape = _placement(tuple(map(sites.index, support)), len(sites), q,
+                                          out.itemsize)
     view = np.ndarray(shape, out.dtype, out, 0, strides)
-    view += op
+    view += mat.reshape(op_shape)
     return out
 
 

@@ -26,8 +26,8 @@ The spectrum of a bond set does not depend on beta. Z and Gibbs traces
 are sums over it: over the energy table of a classical set, or over the
 eigenvalues and eigenvectors of a quantum matrix. A quantum H_B is built
 by adding each bond's operator in place to one zero matrix, through the
-strided view of the entries op (x) I reaches (`model._placement`, kept
-per bond and support), with the bits of a sum of `embed_matrix` terms.
+strided view of the entries op (x) I reaches (`model._placement`, shared
+by position, not per oracle), with the bits of a sum of `embed_matrix` terms.
 A quantum matrix of `_SPLIT_DIM` rows or more is split into the
 connected components of its own nonzero pattern (the sectors of any
 conserved quantity it has), and its spectrum is memoized per (bond
@@ -37,7 +37,7 @@ built again when asked, as before: splitting or keeping it costs more
 than it saves.
 
 A value past the float range is a `NumericalError`, raised by the one
-exit `Oracle._finite`, never inf or nan with a numpy warning.
+exit `_finite` (series values too), never inf or nan with a numpy warning.
 """
 
 from __future__ import annotations
@@ -123,6 +123,19 @@ def _check_dim(q: int, nsites: int, kind: str):
     cap = MAX_DENSE_DIM if kind == CLASSICAL else MAX_QUANTUM_DIM
     if q**nsites > cap:
         raise NumericalError(f"exact oracle refused: q^{nsites} states exceeds {cap}")
+
+
+def _finite(what: str, compute, *args, beta=None):
+    """`compute(*args)` with numpy's overflow and invalid-value warnings
+    off, refused by a NumericalError naming `what` (and `beta`, if given)
+    unless every value is finite. The one exit of an oracle or series value
+    that may leave the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = compute(*args)
+    if not (cmath.isfinite(val) if isinstance(val, complex) else np.isfinite(val).all()):
+        at = "" if beta is None else f" at beta = {beta}"
+        raise NumericalError(f"{what} is not finite{at}")
+    return val
 
 
 def _alternating_sum(mask: int, term):
@@ -269,7 +282,6 @@ class Oracle:
         self._z: dict[int, complex] = {}
         self._spectra: dict = {}
         self._mayer_tables: dict[int, np.ndarray] = {}
-        self._placements: dict = {}
         self._inside_masks: dict[frozenset, int] = {}
         self._adj = None
         # Dense operators take the ops' own dtype: float64 when every
@@ -278,12 +290,11 @@ class Oracle:
 
     def at(self, beta: complex) -> "Oracle":
         """An oracle for the same Hamiltonian at another beta that shares
-        this one's memoized spectra and bond placements (and its bond
-        overlaps, once built), so a beta grid diagonalizes each large bond
-        set once. Its values equal those of a fresh oracle."""
+        this one's memoized spectra (and its bond overlaps, once built), so
+        a beta grid diagonalizes each large bond set once. Bond placements
+        are shared by position, not per oracle. Its values are a fresh one's."""
         other = Oracle(self.ham, beta)
         other._spectra, other._adj = self._spectra, self._adj
-        other._placements = self._placements
         return other
 
     # -- building blocks ----------------------------------------------------
@@ -308,14 +319,8 @@ class Oracle:
         return mask
 
     def _finite(self, what: str, compute, *args):
-        """`compute(*args)` with numpy's overflow and invalid-value warnings
-        off, refused by a NumericalError naming `what` unless every value is
-        finite. The one exit of a value that may leave the float range."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            val = compute(*args)
-        if not (cmath.isfinite(val) if isinstance(val, complex) else np.isfinite(val).all()):
-            raise NumericalError(f"{what} is not finite at beta = {self.beta}")
-        return val
+        """`_finite`, naming this oracle's beta in the refusal."""
+        return _finite(what, compute, *args, beta=self.beta)
 
     def _support(self, mask: int, support) -> tuple[Site, ...]:
         """`support` as a sorted tuple of volume sites that holds every site
@@ -352,12 +357,10 @@ class Oracle:
         dim = q ** len(support)
         total = np.zeros((dim, dim), dtype=self._dtype)
         for i in _bits(mask):
-            placed = self._placements.get((i, support))
-            if placed is None:
-                placed = self._placements[i, support] = _placement(
-                    ham.ops[i], ham.bonds[i], support, q, total.itemsize)
-            view = np.ndarray(placed[0], total.dtype, total, 0, placed[1])
-            view += placed[2]
+            shape, strides, op_shape = _placement(
+                tuple(map(support.index, ham.bonds[i])), len(support), q, total.itemsize)
+            view = np.ndarray(shape, total.dtype, total, 0, strides)
+            view += ham.ops[i].reshape(op_shape)
         return total
 
     def _spectrum(self, mask: int, support) -> "_Spectrum":
@@ -511,7 +514,7 @@ class Oracle:
         """
         mask = self._mask(bond_ids)
         if self.ham.kind != CLASSICAL:
-            return _alternating_sum(mask, self._z_mask)
+            return self._finite("activity", _alternating_sum, mask, self._z_mask)
         return self._finite("activity", self._mayer_mean, mask, self.ham.support(_bits(mask)))
 
     def expectation(self, obs: Observable) -> complex:

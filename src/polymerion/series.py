@@ -64,10 +64,10 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .model import CLASSICAL, Hamiltonian, LatticeModel, Site, _site_axes
 from .numeric import _array, _cast
-from .oracle import Observable, Oracle, _check_observable, _rooted_sums
+from .oracle import Observable, Oracle, _check_observable, _finite, _rooted_sums
 from .polymers import (
     Polymer,
     _capped,
@@ -126,24 +126,9 @@ class TruncatedSeries:
         return self._count()
 
 
-class _LazyValues:
-    """Polymer activities computed on first use, sharing one oracle memo.
-
-    Activities are memoized by bond family in `memo`, which polymer lists
-    of several truncations on the same oracle may share.
-    """
-
-    def __init__(self, oracle: Oracle, polymers, memo=None):
-        self._oracle = oracle
-        self._polymers = polymers
-        self._memo: dict[tuple[int, ...], complex] = {} if memo is None else memo
-
-    def __getitem__(self, i: int) -> complex:
-        bonds = self._polymers[i].bonds
-        hit = self._memo.get(bonds)
-        if hit is None:
-            hit = self._memo[bonds] = self._oracle.rho(bonds)
-        return hit
+def _activities(polymers, rho) -> Callable[[int], complex]:
+    """value(i) = rho(bonds of polymer i), with `rho` a cached `Oracle.rho`."""
+    return lambda i: rho(polymers[i].bonds)
 
 
 def _extra_multiplicities(sizes: list[int], slack: int):
@@ -166,18 +151,18 @@ def _extra_multiplicities(sizes: list[int], slack: int):
 
 
 def _prepare(ham: Hamiltonian, beta: complex, max_total: int, weights):
-    """(the checked truncation, the polymers, their activities)."""
+    """(the checked truncation, the polymers, value(i): their activities)."""
     max_total = _cast(max_total, "max_total_bonds", int, least=0)
     if weights is not None:
         rho = _array([w.rho for w in weights], "weights").tolist()
-        return max_total, [w.polymer for w in weights], rho
+        return max_total, [w.polymer for w in weights], rho.__getitem__
     polymers = list(enumerate_polymers(ham, max_total))
-    return max_total, polymers, _LazyValues(Oracle(ham, beta), polymers)
+    return max_total, polymers, _activities(polymers, cache(Oracle(ham, beta).rho))
 
 
 def _series(by_order, truncation: int, count: Callable[[], int], converged=None) -> TruncatedSeries:
     return TruncatedSeries(
-        value=sum(by_order),
+        value=_finite("the series value", sum, by_order),
         by_order=tuple(by_order),
         truncation=truncation,
         _count=count,
@@ -209,7 +194,7 @@ def _family_sums(sizes, values, adjacency, max_total: int) -> list[complex]:
     return xi
 
 
-def _families(polymers, values, max_total: int, avoid=frozenset()):
+def _families(polymers, value, max_total: int, avoid=frozenset()):
     """Xi(t) up to t^max_total over the polymers whose support misses `avoid`.
 
     Returns (xi, kept polymers, their incompatibility masks); the kept
@@ -224,7 +209,7 @@ def _families(polymers, values, max_total: int, avoid=frozenset()):
     kept = [polymers[i] for i in keep]
     adjacency = incompatibility_graph(kept)
     sizes = [len(p.bonds) for p in kept]
-    xi = _family_sums(sizes, [values[i] for i in keep], adjacency, max_total)
+    xi = _family_sums(sizes, [value(i) for i in keep], adjacency, max_total)
     return xi, kept, adjacency
 
 
@@ -306,8 +291,8 @@ def free_energy_series(
     first omitted order; at small activities a modest truncation already
     reaches rounding level.
     """
-    max_total_bonds, polymers, values = _prepare(ham, beta, max_total_bonds, weights)
-    xi, kept, adjacency = _families(polymers, values, max_total_bonds)
+    max_total_bonds, polymers, value = _prepare(ham, beta, max_total_bonds, weights)
+    xi, kept, adjacency = _families(polymers, value, max_total_bonds)
     return _series(
         _log_series(xi),
         max_total_bonds,
@@ -326,7 +311,7 @@ def adaptive_free_energy_series(
     """Raise the truncation until the last two order increments are tiny.
 
     Every round enumerates its own polymers, and all rounds share one
-    oracle and one activity memo, so no activity is computed twice.
+    cached `Oracle.rho`, so no activity is computed twice.
     Clusters are counted only for the truncation that is returned, and
     only when its `n_clusters` is read.
     """
@@ -334,10 +319,10 @@ def adaptive_free_energy_series(
     cap = _cast(cap, "cap", int, least=0)
     k = min(_cast(start, "start", int, least=0), cap)
     step = _cast(step, "step", int, least=1)
-    oracle, memo = Oracle(ham, beta), {}
+    rho = cache(Oracle(ham, beta).rho)
     while True:
         polymers = list(enumerate_polymers(ham, k))
-        xi, kept, adjacency = _families(polymers, _LazyValues(oracle, polymers, memo), k)
+        xi, kept, adjacency = _families(polymers, _activities(polymers, rho), k)
         by_order = _log_series(xi)
         scale = max(1.0, abs(sum(by_order)))
         converged = all(abs(t) <= tol * scale for t in by_order[-2:])
@@ -360,10 +345,10 @@ def free_energy_by_site(
     smallest site is x are those that avoid every site below x but not
     x itself, so h(x) = log Xi_{V minus {s < x}} - log Xi_{V minus {s <= x}}.
     """
-    max_total_bonds, polymers, values = _prepare(ham, beta, max_total_bonds, weights)
+    max_total_bonds, polymers, value = _prepare(ham, beta, max_total_bonds, weights)
     ordered = sorted(ham.sites)
     logs = [
-        _log_series(_families(polymers, values, max_total_bonds, frozenset(ordered[:n]))[0])
+        _log_series(_families(polymers, value, max_total_bonds, frozenset(ordered[:n]))[0])
         for n in range(len(ordered) + 1)
     ]
     share = {
@@ -395,11 +380,11 @@ def pinned_series(
     support = ham.volume_sites(getattr(pin, "support", ()))
     if not support:
         raise ConfigError(f"the pin must be a polymer with a nonempty support, got {pin!r}")
-    max_total_bonds, polymers, values = _prepare(ham, beta, max_total_bonds, weights)
+    max_total_bonds, polymers, value = _prepare(ham, beta, max_total_bonds, weights)
     if absolute:
-        values = [-abs(values[i]) for i in range(len(polymers))]
-    xi, kept, adjacency = _families(polymers, values, max_total_bonds)
-    xi_pin = _families(polymers, values, max_total_bonds, support)[0]
+        value = [-abs(value(i)) for i in range(len(polymers))].__getitem__
+    xi, kept, adjacency = _families(polymers, value, max_total_bonds)
+    xi_pin = _families(polymers, value, max_total_bonds, support)[0]
     pin_adj = _pin_mask([p.support for p in kept], support)
     return _series(
         _divide_series(xi_pin, xi),
@@ -429,7 +414,7 @@ def site_pinned_series(
     sites = ham.volume_sites(site)
     if len(sites) != 1:
         raise ConfigError(f"site_pinned_series pins exactly one site, got {len(sites)}")
-    max_total_bonds, polymers, values = _prepare(ham, beta, max_total_bonds, weights)
+    max_total_bonds, polymers, value = _prepare(ham, beta, max_total_bonds, weights)
     sizes = [len(p.bonds) for p in polymers]
     supports = [p.support for p in polymers]
     adjacency = incompatibility_graph(polymers)
@@ -452,11 +437,14 @@ def site_pinned_series(
             # pinned connected set is connected on its own.
             w = ursell(expand_multiset(local, mult))
             term = abs(w) if absolute else w
-            for i, mm in zip(ids, mult):
-                v = values[i]
-                if absolute:
-                    v = abs(v)
-                term *= v**mm / math.factorial(mm)
+            try:
+                for i, mm in zip(ids, mult):
+                    v = value(i)
+                    if absolute:
+                        v = abs(v)
+                    term *= v**mm / math.factorial(mm)
+            except OverflowError:  # a Python power past the float range
+                raise NumericalError("a cluster weight is not finite") from None
             term *= weight
             by_order[order] += term
             count += 1
@@ -485,18 +473,18 @@ def correlation_series(
     the sum is log Xi - log Xi_{no polymer meeting X0}, order by order.
     """
     x0 = ham.volume_sites(x0)
-    max_total_bonds, polymers, values = _prepare(ham, beta, max_total_bonds, weights)
-    full = _families(polymers, values, max_total_bonds)
-    s = _meeting_series(polymers, values, max_total_bonds, x0, full)
-    return CorrelationSeries(pinned_sum=s, value=np.exp(-s.value))
+    max_total_bonds, polymers, value = _prepare(ham, beta, max_total_bonds, weights)
+    full = _families(polymers, value, max_total_bonds)
+    s = _meeting_series(polymers, value, max_total_bonds, x0, full)
+    return CorrelationSeries(pinned_sum=s, value=_finite("the correlation", np.exp, -s.value))
 
 
-def _meeting_series(polymers, values, max_total: int, x0, full) -> TruncatedSeries:
+def _meeting_series(polymers, value, max_total: int, x0, full) -> TruncatedSeries:
     """The clusters meeting the site set `x0`, log Xi - log Xi_X0 order by
     order, with `full` the whole-volume `_families` of the same polymers,
     which several site sets may share."""
     xi, kept, adjacency = full
-    xi_away, kept_away, adjacency_away = _families(polymers, values, max_total, x0)
+    xi_away, kept_away, adjacency_away = _families(polymers, value, max_total, x0)
     by_order = [a - b for a, b in zip(_log_series(xi), _log_series(xi_away))]
     count = partial(_count_meeting, kept, adjacency, kept_away, adjacency_away, max_total)
     return _series(by_order, max_total, count)
@@ -556,8 +544,8 @@ def expectation_series(
     rounding; g_mode == "series" replaces each ratio g by its cluster
     series at `correlation_truncation` (by default the number of bonds),
     which is checked up front whenever it is given. The ratios share one
-    oracle, one polymer list with its activity memo, and the whole-volume
-    families, built at the first ratio.
+    oracle, one polymer list with a cached `Oracle.rho` for its activities,
+    and the whole-volume families, built at the first ratio.
     """
     obs = _check_observable(ham, obs)
     if g_mode not in ("oracle", "series"):
@@ -585,16 +573,16 @@ def expectation_series(
     @cache
     def shared():
         polymers = list(enumerate_polymers(ham, correlation_truncation))
-        values = _LazyValues(oracle, polymers)
-        return polymers, values, _families(polymers, values, correlation_truncation)
+        value = _activities(polymers, cache(oracle.rho))
+        return polymers, value, _families(polymers, value, correlation_truncation)
 
     @cache
     def g_of(sites: frozenset[Site]) -> complex:
         if g_mode == "oracle":
             return oracle.reduced_correlation(sites)
-        polymers, values, full = shared()
-        pinned = _meeting_series(polymers, values, correlation_truncation, sites, full)
-        return np.exp(-pinned.value)
+        polymers, value, full = shared()
+        pinned = _meeting_series(polymers, value, correlation_truncation, sites, full)
+        return _finite("the correlation", np.exp, -pinned.value)
 
     families = expectation_families(ham, x0, len(ham.bonds))
     if ham.kind == CLASSICAL:

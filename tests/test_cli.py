@@ -461,6 +461,13 @@ def test_exact_output_matches_golden_bytes(tmp_path, golden, doc):
                    "region": {"extent": [3]}, "beta": 0.1}),
         ("exact", chain_cfg(3, 0.1, {"region": {"extent": [3], "boundary": "product",
                                                 "theta": [[0.5, 0.5], [0.5]]}})),
+        # An unknown g_mode was read only by an observable: without one the
+        # command exited 0.
+        ("series", chain_cfg(4, 0.1, {"series": {"g_mode": "bogus"}})),
+        ("series", {"model": {"preset": "ising", "dimension": 1}, "beta": 0.1,
+                    "series": {"g_mode": "bogus"}}),
+        ("series", chain_cfg(4, 0.1, {"series": {"g_mode": "bogus"},
+                                      "observable": {"sites": [[0]], "data": [[1, 0], [-1, 0]]}})),
     ],
 )
 def test_unparsable_numbers_are_config_errors(tmp_path, capsys, command, doc):
@@ -591,6 +598,19 @@ def test_exit_codes(tmp_path, capsys):
     cold = write_cfg(tmp_path, chain_cfg(8, 400.0), name="cold.json")
     assert main(["exact", "--config", cold]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+    # Series values past the float range: the correlation was printed as
+    # "Infinity", which is not JSON, with exit 0, and the density ended in
+    # a bare OverflowError with exit 1.
+    far = [
+        chain_cfg(8, 50.0, {"series": {"max_total_bonds": 6}, "correlation": {"sites": [[0]]}}),
+        {"model": {"preset": "ising", "dimension": 1}, "beta": 300.0,
+         "series": {"max_total_bonds": 6}},
+    ]
+    for doc in far:
+        assert main(["series", "--config", write_cfg(tmp_path, doc, name="far.json")]) == 3
+        captured = capsys.readouterr()
+        assert "numerical failure" in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize(

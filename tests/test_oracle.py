@@ -254,7 +254,12 @@ def test_overflowing_z_raises_without_numpy_warnings():
     spin = Observable.make([(0,)], [1.0, -1.0])
     sz = Observable.make([(0,)], np.diag([1.0, -1.0]))
     # The classical Mayer product of all 7 bonds holds e^{2800} in one entry.
+    # The quantum activity of two one-site fields, Z_{01} - Z_0 - Z_1 + 1, came
+    # out as -inf+1.2e296j with no warning: each Z is finite, their sum is not.
+    fields = Interaction.from_terms(2, "quantum", {((0,),): 2000 * sz.data, ((1,),): sz.data})
+    pair = assemble_hamiltonian(fields, Region.from_sites([(0,), (1,)]))
     calls = [
+        (pair, 0.35488 + math.pi * 1j, lambda orc: orc.rho([0, 1])),
         (chain, 400.0, lambda orc: orc.z()),
         (quantum, 2000.0, lambda orc: orc.z()),
         (chain, 400.0, lambda orc: orc.rho(every)),

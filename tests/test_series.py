@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -753,3 +754,30 @@ def test_series_results_count_once_and_pickle():
         back = pickle.loads(pickle.dumps(fresh))
         assert back == fresh and back.n_clusters == want
         assert "n_clusters" not in repr(back)
+
+
+def test_series_values_past_the_float_range_are_numerical_failures():
+    # The correlations returned inf or nan with only a numpy RuntimeWarning,
+    # the cluster walk raised a bare OverflowError from a Python power, and
+    # the quantum log Xi came out as nan with no warning at all.
+    chain = assemble_hamiltonian(ising_model(1), Region.box([8]), boundary="free")
+    up = Observable.make([(0,)], [1.0, 0.0])
+    sz = np.diag([1.0, -1.0])
+    fields = Interaction.from_terms(2, "quantum", {((0,),): 2000 * sz, ((1,),): sz})
+    pair = assemble_hamiltonian(fields, Region.from_sites([(0,), (1,)]))
+    calls = [
+        ("correlation", lambda: correlation_series(chain, 50.0, [(0,)], 6)),
+        ("correlation", lambda: expectation_series(
+            chain, 50.0, up, g_mode="series", correlation_truncation=6)),
+        ("cluster weight", lambda: site_pinned_series(chain, 300.0, (0,), 6)),
+        ("cluster weight", lambda: site_pinned_series(chain, 300.0, (0,), 6, absolute=True)),
+        ("cluster weight", lambda: free_energy_density(ising_model(1), 300.0, 6)),
+        ("series value", lambda: free_energy_series(pair, 0.35488 + math.pi * 1j, 2)),
+    ]
+    for what, call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=f"{what} is not finite"):
+                call()
+    # The same ratio through the oracle stays finite: only the series is refused.
+    assert cmath.isfinite(expectation_series(chain, 50.0, up).value)
