@@ -163,4 +163,5 @@ __all__ = [
     "ursell_subset_dp",
     "xi_fugacity_exact",
     "xy_model",
+    "zeta_transform",
 ]

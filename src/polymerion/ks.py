@@ -208,15 +208,16 @@ def ks_solve(
     tol: float = 1e-12,
     max_iter: int = 500,
     max_polymer_bonds: int | None = None,
-    kernel: KSKernel | None = None,
 ) -> KSSolution:
     """Iterate the reduced-correlation map to its fixed point.
 
-    Returns every ratio g(X) over nonempty site subsets X, keyed by
-    frozenset of sites. The weight parameter `a` only changes the norm
-    in which convergence is measured and certified, not the fixed point.
-    A run that stops at `max_iter` is returned with converged False; an
-    iterate that leaves the float range raises NumericalError.
+    The kernel is built by `build_ks_kernel` from `ham`, `beta` and
+    `max_polymer_bonds`, and returned with the solution. Returns every
+    ratio g(X) over nonempty site subsets X, keyed by frozenset of sites.
+    The weight parameter `a` only changes the norm in which convergence
+    is measured and certified, not the fixed point. A run that stops at
+    `max_iter` is returned with converged False; an iterate that leaves
+    the float range raises NumericalError.
     """
     max_iter = _cast(max_iter, "max_iter", int, least=1)
     a, tol = _cast(a, "a", float), _cast(tol, "tol", float, least=0)
@@ -224,8 +225,7 @@ def ks_solve(
     n = len(sites)
     if n > MAX_SITES:
         raise NumericalError(f"{n} sites exceed the 2^{MAX_SITES} subset cap")
-    if kernel is None:
-        kernel = build_ks_kernel(ham, beta, max_polymer_bonds)
+    kernel = build_ks_kernel(ham, beta, max_polymer_bonds)
     rest, dest, target, vr, vi = _hierarchy_map(sites, kernel)
 
     masks = np.arange(1 << n)

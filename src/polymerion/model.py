@@ -14,7 +14,8 @@ gives the strided view a local matrix takes there, cached by position;
 `_contract_outside` traces sites out of one (the product boundary).
 Everything else goes through them (`embed_table` and classical
 `Oracle.hamiltonian_on` through `_site_axes`, `embed_matrix` and quantum
-`Oracle.hamiltonian_on` through `_placement`).
+`Oracle.hamiltonian_on` through `_embed_matrix`, the one reader of
+`_placement`).
 
 A `Hamiltonian` is the result of assembling an interaction on a finite
 region under one of three boundary conditions:
@@ -200,9 +201,11 @@ def embed_matrix(mat, support: Bond, sites: Bond, q: int) -> np.ndarray:
     return _embed_matrix(mat, support, sites, q)
 
 
-def _embed_matrix(mat: np.ndarray, support: Bond, sites: Bond, q: int) -> np.ndarray:
-    """`embed_matrix` of a matrix and sites already checked."""
-    out = np.zeros((q ** len(sites),) * 2, mat.dtype)
+def _embed_matrix(mat: np.ndarray, support: Bond, sites: Bond, q: int, out=None) -> np.ndarray:
+    """`embed_matrix` of a matrix and sites already checked, added in place
+    into `out` (C-ordered, on `sites`) when one is given."""
+    if out is None:
+        out = np.zeros((q ** len(sites),) * 2, mat.dtype)
     shape, strides, op_shape = _placement(tuple(map(sites.index, support)), len(sites), q,
                                           out.itemsize)
     view = np.ndarray(shape, out.dtype, out, 0, strides)

@@ -25,16 +25,16 @@ sites), and only connected sets are diagonalized.
 The spectrum of a bond set does not depend on beta. Z and Gibbs traces
 are sums over it: over the energy table of a classical set, or over the
 eigenvalues and eigenvectors of a quantum matrix. A quantum H_B is built
-by adding each bond's operator in place to one zero matrix, through the
-strided view of the entries op (x) I reaches (`model._placement`, shared
-by position, not per oracle), with the bits of a sum of `embed_matrix` terms.
+by adding each bond's operator in place to one zero matrix through
+`model._embed_matrix`, the strided view of the entries op (x) I reaches
+(`model._placement`, shared by position, not per oracle), with the bits of
+a sum of `embed_matrix` terms.
 A quantum matrix of `_SPLIT_DIM` rows or more is split into the
 connected components of its own nonzero pattern (the sectors of any
 conserved quantity it has), and its spectrum is memoized per (bond
 mask, support), so Z, expectations and the oracles that `Oracle.at`
 makes for other betas share it. A smaller matrix is one block and is
-built again when asked, as before: splitting or keeping it costs more
-than it saves.
+built again when asked: splitting or keeping it costs more than it saves.
 
 A value past the float range is a `NumericalError`, raised by the one
 exit `_finite` (series values too), never inf or nan with a numpy warning.
@@ -56,7 +56,6 @@ from .model import (
     Site,
     _embed_matrix,
     _local_operator,
-    _placement,
     _site_axes,
     _site_ordered,
     as_bond,
@@ -185,9 +184,12 @@ def _rooted_sums(z, sets, root, top) -> dict:
 
 
 def _check_observable(ham: Hamiltonian, obs: Observable) -> Observable:
-    """`obs` with its data in sorted-site order, refused if it is off the
-    volume or of the wrong shape for `ham`. Data on sites written out of
-    order is permuted here by `model._site_ordered`, with the volume's q."""
+    """`obs` with its data in sorted-site order, refused if it is not an
+    `Observable`, or is off the volume or of the wrong shape for `ham`.
+    Data on sites written out of order is permuted here by
+    `model._site_ordered`, with the volume's q."""
+    if not isinstance(obs, Observable):
+        raise ConfigError(f"the observable must be an Observable, got {type(obs).__name__}")
     ham.volume_sites(obs.support)
     nsites = len(obs.support)
     _local_operator(obs.data, nsites, ham.q, ham.kind, "the observable", hermitian=False)
@@ -283,18 +285,18 @@ class Oracle:
         self._spectra: dict = {}
         self._mayer_tables: dict[int, np.ndarray] = {}
         self._inside_masks: dict[frozenset, int] = {}
-        self._adj = None
+        self._adj = _overlap_masks(ham.bonds)
         # Dense operators take the ops' own dtype: float64 when every
         # term is exactly real, so eigh runs the real symmetric solver.
         self._dtype = np.result_type(float, *{op.dtype for op in ham.ops})
 
     def at(self, beta: complex) -> "Oracle":
         """An oracle for the same Hamiltonian at another beta that shares
-        this one's memoized spectra (and its bond overlaps, once built), so
-        a beta grid diagonalizes each large bond set once. Bond placements
-        are shared by position, not per oracle. Its values are a fresh one's."""
+        this one's memoized spectra, so a beta grid diagonalizes each large
+        bond set once. Bond placements are shared by position, not per
+        oracle. Its values are a fresh one's."""
         other = Oracle(self.ham, beta)
-        other._spectra, other._adj = self._spectra, self._adj
+        other._spectra = self._spectra
         return other
 
     # -- building blocks ----------------------------------------------------
@@ -357,10 +359,7 @@ class Oracle:
         dim = q ** len(support)
         total = np.zeros((dim, dim), dtype=self._dtype)
         for i in _bits(mask):
-            shape, strides, op_shape = _placement(
-                tuple(map(support.index, ham.bonds[i])), len(support), q, total.itemsize)
-            view = np.ndarray(shape, total.dtype, total, 0, strides)
-            view += ham.ops[i].reshape(op_shape)
+            _embed_matrix(ham.ops[i], ham.bonds[i], support, q, total)
         return total
 
     def _spectrum(self, mask: int, support) -> "_Spectrum":
@@ -413,14 +412,7 @@ class Oracle:
 
     def _z_new(self, mask: int) -> complex:
         """Z of a checked mask that is not in the memo."""
-        # One bond is connected; the overlaps are built for the first set
-        # of several, since many oracles never meet one.
-        if mask & (mask - 1):
-            if self._adj is None:
-                self._adj = _overlap_masks(self.ham.bonds)
-            parts = _components(self._adj, mask)
-        else:
-            parts = [mask] if mask else []
+        parts = _components(self._adj, mask)
         if len(parts) == 1:
             support = self.ham.support(_bits(mask))
             if self.ham.kind == CLASSICAL:

@@ -183,15 +183,9 @@ class PolymerWeight:
     bound: float
 
 
-def polymer_weights(
-    ham: Hamiltonian,
-    beta: complex,
-    max_bonds: int,
-    polymers=None,
-) -> tuple[PolymerWeight, ...]:
+def polymer_weights(ham: Hamiltonian, beta: complex, max_bonds: int) -> tuple[PolymerWeight, ...]:
     """Activities and bounds for every polymer up to the given size."""
-    if polymers is None:
-        polymers = enumerate_polymers(ham, max_bonds)
+    polymers = enumerate_polymers(ham, max_bonds)
     oracle = Oracle(ham, beta)
     w = bond_weights(ham.norms, beta)
     return tuple(

@@ -610,8 +610,11 @@ def free_energy_density(
     Sums Ursell weights of the clusters whose support contains the
     origin, each divided by its support size; this is the infinite-volume
     limit of log Z over the volume. The window used is large enough to
-    hold every cluster within the order budget.
+    hold every cluster within the order budget. A `model` that is not a
+    `LatticeModel` is refused.
     """
+    if not isinstance(model, LatticeModel):
+        raise ConfigError(f"the model must be a LatticeModel, got {type(model).__name__}")
     k = _cast(max_total_bonds, "max_total_bonds", int, least=0)
     origin = (0,) * model.dimension
     return site_pinned_series(

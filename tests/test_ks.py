@@ -292,10 +292,9 @@ def test_solve_is_bit_identical_to_the_per_subset_sweep():
         (preset_volume("xy", [6], "periodic"), 0.04 + 0.02j, None),
     ]
     for ham, beta, cut in cases:
-        kern = build_ks_kernel(ham, beta, cut)
-        sol = ks_solve(ham, beta, kernel=kern)
+        sol = ks_solve(ham, beta, max_polymer_bonds=cut)
         assert sol.converged
-        assert_same_bits(sol, ks_reference(ham.sites, kern, sol.a, 1e-12, 500))
+        assert_same_bits(sol, ks_reference(ham.sites, sol.kernel, sol.a, 1e-12, 500))
 
 
 def test_solve_is_bit_identical_on_the_criterion_3_instances(rng):
@@ -306,9 +305,8 @@ def test_solve_is_bit_identical_on_the_criterion_3_instances(rng):
         random_observable(rng, ham)
         pairs = math.comb(len(ham.sites), 2)
         rng.choice(pairs, size=min(3, pairs), replace=False)
-        kern = build_ks_kernel(ham, beta)
-        sol = ks_solve(ham, beta, tol=1e-12, kernel=kern)
-        assert_same_bits(sol, ks_reference(ham.sites, kern, sol.a, 1e-12, 500))
+        sol = ks_solve(ham, beta, tol=1e-12)
+        assert_same_bits(sol, ks_reference(ham.sites, sol.kernel, sol.a, 1e-12, 500))
 
 
 def test_diverging_hierarchy_raises_instead_of_reporting_nan():
@@ -360,7 +358,7 @@ def test_a_kernel_mass_past_the_float_range_is_a_numerical_failure():
     with pytest.raises(NumericalError, match="float range"):
         kern.norm_bound(1000.0)
     with pytest.raises(NumericalError, match="float range"):
-        ks_solve(ising_chain(3), 0.3, a=1000.0, kernel=kern)
+        ks_solve(ising_chain(3), 0.3, a=1000.0)
 
 
 def test_a_hierarchy_weight_past_the_float_range_is_a_numerical_failure():

@@ -727,11 +727,12 @@ def test_oracles_sharing_spectra_across_beta_match_fresh_ones(monkeypatch):
     # One volume above the split size, one below, one classical. The fresh
     # oracle asks in another order, so no value depends on what the
     # shared spectra already hold. The later betas build no quantum matrix
-    # of the split size or more.
+    # of the split size or more; every H_B is built by `_on`, whose second
+    # argument is the support.
     builds = []
-    build = Oracle.hamiltonian_on
+    build = Oracle._on
     monkeypatch.setattr(
-        Oracle, "hamiltonian_on", lambda self, *args: builds.append(args) or build(self, *args)
+        Oracle, "_on", lambda self, *args: builds.append(args) or build(self, *args)
     )
     cases = [
         (xy_model(1), [8], "periodic"),

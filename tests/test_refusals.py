@@ -22,10 +22,12 @@ from polymerion import (
     beta_radius,
     build_ks_kernel,
     enumerate_polymers,
+    expectation_series,
     fp_iterate,
     fp_phi,
     free_energy_density,
     free_energy_series,
+    gibbs_expectation,
     gk_criterion,
     heisenberg_model,
     ising_model,
@@ -188,6 +190,16 @@ PROBES = {
     "weighted_trace-shape-quantum": (
         "shape \\(3,\\)",
         lambda: Oracle(HCHAIN, 0.3).weighted_trace(Observable(((0,),), np.ones(3)), [0], TWO),
+    ),
+    # Arguments of the wrong type raised a bare AttributeError.
+    "expectation-dict": ("Observable", lambda: Oracle(CHAIN, 0.3).expectation({})),
+    "weighted_trace-None": (
+        "Observable", lambda: Oracle(CHAIN, 0.3).weighted_trace(None, [0], [(0,)])
+    ),
+    "gibbs_expectation-list": ("Observable", lambda: gibbs_expectation(CHAIN, 0.1, [1, -1])),
+    "expectation_series-None": ("Observable", lambda: expectation_series(CHAIN, 0.1, None)),
+    "free_energy_density-Hamiltonian": (
+        "LatticeModel", lambda: free_energy_density(CHAIN, 0.1, 2)
     ),
     "free_energy_series-weights-nan": (
         "weights",
