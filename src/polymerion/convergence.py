@@ -453,7 +453,11 @@ class _FPDag:
     evaluates a level with one numpy multiply and one add,
     fl(g_a + fl(mu_c g_b)), in the recursion's rounding; the callers let
     it overflow to inf (and 0 * inf give NaN) quietly, as Python floats
-    do in the recursion. `ids` picks the
+    do in the recursion. `phi` evaluates P columns (P values of mu) at
+    once when their index arrays are scaled by `columns`: node n of
+    column j sits at n * P + j of one flat array, so a level stays one
+    1-D gather, multiply and add, elementwise, and every column's value
+    is the one it has alone. `ids` picks the
     polymers whose phi is compiled and returned, in that order (all of
     them by default).
     """
@@ -477,26 +481,33 @@ class _FPDag:
         node = {avail: n for n, avail in enumerate(order)}
         self.size = len(order)
         self.roots = np.array([node[root] for root in roots], dtype=np.intp)
-        self.levels = []
-        start = 1
-        for _, level in itertools.groupby(order[1:], int.bit_count):
-            edges = []
-            for avail in level:
-                c, rest = _split(avail)
-                edges.append((node[rest], node[rest & ~adjacency[c]], c))
-            a, b, c = (np.array(col, dtype=np.intp) for col in zip(*edges))
-            self.levels.append((start, start + len(edges), a, b, c))
-            start += len(edges)
+        # edge k computes node k + 1 (node 0 is the empty mask)
+        edges = [(node[rest], node[rest & ~adjacency[c]], c) for c, rest in map(_split, order[1:])]
+        self.edges = np.array(edges, dtype=np.intp).reshape(-1, 3).T
+        sizes = [len(list(level)) for _, level in itertools.groupby(order[1:], int.bit_count)]
+        self.spans = list(itertools.pairwise(itertools.accumulate(sizes, initial=0)))
 
-    def phi(self, mu: np.ndarray) -> np.ndarray:
-        """phi_B0(mu) for each compiled polymer B0; past the float range it
-        is inf, as in the recursion, and `fp_iterate` reports that as
+    def columns(self, p: int):
+        """The levels of `p` interleaved columns, to evaluate `phi` on: node
+        n (or polymer n) of column j sits at n * p + j of one flat array."""
+        j = np.arange(p)
+        a, b, c = (self.edges[:, :, None] * p + j).reshape(3, -1)
+        spans = [(s * p, e * p) for s, e in self.spans]
+        levels = [(slice(s + p, e + p), a[s:e], b[s:e], slice(s, e)) for s, e in spans]
+        return p, levels, c, (self.roots[:, None] * p + j).ravel()
+
+    def phi(self, mu: np.ndarray, layout=None) -> np.ndarray:
+        """phi_B0(mu) for each compiled polymer B0, on the columns of
+        `layout` (one column by default); past the float range it is inf,
+        as in the recursion, and the iteration reports that as
         divergence."""
-        val = np.empty(self.size)
-        val[0] = 1.0
-        for start, stop, a, b, c in self.levels:
-            val[start:stop] = val[a] + mu[c] * val[b]
-        return val[self.roots]
+        p, levels, c, roots = layout or self.columns(1)
+        val = np.empty(self.size * p)
+        val[:p] = 1.0
+        mu_c = mu[c]
+        for nodes, a, b, edge in levels:
+            val[nodes] = val[a] + mu_c[edge] * val[b]
+        return val[roots]
 
 
 def _fp_dag(polymers, adjacency, ids=None) -> _FPDag:
@@ -560,7 +571,9 @@ def fp_iterate(
     The recursion behind phi depends only on the incompatibility graph:
     it is compiled once into numpy index arrays (or passed compiled as
     `adjacency`) and each iterate evaluates every phi_B0 level by level,
-    bit for bit as the memoized recursion does. `lam` (nonnegative) and
+    bit for bit as the memoized recursion does. This is one column of
+    the iteration an fp `beta_radius` scan runs on all its grid points
+    at once, with the same loop and results. `lam` (nonnegative) and
     `mu0` need one finite number per polymer, else `ConfigError`. An empty
     polymer list is a converged fixed point after no iterations. An
     iterate holding a NaN (an infinite phi times a zero lam) diverged;
@@ -571,28 +584,41 @@ def fp_iterate(
     dag = _fp_dag(polymers, adjacency)
     lam = _fp_vector(lam, dag.m, "lam", nonnegative=True)
     mu = np.zeros(dag.m) if mu0 is None else _fp_vector(mu0, dag.m, "mu0")
-    chain = [max(mu.tolist(), default=0.0)]
-
-    def result(converged: bool, diverged: bool, iterations: int) -> FPResult:
-        return FPResult(
-            converged=converged, diverged=diverged, mu=tuple(mu.tolist()),
-            iterations=iterations, chain=tuple(chain),
-        )
-
     if dag.m == 0:
-        return result(True, False, 0)
+        return FPResult(converged=True, diverged=False, mu=(), iterations=0, chain=(0.0,))
+    return _fp_columns(dag, lam[:, None], mu[:, None], tol, max_iter, divergence)[0]
+
+
+def _fp_columns(dag: _FPDag, lam, mu, tol, max_iter, divergence) -> list[FPResult]:
+    """`fp_iterate` on every column of the (m, P) arrays `lam` and `mu` at
+    once, one `phi` per iteration over the columns still running; each
+    column stops, and keeps its own result, as it would alone."""
+    out, live = [None] * lam.shape[1], np.arange(lam.shape[1])
+    chains = [[max(col)] for col in mu.T.tolist()]
+    layout = dag.columns(live.size)
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, max_iter + 1):
-            nxt = lam * dag.phi(mu)
-            delta = float(np.abs(nxt - mu).max())
-            mu = nxt
-            top = float(np.fmax.reduce(mu))
-            chain.append(top)
-            if top > divergence or np.isnan(mu).any():
-                return result(False, True, it)
-            if delta <= tol * (1.0 + top):
-                return result(True, False, it)
-    return result(False, False, max_iter)
+            nxt = lam * dag.phi(mu.ravel(), layout).reshape(mu.shape)
+            delta = np.abs(nxt - mu).max(axis=0)
+            mu, top = nxt, np.fmax.reduce(nxt, axis=0)
+            for j, t in zip(live.tolist(), top.tolist()):
+                chains[j].append(t)
+            diverged = (top > divergence) | np.isnan(mu).any(axis=0)
+            stop = diverged | (delta <= tol * (1.0 + top))
+            if stop.any():
+                for k in np.flatnonzero(stop).tolist():
+                    out[live[k]] = FPResult(
+                        converged=not diverged[k], diverged=bool(diverged[k]),
+                        mu=tuple(mu[:, k].tolist()), iterations=it, chain=tuple(chains[live[k]]),
+                    )
+                live, mu, lam = live[~stop], mu[:, ~stop], lam[:, ~stop]
+                if not live.size:
+                    return out
+                layout = dag.columns(live.size)
+    for k, j in enumerate(live.tolist()):
+        out[j] = FPResult(converged=False, diverged=False, mu=tuple(mu[:, k].tolist()),
+                          iterations=max_iter, chain=tuple(chains[j]))
+    return out
 
 
 def fp_criterion(polymers, lam, mu, adjacency=None) -> FPReport:
@@ -810,15 +836,21 @@ class RadiusScan:
 
 
 def _tree_scan(source, a=None, zeta=None, form="bracketed", anchored_truncation=4):
-    """`gk_criterion(source, beta, ...).holds` as a function of beta; refuses
-    the keywords and sources `gk_criterion` refuses."""
+    """`gk_criterion(source, beta, ...).holds` at each beta of a grid;
+    refuses the keywords and sources `gk_criterion` refuses."""
     structure = _tree_structure(source, form)
-    return lambda beta: _tree_certificate(structure, beta, a, zeta, form).holds
+    return lambda grid: [_tree_certificate(structure, b, a, zeta, form).holds for b in grid]
+
+
+# Columns times DAG nodes of one block of an fp scan.
+_FP_BLOCK_ELEMENTS = 1 << 18
 
 
 def _fp_scan(source, max_bonds=4):
     """Does the fixed-point iteration on the complex-temperature polymer
-    bounds converge at beta? The polymers and their graph are built once."""
+    bounds converge at each beta of a grid? The polymers and their graph
+    are built once, and the points are iterated together as columns, in
+    blocks of at most `_FP_BLOCK_ELEMENTS` values per DAG evaluation."""
     if not isinstance(source, Hamiltonian):
         raise ConfigError("the fixed-point scan needs a finite Hamiltonian")
     max_bonds = _cast(max_bonds, "max_bonds", int, least=1)
@@ -827,14 +859,20 @@ def _fp_scan(source, max_bonds=4):
     polymers = enumerate_polymers(source, max_bonds)
     dag = _FPDag(incompatibility_graph(polymers))
 
-    def certifies(beta):
-        weights = bond_weights(source.norms, beta)
-        lam = [math.prod(weights[i] for i in p.bonds) for p in polymers]
-        if not all(map(math.isfinite, lam)):
-            return False  # an infinite activity bound certifies nothing
-        return fp_iterate(polymers, lam, adjacency=dag, max_iter=2000).converged
+    def flags(grid):
+        lams = np.array([[math.prod(w[i] for i in p.bonds) for p in polymers]
+                         for w in (bond_weights(source.norms, beta) for beta in grid)])
+        out = np.zeros(len(lams), dtype=bool)
+        # an infinite activity bound certifies nothing, and is not iterated
+        todo = np.flatnonzero(np.isfinite(lams).all(axis=1))
+        step = max(1, _FP_BLOCK_ELEMENTS // dag.size)
+        for block in (todo[k:k + step] for k in range(0, todo.size, step)):
+            lam = lams[block].T
+            out[block] = [r.converged for r in
+                          _fp_columns(dag, lam, np.zeros_like(lam), 1e-14, 2000, 1e9)]
+        return out.tolist()
 
-    return certifies
+    return flags
 
 
 def beta_radius(
@@ -858,9 +896,11 @@ def beta_radius(
     diagnostic that never decides `.holds`, is left to `gk_criterion`.
     An fp scan takes `max_bonds` (default 4, an integer of at least 1),
     the largest polymer it iterates on, and refuses any other keyword; it
-    compiles the recursion behind phi once per scan, and a point whose
-    activity bounds overflow a float is not certified. Both scans refuse a
-    volume with no bonds.
+    compiles the recursion behind phi once per scan and iterates every
+    grid point at once, each as one column of the `fp_iterate` loop that
+    stops on its own (in blocks of columns on a large recursion). A point
+    whose activity bounds overflow a float is not certified and not
+    iterated. Both scans refuse a volume with no bonds.
     """
     grid = geometric_grid(lo, hi, per_decade)
     if criterion == "tree":
@@ -869,10 +909,10 @@ def beta_radius(
         certifies = _fp_scan(source, **kw)
     elif criterion == "universal":
         rad = universal_radius(source, **kw).beta_star
-        certifies = lambda b: bool(b <= rad)
+        certifies = lambda grid: [bool(b <= rad) for b in grid]
     else:
         raise ConfigError(f"unknown radius criterion {criterion!r}")
-    points = [(float(b), certifies(b)) for b in grid]
+    points = list(zip(map(float, grid), certifies(grid)))
     radius = None
     for b, ok in points:
         if ok:

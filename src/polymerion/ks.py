@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .model import CLASSICAL, as_site, site_set
+from .model import CLASSICAL, _check_hamiltonian, as_site, site_set
 from .numeric import _cast, _unbounded
 from .oracle import Oracle, _rooted_sums
 from .polymers import enumerate_polymers
@@ -127,7 +127,7 @@ def build_ks_kernel(ham, beta: complex, max_polymer_bonds: int | None = None) ->
     a classical or truncated one sums the activity of every polymer.
     """
     if max_polymer_bonds is None:
-        max_polymer_bonds = len(ham.bonds)
+        max_polymer_bonds = len(_check_hamiltonian(ham).bonds)
     else:
         max_polymer_bonds = _cast(max_polymer_bonds, "max_polymer_bonds", int, least=1)
     polymers = enumerate_polymers(ham, max_polymer_bonds)
@@ -221,7 +221,7 @@ def ks_solve(
     """
     max_iter = _cast(max_iter, "max_iter", int, least=1)
     a, tol = _cast(a, "a", float), _cast(tol, "tol", float, least=0)
-    sites = list(ham.sites)
+    sites = list(_check_hamiltonian(ham).sites)
     n = len(sites)
     if n > MAX_SITES:
         raise NumericalError(f"{n} sites exceed the 2^{MAX_SITES} subset cap")

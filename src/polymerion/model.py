@@ -454,6 +454,14 @@ class Hamiltonian:
         )
 
 
+def _check_hamiltonian(ham) -> Hamiltonian:
+    """`ham`, refused unless it is an assembled `Hamiltonian` (a lattice
+    model must first be assembled on a region)."""
+    if not isinstance(ham, Hamiltonian):
+        raise ConfigError(f"needs an assembled Hamiltonian, got {type(ham).__name__}")
+    return ham
+
+
 def _validate_theta(theta, q: int, kind: str) -> np.ndarray:
     if theta is None:
         return np.full(q, 1.0 / q) if kind == CLASSICAL else np.eye(q, dtype=complex) / q

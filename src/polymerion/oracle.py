@@ -54,6 +54,7 @@ from .model import (
     Bond,
     Hamiltonian,
     Site,
+    _check_hamiltonian,
     _embed_matrix,
     _local_operator,
     _site_axes,
@@ -190,7 +191,7 @@ def _check_observable(ham: Hamiltonian, obs: Observable) -> Observable:
     `model._site_ordered`, with the volume's q."""
     if not isinstance(obs, Observable):
         raise ConfigError(f"the observable must be an Observable, got {type(obs).__name__}")
-    ham.volume_sites(obs.support)
+    _check_hamiltonian(ham).volume_sites(obs.support)
     nsites = len(obs.support)
     _local_operator(obs.data, nsites, ham.q, ham.kind, "the observable", hermitian=False)
     if not obs.order:
@@ -279,7 +280,7 @@ class Oracle:
     """
 
     def __init__(self, ham: Hamiltonian, beta: complex):
-        self.ham = ham
+        self.ham = _check_hamiltonian(ham)
         self.beta = _cast(beta, "beta", complex)
         self._z: dict[int, complex] = {}
         self._spectra: dict = {}

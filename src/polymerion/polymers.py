@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .model import Hamiltonian, Site
+from .model import Hamiltonian, Site, _check_hamiltonian
 from .numeric import _array, _cast, _unbounded
 from .oracle import Oracle
 from .ursell import _bits, _overlap_masks, _site_masks, is_connected
@@ -151,6 +151,7 @@ def enumerate_polymers(ham: Hamiltonian, max_bonds: int, anchor=None) -> tuple[P
     volume is refused. More than `MAX_POLYMERS`
     polymers are refused before any is built.
     """
+    _check_hamiltonian(ham)
     max_bonds = _cast(max_bonds, "max_bonds", int, least=0)
     adj, unit = _overlap_masks(ham.bonds), [1] * len(ham.bonds)
     if anchor is None:

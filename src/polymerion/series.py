@@ -65,7 +65,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .model import CLASSICAL, Hamiltonian, LatticeModel, Site, _site_axes
+from .model import CLASSICAL, Hamiltonian, LatticeModel, Site, _check_hamiltonian, _site_axes
 from .numeric import _array, _cast
 from .oracle import Observable, Oracle, _check_observable, _finite, _rooted_sums
 from .polymers import (
@@ -152,6 +152,7 @@ def _extra_multiplicities(sizes: list[int], slack: int):
 
 def _prepare(ham: Hamiltonian, beta: complex, max_total: int, weights):
     """(the checked truncation, the polymers, value(i): their activities)."""
+    _check_hamiltonian(ham)
     max_total = _cast(max_total, "max_total_bonds", int, least=0)
     if weights is not None:
         rho = _array([w.rho for w in weights], "weights").tolist()
@@ -377,7 +378,7 @@ def pinned_series(
     so that is the same ratio at activities -|rho|. The pin's support
     must be a nonempty set of sites of the volume.
     """
-    support = ham.volume_sites(getattr(pin, "support", ()))
+    support = _check_hamiltonian(ham).volume_sites(getattr(pin, "support", ()))
     if not support:
         raise ConfigError(f"the pin must be a polymer with a nonempty support, got {pin!r}")
     max_total_bonds, polymers, value = _prepare(ham, beta, max_total_bonds, weights)
@@ -411,7 +412,7 @@ def site_pinned_series(
     weight of the cluster support, which no ratio of partition
     functions gives.
     """
-    sites = ham.volume_sites(site)
+    sites = _check_hamiltonian(ham).volume_sites(site)
     if len(sites) != 1:
         raise ConfigError(f"site_pinned_series pins exactly one site, got {len(sites)}")
     max_total_bonds, polymers, value = _prepare(ham, beta, max_total_bonds, weights)
@@ -472,7 +473,7 @@ def correlation_series(
     negative: removing X0 removes exactly those clusters from log Z, so
     the sum is log Xi - log Xi_{no polymer meeting X0}, order by order.
     """
-    x0 = ham.volume_sites(x0)
+    x0 = _check_hamiltonian(ham).volume_sites(x0)
     max_total_bonds, polymers, value = _prepare(ham, beta, max_total_bonds, weights)
     full = _families(polymers, value, max_total_bonds)
     s = _meeting_series(polymers, value, max_total_bonds, x0, full)

@@ -54,7 +54,7 @@ from polymerion.convergence import _margins
 from polymerion.model import CLASSICAL, _site_axes, embed_matrix
 from polymerion.oracle import _alternating_sum, _check_observable
 from polymerion.numeric import golden_max
-from polymerion.polymers import _connected_families, _induced, _pinned_families
+from polymerion.polymers import _connected_families, _induced, _pinned_families, bond_weights
 from polymerion.series import expectation_families
 from polymerion.ursell import _bits
 
@@ -312,6 +312,13 @@ def fp_phi_reference(adjacency, index: int, mu) -> float:
         return val
 
     return g((1 << len(cand_ids)) - 1)
+
+
+def fp_bounds(ham, polymers, beta) -> list[float]:
+    """The activity bounds an fp scan iterates at beta: the product of the
+    bond weights W over each polymer's bonds."""
+    w = bond_weights(ham.norms, beta)
+    return [math.prod(w[i] for i in p.bonds) for p in polymers]
 
 
 def fp_iterate_reference(adjacency, lam, mu0=None, tol=1e-14, max_iter=10000,

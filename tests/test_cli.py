@@ -333,6 +333,12 @@ def test_ks_output_matches_golden_bytes(tmp_path, golden, doc):
           "beta": [0.05, 0.01], "series": {"max_total_bonds": 3, "g_mode": "series"},
           "observable": {"sites": [[1], [2]],
                          "data": [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]]}}),
+        # An fp scan whose grid crosses the certified threshold near 0.164.
+        ("radius", "radius_fp_ising_chain6.json",
+         {"model": {"preset": "ising", "dimension": 1},
+          "region": {"extent": [6], "boundary": "free"},
+          "radius": {"criterion": "fp", "max_bonds": 4, "lo": 0.05, "hi": 0.5,
+                     "per_decade": 16}}),
     ],
 )
 def test_output_matches_golden_bytes(tmp_path, command, golden, doc):
@@ -345,7 +351,8 @@ def test_output_matches_golden_bytes(tmp_path, command, golden, doc):
     # rewritten again when quantum Gibbs traces began to be summed over
     # the eigenvectors, with no exp(-beta H) matrix. The Ising 2x3 patch
     # was rewritten when classical activities and the classical weights
-    # K(A, B) became Mayer products.
+    # K(A, B) became Mayer products. The fp radius scan was written while
+    # each grid point still ran its own fixed-point iteration.
     cfg = write_cfg(tmp_path, doc)
     out = tmp_path / golden
     assert main([command, "--config", cfg, "--output", str(out)]) == 0

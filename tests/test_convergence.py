@@ -40,13 +40,20 @@ from polymerion import (
 from polymerion.convergence import (
     TREE_FORMS,
     _default_scalar_zeta,
+    _FPDag,
     _finite_structure,
+    _fp_columns,
     _structure_of,
 )
 from polymerion.numeric import geometric_grid
 from polymerion.polymers import bond_weights
 
-from helpers import default_scalar_zeta_reference, fp_iterate_reference, fp_phi_reference
+from helpers import (
+    default_scalar_zeta_reference,
+    fp_bounds,
+    fp_iterate_reference,
+    fp_phi_reference,
+)
 
 TABLE = {
     2: (0.0873651, 0.0290245),
@@ -559,6 +566,29 @@ def test_fp_iterate_flags_a_nan_iterate_as_divergence():
     # cap, and the NaN still makes it diverge.
     res = fp_iterate(polys, [0.0] * 3, mu0=mu0)
     assert res.diverged and res.iterations == 1 and res.chain[-1] == 0.0
+
+
+def test_one_block_of_columns_holds_every_kind_of_stop():
+    # One column iteration on the free 5-chain: from zero a column that
+    # converges, one that crosses the cap and one cut at max_iter; from
+    # 1e200 one whose phi overflows to inf, and one holding a NaN where a
+    # zero lam meets phi_1 = inf (bonds 0 and 2 both overlap bond 1). Each
+    # stops at its own iteration with the per-point loop's fields.
+    ham = _chain(5)
+    polys = enumerate_polymers(ham, 4)
+    adj = incompatibility_graph(polys)
+    lams = [fp_bounds(ham, polys, beta) for beta in (0.05, 0.5, 0.179, 0.05, 0.05)]
+    lams[4][1] = 0.0
+    starts = [[0.0] * len(polys)] * 3 + [[1e200] * len(polys)] * 2
+    got = _fp_columns(_FPDag(adj), np.array(lams).T, np.array(starts).T, 1e-14, 50, 1e9)
+    kinds = [(r.converged, r.diverged, r.iterations) for r in got]
+    assert kinds == [(True, False, 17), (False, True, 7), (False, False, 50),
+                     (False, True, 1), (False, True, 1)]
+    assert math.isinf(got[3].mu[1]) and math.isnan(got[4].mu[1])
+    for res, lam, start in zip(got, lams, starts):
+        ref = fp_iterate_reference(adj, lam, mu0=start, max_iter=50)
+        assert [x.hex() for x in res.mu] == [x.hex() for x in ref.pop("mu")]
+        assert {k: getattr(res, k) for k in ref} == ref
 
 
 def test_fp_scan_past_the_float_range_of_the_activity_bounds():

@@ -21,10 +21,12 @@ from polymerion import (
     assemble_hamiltonian,
     beta_radius,
     build_ks_kernel,
+    correlation_series,
     enumerate_polymers,
     expectation_series,
     fp_iterate,
     fp_phi,
+    free_energy_by_site,
     free_energy_density,
     free_energy_series,
     gibbs_expectation,
@@ -36,7 +38,9 @@ from polymerion import (
     nn_radius,
     operator_norm,
     park_compare,
+    pinned_series,
     potts_model,
+    site_pinned_series,
     tree_bound,
     universal_radius,
 )
@@ -200,6 +204,31 @@ PROBES = {
     "expectation_series-None": ("Observable", lambda: expectation_series(CHAIN, 0.1, None)),
     "free_energy_density-Hamiltonian": (
         "LatticeModel", lambda: free_energy_density(CHAIN, 0.1, 2)
+    ),
+    # A lattice model where an assembled Hamiltonian is needed.
+    "Oracle-LatticeModel": ("Hamiltonian", lambda: Oracle(ising_model(1), 0.1).z()),
+    "enumerate_polymers-LatticeModel": (
+        "Hamiltonian", lambda: enumerate_polymers(ising_model(1), 2)
+    ),
+    "free_energy_series-LatticeModel": (
+        "Hamiltonian", lambda: free_energy_series(ising_model(1), 0.1, 2)
+    ),
+    "free_energy_by_site-LatticeModel": (
+        "Hamiltonian", lambda: free_energy_by_site(ising_model(1), 0.1, 2)
+    ),
+    "ks_solve-LatticeModel": ("Hamiltonian", lambda: ks_solve(ising_model(1), 0.1)),
+    "correlation_series-LatticeModel": (
+        "Hamiltonian", lambda: correlation_series(ising_model(1), 0.1, [(0,)], 2)
+    ),
+    "build_ks_kernel-LatticeModel": ("Hamiltonian", lambda: build_ks_kernel(ising_model(1), 0.1)),
+    "expectation_series-LatticeModel": (
+        "Hamiltonian", lambda: expectation_series(ising_model(1), 0.1, SPIN)
+    ),
+    "pinned_series-LatticeModel": (
+        "Hamiltonian", lambda: pinned_series(ising_model(1), 0.1, PAIR[0], 2)
+    ),
+    "site_pinned_series-LatticeModel": (
+        "Hamiltonian", lambda: site_pinned_series(ising_model(1), 0.1, (0,), 2)
     ),
     "free_energy_series-weights-nan": (
         "weights",
