@@ -181,7 +181,7 @@ def _resolve_zeta(zeta, structure: _Structure) -> list[float]:
     elif callable(zeta):
         zeta = [zeta(s, w) for s, w in zip(structure.sizes, structure.norms)]
     # A zeta past the float range is inf, and certifies nothing.
-    out = [math.inf if z == math.inf else _cast(z, "zeta", float) for z in zeta]
+    out = [math.inf if z == math.inf else _cast(z, "zeta", float, least=0) for z in zeta]
     if len(out) != len(structure.sizes):
         raise ConfigError("zeta sequence length does not match bond classes")
     return out
@@ -316,7 +316,7 @@ def _tree_certificate(
     weights = bond_weights(structure.norms, beta)
     if zeta is None:
         if a is not None:
-            zeta = _zeta_for_a(structure, _cast(a, "a", float))
+            zeta = _zeta_for_a(structure, _cast(a, "a", float, least=0))
         else:
             zeta = _default_scalar_zeta(weights, structure, form)
     return tree_bound(weights, structure, zeta, form=form)

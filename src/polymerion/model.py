@@ -109,9 +109,13 @@ def operator_norm(data) -> float:
     """Operator norm of a local term.
 
     Largest singular value for a matrix, max absolute entry for a
-    diagonal table. `data` is read by `_array`.
+    diagonal table. `data` is read by `_array`; an array of any other
+    number of dimensions is refused.
     """
-    return _norm(_array(data, "the operator"))
+    arr = _array(data, "the operator")
+    if arr.ndim not in (1, 2):
+        raise ConfigError(f"the operator must be a table or a matrix, got {arr.ndim} dimensions")
+    return _norm(arr)
 
 
 def _norm(arr: np.ndarray) -> float:

@@ -28,24 +28,22 @@ is Xi_pin / Xi = d log Xi / d rho_pin (clusters rooted at the pin).
 `expectation_series` sums the local-expectation identity
 <A> = sum_B K(A, B) g(X0 union supp B) over the bond families B whose
 every component meets the observable's support X0: the connected sets of
-the pinned bond walk rooted at X0. It sums by site sets on quantum
-volumes, by families on classical ones. A quantum volume sums by site
+the pinned bond walk rooted at X0. Both kinds of volume sum it by site
 set V = X0 union supp B: splitting the A-weighted trace T_V over the
 bonds inside V at the components that meet X0 gives
 T_V = sum_{X0 <= W <= V} Kt(A, W) Z_{V minus W}, with Kt(A, W) the sum of
 K(A, B) over the families of site set W and Z_U the Z of the bonds
 inside U. Solved rooted at X0 by `oracle._rooted_sums`, as the exact
-hierarchy kernel is, that is one trace per site set. A classical volume
-sums by family, each K(A, B) the mean of A times the Mayer product of B,
-which has no cancellation.
+hierarchy kernel is, that is one trace per site set.
 
 `site_pinned_series` walks the clusters through one site instead:
 connected subsets of the distinct-polymer graph (a multiset is
 connected exactly when its set of distinct polymers is), then
 multiplicities within the order budget, each weighted by the Ursell
 function of its multiset graph. It is the independent reference for
-the routes above, and the route of `free_energy_density`, whose
-per-cluster weight 1/|support| is no ratio of partition functions.
+the routes above, and the route of `free_energy_density`: pinned at the
+origin of a window without the bonds below it, it walks the clusters
+whose smallest site is the origin, one per translation class.
 
 The log Xi routes weigh no cluster, and they count none until
 `n_clusters` is read: a result holds its kept polymers, their
@@ -65,7 +63,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .model import CLASSICAL, Hamiltonian, LatticeModel, Site, _check_hamiltonian, _site_axes
+from .model import Hamiltonian, LatticeModel, Site, _check_hamiltonian
 from .numeric import _array, _cast
 from .oracle import Observable, Oracle, _check_observable, _finite, _rooted_sums
 from .polymers import (
@@ -401,16 +399,13 @@ def site_pinned_series(
     max_total_bonds: int,
     absolute: bool = False,
     weights=None,
-    per_cluster=None,
 ) -> TruncatedSeries:
     """Clusters whose support contains one given site, by the cluster walk.
 
     The site acts as a selector only; Ursell weights are those of the
     clusters themselves. This is the one series that visits every
     cluster and calls the Ursell function on it: the reference the log
-    Xi routes are tested against, and the route for a `per_cluster`
-    weight of the cluster support, which no ratio of partition
-    functions gives.
+    Xi routes are tested against, and the route of `free_energy_density`.
     """
     sites = _check_hamiltonian(ham).volume_sites(site)
     if len(sites) != 1:
@@ -427,8 +422,6 @@ def site_pinned_series(
         if not mask:
             continue
         ids = list(_bits(mask))
-        support = frozenset().union(*(supports[i] for i in ids))
-        weight = 1.0 if per_cluster is None else per_cluster(support)
         local = _induced(adjacency, ids)
         id_sizes = [sizes[i] for i in ids]
         for extra in _extra_multiplicities(id_sizes, max_total_bonds - base):
@@ -446,7 +439,6 @@ def site_pinned_series(
                     term *= v**mm / math.factorial(mm)
             except OverflowError:  # a Python power past the float range
                 raise NumericalError("a cluster weight is not finite") from None
-            term *= weight
             by_order[order] += term
             count += 1
     return _series(by_order, max_total_bonds, partial(int, count))
@@ -496,12 +488,10 @@ def expectation_families(ham: Hamiltonian, x0, max_family_bonds: int):
 
     Yields tuples of bond indices, sorted by size and then by index (the
     empty family first). These index the terms of the local-expectation
-    identity: one term per family where `expectation_series` takes
-    K(A, B) by family (classical volumes), and their site sets
-    X0 union supp B where it sums by site set (quantum ones). They are the
-    bond sets that become connected once a pin vertex for X0 is added, so
-    they come from the pinned walk, counted against
-    `MAX_EXPECTATION_FAMILIES` as they stream.
+    identity, which `expectation_series` sums by their site sets
+    X0 union supp B. They are the bond sets that become connected once a
+    pin vertex for X0 is added, so they come from the pinned walk, counted
+    against `MAX_EXPECTATION_FAMILIES` as they stream.
     """
     m = len(ham.bonds)
     pin = _pin_mask(ham.bonds, ham.volume_sites(x0))
@@ -515,8 +505,8 @@ def expectation_families(ham: Hamiltonian, x0, max_family_bonds: int):
 class ExpectationResult:
     """A local expectation from `expectation_series`.
 
-    `n_families` counts the nonzero terms summed: site sets
-    X0 union supp B on quantum volumes, bond families on classical ones.
+    `n_families` counts the nonzero terms summed: the site sets
+    X0 union supp B, on both kinds of volume.
     """
 
     value: complex
@@ -536,10 +526,8 @@ def expectation_series(
     <A> = sum over bond families B (components meeting X0 = supp A) of
     K(A, B) g(X0 union supp B), with K the Möbius transform of the
     A-weighted Boltzmann traces, taken over every such family. It sums by
-    site sets on quantum volumes, by families on classical ones: one
-    trace per site set V = X0 union supp B (see the module docstring),
-    and K(A, B) = tr(A xi_B) per family, with the Mayer product xi_B on
-    X0 union supp B.
+    site set, one trace per site set V = X0 union supp B (see the module
+    docstring), on classical and quantum volumes alike.
 
     With g_mode == "oracle" the sum is a finite identity, exact up to
     rounding; g_mode == "series" replaces each ratio g by its cluster
@@ -560,13 +548,6 @@ def expectation_series(
     oracle = Oracle(ham, beta)
     x0 = frozenset(obs.support)
 
-    def family_term(ids) -> tuple[frozenset[Site], complex]:
-        sites = x0.union(ham.support(ids))
-        support = tuple(sorted(sites))
-        mayer = oracle._finite("fugacity", oracle._mayer, sum(1 << i for i in ids), support)
-        a = _site_axes(obs.data, obs.support, support, ham.q)
-        return sites, complex(np.mean(a * mayer))
-
     def trace(sites: frozenset[Site]) -> complex:
         mask, support = oracle._inside(sites), tuple(sorted(sites))
         return oracle._finite("Gibbs trace", oracle._trace, obs, mask, support)
@@ -586,14 +567,10 @@ def expectation_series(
         return _finite("the correlation", np.exp, -pinned.value)
 
     families = expectation_families(ham, x0, len(ham.bonds))
-    if ham.kind == CLASSICAL:
-        terms = map(family_term, families)
-    else:
-        volumes = dict.fromkeys(x0.union(ham.support(ids)) for ids in families)
-        terms = _rooted_sums(oracle._z_inside, volumes, lambda v: x0, trace).items()
+    volumes = dict.fromkeys(x0.union(ham.support(ids)) for ids in families)
     total = 0j
     count = 0
-    for sites, k_val in terms:
+    for sites, k_val in _rooted_sums(oracle._z_inside, volumes, lambda v: x0, trace).items():
         if k_val == 0:
             continue
         total += k_val * g_of(sites)
@@ -608,16 +585,18 @@ def free_energy_density(
 ) -> TruncatedSeries:
     """Free-energy density of a translation-invariant model.
 
-    Sums Ursell weights of the clusters whose support contains the
-    origin, each divided by its support size; this is the infinite-volume
-    limit of log Z over the volume. The window used is large enough to
-    hold every cluster within the order budget. A `model` that is not a
-    `LatticeModel` is refused.
+    Sums the Ursell weights of one cluster per translation class: the
+    clusters whose smallest site is the origin, walked from the origin
+    on the window without the bonds that meet a site below it. This is
+    the infinite-volume limit of log Z over the volume, and n_clusters
+    counts translation classes. The window is large enough to hold
+    every cluster through the origin within the order budget. A `model`
+    that is not a `LatticeModel` is refused.
     """
     if not isinstance(model, LatticeModel):
         raise ConfigError(f"the model must be a LatticeModel, got {type(model).__name__}")
     k = _cast(max_total_bonds, "max_total_bonds", int, least=0)
     origin = (0,) * model.dimension
-    return site_pinned_series(
-        model.window(k), beta, origin, k, per_cluster=lambda support: 1.0 / len(support)
-    )
+    window = model.window(k)
+    below = [x for x in window.sites if x < origin]
+    return site_pinned_series(window.restricted_away(below), beta, origin, k)

@@ -27,11 +27,10 @@ activity as the inclusion-exclusion over the Z memo, as the reference of
 the Mayer product. `ks_kernel_reference` keeps the exact hierarchy
 kernel as the per-polymer sum of activities, as the reference of the
 quantum kernel built from one Z per support. `expectation_reference`
-keeps the local expectation as the per-family sum: for quantum volumes
-of subfamily inclusion-exclusions over weighted traces, as the reference
-of the sum over site sets; for classical ones of `Oracle.xi` re-axed
-onto the observable's sites, as the reference of the Mayer product
-built on them.
+keeps the local expectation as the per-family sum, as the reference of
+the sum over site sets on both kinds of volume: for quantum volumes of
+subfamily inclusion-exclusions over weighted traces, for classical ones
+of `Oracle.xi` re-axed onto the observable's sites.
 """
 
 from __future__ import annotations

@@ -351,7 +351,8 @@ def test_output_matches_golden_bytes(tmp_path, command, golden, doc):
     # rewritten again when quantum Gibbs traces began to be summed over
     # the eigenvectors, with no exp(-beta H) matrix. The Ising 2x3 patch
     # was rewritten when classical activities and the classical weights
-    # K(A, B) became Mayer products. The fp radius scan was written while
+    # K(A, B) became Mayer products, and again when classical expectations
+    # began to be summed by site set. The fp radius scan was written while
     # each grid point still ran its own fixed-point iteration.
     cfg = write_cfg(tmp_path, doc)
     out = tmp_path / golden

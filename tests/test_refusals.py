@@ -230,6 +230,20 @@ PROBES = {
     "site_pinned_series-LatticeModel": (
         "Hamiltonian", lambda: site_pinned_series(ising_model(1), 0.1, (0,), 2)
     ),
+    # A negative zeta raised a bare "math domain error", or, just below 0,
+    # gave a negative a; a negative a was taken to a negative zeta.
+    "tree_bound-zeta--1": ("zeta", lambda: tree_bound([0.1, 0.1, 0.1], CHAIN, -1)),
+    "tree_bound-zeta-tiny": ("zeta", lambda: tree_bound([0.1, 0.1, 0.1], CHAIN, -1e-300)),
+    "tree_bound-zeta-list": ("zeta", lambda: tree_bound([0.1, 0.1, 0.1], CHAIN, [0.1, -1, 0.1])),
+    "tree_bound-zeta-callable": (
+        "zeta", lambda: tree_bound([0.1, 0.1, 0.1], CHAIN, lambda size, norm: -1.0)
+    ),
+    "gk_criterion-zeta--1": ("zeta", lambda: gk_criterion(ising_model(2), 0.01, zeta=-1)),
+    "gk_criterion-zeta-tiny": ("zeta", lambda: gk_criterion(ising_model(2), 0.01, zeta=-1e-300)),
+    "gk_criterion-a--1": ("^a must", lambda: gk_criterion(ising_model(2), 0.01, a=-1)),
+    # numpy's "Improper number of dimensions to norm".
+    "operator_norm-scalar": ("operator", lambda: operator_norm(1.0)),
+    "operator_norm-3d": ("operator", lambda: operator_norm(np.zeros((2, 2, 2)))),
     "free_energy_series-weights-nan": (
         "weights",
         lambda: free_energy_series(
