@@ -20,6 +20,9 @@ __all__ = ["bisect_root", "golden_max", "geometric_grid"]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+# The most points a geometric grid may hold; the default radius grid has 277.
+MAX_GRID_POINTS = 100_000
+
 _KINDS = {int: "an integer", float: "a finite number", complex: "a finite number"}
 
 
@@ -113,10 +116,23 @@ def golden_max(f, lo: float, hi: float, tol: float = 1e-12, maxiter: int = 300):
 
 
 def geometric_grid(lo: float, hi: float, per_decade: int = 64) -> np.ndarray:
-    """Geometrically spaced points from lo to hi, per_decade per factor 10."""
+    """Geometrically spaced points from lo to hi, per_decade per factor 10.
+
+    More than `MAX_GRID_POINTS` points are refused before any is built."""
     lo, hi = _cast(lo, "lo", float), _cast(hi, "hi", float)
     per_decade = _cast(per_decade, "per_decade", int, least=1)
     if not 0 < lo < hi:
         raise ConfigError(f"geometric grid needs 0 < lo < hi, got lo={lo}, hi={hi}")
-    n = max(2, int(math.ceil(math.log10(hi / lo) * per_decade)) + 1)
-    return np.geomspace(lo, hi, n)
+    # hi / lo rounds once, where a difference of logarithms rounds twice
+    # (log10(0.006) - log10(0.0006) is a hair over one decade); only past
+    # the float range is the ratio inf and the difference needed.
+    ratio = hi / lo
+    decades = math.log10(ratio) if ratio < math.inf else math.log10(hi) - math.log10(lo)
+    try:
+        steps = decades * per_decade
+    except OverflowError:  # a per_decade past the float range
+        steps = math.inf
+    if steps > MAX_GRID_POINTS - 1:
+        raise ConfigError(f"a geometric grid from {lo} to {hi} at {per_decade} points per "
+                          f"decade has more than {MAX_GRID_POINTS} points")
+    return np.geomspace(lo, hi, max(2, math.ceil(steps) + 1))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .model import Hamiltonian, Site, _check_hamiltonian
+from .model import Hamiltonian, Site, _check_hamiltonian, _iterable
 from .numeric import _array, _cast, _unbounded
 from .oracle import Oracle
 from .ursell import _bits, _overlap_masks, _site_masks, is_connected
@@ -200,14 +200,21 @@ def rho_fugacity(ham: Hamiltonian, beta: complex, bond_ids) -> complex:
     return Oracle(ham, beta).rho(bond_ids)
 
 
+def _support(p) -> frozenset[Site]:
+    """The support of `p`, refused unless `p` is a `Polymer`."""
+    if not isinstance(p, Polymer):
+        raise ConfigError(f"needs a Polymer, got {type(p).__name__}")
+    return p.support
+
+
 def compatible(p: Polymer, q: Polymer) -> bool:
     """Polymers are compatible when their supports are disjoint."""
-    return p.support.isdisjoint(q.support)
+    return _support(p).isdisjoint(_support(q))
 
 
 def incompatibility_graph(polymers) -> list[int]:
     """Bitmask adjacency: bit j of mask[i] set when polymers i, j overlap (i != j)."""
-    return _overlap_masks([p.support for p in polymers])
+    return _overlap_masks([_support(p) for p in _iterable(polymers, "polymers")])
 
 
 def _subset_transform(values, op) -> np.ndarray:

@@ -30,7 +30,9 @@ import heapq
 import itertools
 import math
 
-from .errors import NumericalError
+import numpy as np
+
+from .errors import ConfigError, NumericalError
 
 __all__ = [
     "is_connected",
@@ -259,16 +261,33 @@ def ursell_penrose(adj) -> int:
 _CACHE: dict[tuple[int, ...], int] = {}
 
 
+def _checked_key(adj, key) -> tuple[int, ...]:
+    """`key`, the tuple of `adj`, as Python ints; refused unless it holds n
+    symmetric bitmasks of n vertices, none with its own bit."""
+    # True == 1, so the type is checked first.
+    if key is not None and all(type(m) is int or isinstance(m, np.integer) for m in key):
+        key, n = tuple(map(int, key)), len(key)
+        if all(0 <= m < 1 << n and not m >> i & 1 and all(key[j] >> i & 1 for j in _bits(m))
+               for i, m in enumerate(key)):
+            return key
+    raise ConfigError(f"an adjacency must be symmetric bitmasks of its vertices, got {adj!r}")
+
+
 def ursell(adj) -> int:
     """Ursell function with closed-form shortcuts and a cache.
 
-    `adj` is a sequence of bitmasks (bit j of adj[i] set when vertices i
-    and j are incompatible).
+    `adj` is a sequence of integer bitmasks (bit j of adj[i] set when
+    vertices i and j are incompatible); anything else is a ConfigError.
+    The check runs on a cache miss only: a hit equals a key that passed it.
     """
-    key = tuple(adj)
-    hit = _CACHE.get(key)
+    try:
+        key = tuple(adj)
+        hit = _CACHE.get(key)
+    except TypeError:  # not iterable, or an entry that is not hashable
+        hit = key = None
     if hit is not None:
         return hit
+    adj = key = _checked_key(adj, key)
     n = len(adj)
     full = (1 << n) - 1
     if n == 1:

@@ -476,6 +476,10 @@ def test_exact_output_matches_golden_bytes(tmp_path, golden, doc):
                     "series": {"g_mode": "bogus"}}),
         ("series", chain_cfg(4, 0.1, {"series": {"g_mode": "bogus"},
                                       "observable": {"sites": [[0]], "data": [[1, 0], [-1, 0]]}})),
+        # A grid past the point cap: 3e7 points were built before any check,
+        # and a ratio hi / lo past the float range ended in an OverflowError.
+        ("radius", {"model": ISING_D2, "radius": {"per_decade": 100000000}}),
+        ("radius", {"model": ISING_D2, "radius": {"hi": 1e308, "per_decade": 1000}}),
     ],
 )
 def test_unparsable_numbers_are_config_errors(tmp_path, capsys, command, doc):

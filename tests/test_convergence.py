@@ -37,6 +37,7 @@ from polymerion import (
     universal_radius,
     xy_model,
 )
+from polymerion import convergence
 from polymerion.convergence import (
     TREE_FORMS,
     _default_scalar_zeta,
@@ -44,6 +45,7 @@ from polymerion.convergence import (
     _finite_structure,
     _fp_columns,
     _structure_of,
+    _tree_certificate,
 )
 from polymerion.numeric import geometric_grid
 from polymerion.polymers import bond_weights
@@ -441,6 +443,26 @@ def test_tree_scan_flags_every_point_as_gk_criterion_does():
             assert scan.points == want, kw
             flags = [ok for _, ok in want]
             assert any(flags) and not all(flags), kw
+
+
+@pytest.mark.parametrize("lo, hi", [(1e-4, 2.0), (1e-4, 1e-3), (0.1, 2.0), (0.02, 0.04)])
+@pytest.mark.parametrize("per_decade", [1, 4, 64, 500])
+def test_tree_scan_bisects_for_the_end_of_its_certified_prefix(monkeypatch, lo, hi, per_decade):
+    # All certified, none certified, or a threshold inside: at most
+    # ceil(log2(n + 1)) of the n points are evaluated.
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return _tree_certificate(*args)
+
+    monkeypatch.setattr(convergence, "_tree_certificate", counted)
+    scan = beta_radius(ising_model(2), "tree", lo=lo, hi=hi, per_decade=per_decade)
+    n = len(scan.points)
+    assert 1 <= len(calls) <= math.ceil(math.log2(n + 1))
+    assert set(calls) <= {b for b, _ in scan.points}
+    flags = [ok for _, ok in scan.points]
+    assert flags == sorted(flags, reverse=True)
 
 
 def test_tree_scan_refuses_what_gk_criterion_refuses():

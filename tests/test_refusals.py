@@ -21,6 +21,7 @@ from polymerion import (
     assemble_hamiltonian,
     beta_radius,
     build_ks_kernel,
+    compatible,
     correlation_series,
     enumerate_polymers,
     expectation_series,
@@ -32,6 +33,7 @@ from polymerion import (
     gibbs_expectation,
     gk_criterion,
     heisenberg_model,
+    incompatibility_graph,
     ising_model,
     ks_solve,
     mobius_transform,
@@ -43,10 +45,12 @@ from polymerion import (
     site_pinned_series,
     tree_bound,
     universal_radius,
+    ursell,
 )
 from polymerion import polymers
 from polymerion.config import parse_array, parse_scalar, parse_sites
 from polymerion.model import as_site, embed_matrix, embed_table
+from polymerion.numeric import MAX_GRID_POINTS, geometric_grid
 
 NAN, INF = float("nan"), float("inf")
 CHAIN = assemble_hamiltonian(ising_model(1), Region.box([4]), boundary="free")
@@ -244,6 +248,33 @@ PROBES = {
     # numpy's "Improper number of dimensions to norm".
     "operator_norm-scalar": ("operator", lambda: operator_norm(1.0)),
     "operator_norm-3d": ("operator", lambda: operator_norm(np.zeros((2, 2, 2)))),
+    # A grid of 3e7 points was built before any check, and a ratio hi / lo
+    # past the float range raised a bare OverflowError.
+    "beta_radius-per_decade-1e8": ("100000 points", lambda: beta_radius(CHAIN, per_decade=10**8)),
+    "geometric_grid-hi-1e308": ("100000 points", lambda: geometric_grid(1e-4, 1e308, 1000)),
+    "geometric_grid-per_decade-1e400": (
+        "100000 points", lambda: geometric_grid(1e-4, 2.0, 10**400)
+    ),
+    # A tree scan took an anchored truncation that gk_criterion refuses.
+    "beta_radius-anchored_truncation--1": (
+        "anchored_truncation", lambda: beta_radius(ising_model(2), anchored_truncation=-1)
+    ),
+    "beta_radius-anchored_truncation-2.5": (
+        "anchored_truncation", lambda: beta_radius(CHAIN, anchored_truncation=2.5)
+    ),
+    # The internal-structure entry points raised a bare TypeError or
+    # AttributeError, or took a malformed graph.
+    "ursell-nested": ("adjacency", lambda: ursell([[1]])),
+    "ursell-int": ("adjacency", lambda: ursell(5)),
+    "ursell-str": ("adjacency", lambda: ursell("ab")),
+    "ursell-negative": ("adjacency", lambda: ursell([-1])),
+    "ursell-own-bit": ("adjacency", lambda: ursell([1])),
+    "ursell-asymmetric": ("adjacency", lambda: ursell([2, 0])),
+    "ursell-outside": ("adjacency", lambda: ursell([4, 1])),
+    "compatible-int": ("Polymer", lambda: compatible(1, 2)),
+    "compatible-one-int": ("Polymer", lambda: compatible(PAIR[0], None)),
+    "incompatibility_graph-ints": ("Polymer", lambda: incompatibility_graph([1, 2])),
+    "incompatibility_graph-int": ("polymers", lambda: incompatibility_graph(3)),
     "free_energy_series-weights-nan": (
         "weights",
         lambda: free_energy_series(
@@ -286,3 +317,19 @@ def test_every_enumeration_counts_against_the_polymer_cap(monkeypatch, call):
     monkeypatch.setattr(polymers, "MAX_POLYMERS", n - 1)
     with pytest.raises(NumericalError, match=f"more than {n - 1} polymers"):
         call(3)
+
+
+def test_the_grid_cap_admits_every_grid_in_use_and_refuses_one_more_point():
+    # The default radius grid, 277 points, is the largest a test, demo,
+    # golden or benchmark scans.
+    assert len(geometric_grid(1e-4, 2.0, 64)) == 277 < MAX_GRID_POINTS
+    assert len(geometric_grid(1.0, 10.0, MAX_GRID_POINTS - 1)) == MAX_GRID_POINTS
+    with pytest.raises(ConfigError, match="points"):
+        geometric_grid(1.0, 10.0, MAX_GRID_POINTS)
+    # hi / lo past the float range: the grid is counted from the logarithms.
+    grid = geometric_grid(1e-4, 1e308, 64)
+    assert len(grid) == 312 * 64 + 1 and grid[0] == 1e-4 and grid[-1] == 1e308
+
+
+def test_ursell_takes_numpy_integers_and_any_iterable():
+    assert ursell(np.array([6, 5, 3])) == ursell(iter([6, 5, 3])) == ursell((6, 5, 3)) == 2
