@@ -27,10 +27,10 @@ is Xi_pin / Xi = d log Xi / d rho_pin (clusters rooted at the pin).
 
 `expectation_series` sums the local-expectation identity
 <A> = sum_B K(A, B) g(X0 union supp B) over the bond families B whose
-every component meets the observable's support X0: the connected sets of
-the pinned bond walk rooted at X0. Both kinds of volume sum it by site
-set V = X0 union supp B: splitting the A-weighted trace T_V over the
-bonds inside V at the components that meet X0 gives
+every component meets X0 = supp A by site set V = X0 union supp B,
+grown from X0 one bond at a time (`_expectation_site_sets`), on both
+kinds of volume. Splitting the A-weighted trace T_V over the bonds
+inside V at the components that meet X0 gives
 T_V = sum_{X0 <= W <= V} Kt(A, W) Z_{V minus W}, with Kt(A, W) the sum of
 K(A, B) over the families of site set W and Z_U the Z of the bonds
 inside U. Solved rooted at X0 by `oracle._rooted_sums`, as the exact
@@ -68,10 +68,8 @@ from .numeric import _array, _cast
 from .oracle import Observable, Oracle, _check_observable, _finite, _rooted_sums
 from .polymers import (
     Polymer,
-    _capped,
     _connected_families,
     _induced,
-    _overlap_masks,
     _pin_mask,
     _pinned_families,
     _size_histogram,
@@ -91,11 +89,10 @@ __all__ = [
     "site_pinned_series",
     "correlation_series",
     "expectation_series",
-    "expectation_families",
     "free_energy_density",
 ]
 
-MAX_EXPECTATION_FAMILIES = 1_000_000
+MAX_EXPECTATION_SITE_SETS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -483,22 +480,21 @@ def _meeting_series(polymers, value, max_total: int, x0, full) -> TruncatedSerie
     return _series(by_order, max_total, count)
 
 
-def expectation_families(ham: Hamiltonian, x0, max_family_bonds: int):
-    """Bond families whose every connected component meets X0.
-
-    Yields tuples of bond indices, sorted by size and then by index (the
-    empty family first). These index the terms of the local-expectation
-    identity, which `expectation_series` sums by their site sets
-    X0 union supp B. They are the bond sets that become connected once a
-    pin vertex for X0 is added, so they come from the pinned walk, counted
-    against `MAX_EXPECTATION_FAMILIES` as they stream.
-    """
-    m = len(ham.bonds)
-    pin = _pin_mask(ham.bonds, ham.volume_sites(x0))
-    cut = _cast(max_family_bonds, "max_family_bonds", int, least=0)
-    walk = _pinned_families(_overlap_masks(ham.bonds), pin, [1] * m, cut)
-    masks = _capped(walk, MAX_EXPECTATION_FAMILIES, "bond families")
-    yield from sorted((tuple(_bits(mask)) for mask in masks), key=lambda ids: (len(ids), ids))
+def _expectation_site_sets(ham: Hamiltonian, x0: frozenset[Site]) -> list[frozenset[Site]]:
+    """The site sets X0 union supp B, X0 first, found without the families
+    B: X0 grown by the whole support of one bond at a time, a bond that
+    meets the set (one site of a multi-body bond is no such set). Past
+    `MAX_EXPECTATION_SITE_SETS` sets, NumericalError before any trace."""
+    bonds = [frozenset(b) for b in ham.bonds if len(b) > 1]
+    grown, seen = [x0], {x0}
+    for sites in grown:
+        for new in (sites | b for b in bonds if not sites.isdisjoint(b)):
+            if new not in seen:  # a bond inside `sites` gives `sites`
+                if len(grown) == MAX_EXPECTATION_SITE_SETS:
+                    raise NumericalError(f"more than {MAX_EXPECTATION_SITE_SETS} site sets")
+                seen.add(new)
+                grown.append(new)
+    return grown
 
 
 @dataclass(frozen=True)
@@ -526,8 +522,8 @@ def expectation_series(
     <A> = sum over bond families B (components meeting X0 = supp A) of
     K(A, B) g(X0 union supp B), with K the Möbius transform of the
     A-weighted Boltzmann traces, taken over every such family. It sums by
-    site set, one trace per site set V = X0 union supp B (see the module
-    docstring), on classical and quantum volumes alike.
+    site set, one trace per site set V = X0 union supp B, on classical and
+    quantum volumes alike, and lists no family (see the module docstring).
 
     With g_mode == "oracle" the sum is a finite identity, exact up to
     rounding; g_mode == "series" replaces each ratio g by its cluster
@@ -566,8 +562,7 @@ def expectation_series(
         pinned = _meeting_series(polymers, value, correlation_truncation, sites, full)
         return _finite("the correlation", np.exp, -pinned.value)
 
-    families = expectation_families(ham, x0, len(ham.bonds))
-    volumes = dict.fromkeys(x0.union(ham.support(ids)) for ids in families)
+    volumes = _expectation_site_sets(ham, x0)
     total = 0j
     count = 0
     for sites, k_val in _rooted_sums(oracle._z_inside, volumes, lambda v: x0, trace).items():

@@ -261,11 +261,15 @@ def ursell_penrose(adj) -> int:
 _CACHE: dict[tuple[int, ...], int] = {}
 
 
+def _integers(key) -> bool:
+    """Whether every entry is an integer; True == 1 and 2.0 == 2 as keys."""
+    return all(type(m) is int or isinstance(m, np.integer) for m in key)
+
+
 def _checked_key(adj, key) -> tuple[int, ...]:
     """`key`, the tuple of `adj`, as Python ints; refused unless it holds n
     symmetric bitmasks of n vertices, none with its own bit."""
-    # True == 1, so the type is checked first.
-    if key is not None and all(type(m) is int or isinstance(m, np.integer) for m in key):
+    if key is not None and _integers(key):
         key, n = tuple(map(int, key)), len(key)
         if all(0 <= m < 1 << n and not m >> i & 1 and all(key[j] >> i & 1 for j in _bits(m))
                for i, m in enumerate(key)):
@@ -278,14 +282,15 @@ def ursell(adj) -> int:
 
     `adj` is a sequence of integer bitmasks (bit j of adj[i] set when
     vertices i and j are incompatible); anything else is a ConfigError.
-    The check runs on a cache miss only: a hit equals a key that passed it.
+    The check runs on a cache miss, and on a hit of entries that are not
+    all integers: a hit of integers equals a key that passed it.
     """
     try:
         key = tuple(adj)
         hit = _CACHE.get(key)
     except TypeError:  # not iterable, or an entry that is not hashable
         hit = key = None
-    if hit is not None:
+    if hit is not None and _integers(key):
         return hit
     adj = key = _checked_key(adj, key)
     n = len(adj)

@@ -27,8 +27,9 @@ activity as the inclusion-exclusion over the Z memo, as the reference of
 the Mayer product. `ks_kernel_reference` keeps the exact hierarchy
 kernel as the per-polymer sum of activities, as the reference of the
 quantum kernel built from one Z per support. `expectation_reference`
-keeps the local expectation as the per-family sum, as the reference of
-the sum over site sets on both kinds of volume: for quantum volumes of
+keeps the local expectation as the per-family sum, over the families of
+its own pinned bond walk, as the reference of the sum over site sets on
+both kinds of volume: for quantum volumes of
 subfamily inclusion-exclusions over weighted traces, for classical ones
 of `Oracle.xi` re-axed onto the observable's sites.
 """
@@ -53,9 +54,14 @@ from polymerion.convergence import _margins
 from polymerion.model import CLASSICAL, _site_axes, embed_matrix
 from polymerion.oracle import _alternating_sum, _check_observable
 from polymerion.numeric import golden_max
-from polymerion.polymers import _connected_families, _induced, _pinned_families, bond_weights
-from polymerion.series import expectation_families
-from polymerion.ursell import _bits
+from polymerion.polymers import (
+    _connected_families,
+    _induced,
+    _pin_mask,
+    _pinned_families,
+    bond_weights,
+)
+from polymerion.ursell import _bits, _overlap_masks
 
 # A qubit boundary state with imaginary coherences: contracting sigma . sigma
 # against it leaves the single-site term -0.5 sigma_y, which is not real.
@@ -468,8 +474,13 @@ def expectation_reference(ham, beta, obs) -> complex:
             * _site_axes(xi, xi_support, support, ham.q)
         ))
 
+    # The families whose every component meets X0: the bond sets that the
+    # pinned walk rooted at X0 connects, sorted by size and then by ids.
+    m = len(ham.bonds)
+    walk = _pinned_families(_overlap_masks(ham.bonds), _pin_mask(ham.bonds, x0), [1] * m, m)
+    families = sorted((tuple(_bits(mask)) for mask, _, _ in walk), key=lambda ids: (len(ids), ids))
     total = 0j
-    for ids in expectation_families(ham, x0, len(ham.bonds)):
+    for ids in families:
         k = family_weight(ids)
         if k != 0:
             total += k * oracle.reduced_correlation(x0.union(ham.support(ids)))

@@ -2,6 +2,7 @@
 names the argument, never a silent truncation or a bare TypeError."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -206,6 +207,10 @@ PROBES = {
     ),
     "gibbs_expectation-list": ("Observable", lambda: gibbs_expectation(CHAIN, 0.1, [1, -1])),
     "expectation_series-None": ("Observable", lambda: expectation_series(CHAIN, 0.1, None)),
+    "expectation_series-outside": (
+        "not in the volume",
+        lambda: expectation_series(CHAIN, 0.1, Observable.make([(0,), (9,)], np.eye(2).ravel())),
+    ),
     "free_energy_density-Hamiltonian": (
         "LatticeModel", lambda: free_energy_density(CHAIN, 0.1, 2)
     ),
@@ -333,3 +338,15 @@ def test_the_grid_cap_admits_every_grid_in_use_and_refuses_one_more_point():
 
 def test_ursell_takes_numpy_integers_and_any_iterable():
     assert ursell(np.array([6, 5, 3])) == ursell(iter([6, 5, 3])) == ursell((6, 5, 3)) == 2
+
+
+@pytest.mark.parametrize("bad", [[2.0, 1.0], [2, True], [np.float64(2.0), 1]])
+def test_ursell_refuses_a_key_equal_to_a_cached_one_cold_and_warm(monkeypatch, bad):
+    # 2.0 == 2 and True == 1 as dict keys: a warm cache answered such a key
+    # with the value of the int one, which a cold cache refuses.
+    monkeypatch.setattr(sys.modules["polymerion.ursell"], "_CACHE", {})
+    with pytest.raises(ConfigError, match="adjacency"):
+        ursell(bad)
+    assert ursell([2, 1]) == ursell(np.array([2, 1])) == -1
+    with pytest.raises(ConfigError, match="adjacency"):
+        ursell(bad)

@@ -36,7 +36,7 @@ from polymerion import (
 from polymerion import series
 from polymerion.model import CLASSICAL, QUANTUM
 from polymerion.polymers import Polymer, _pin_mask, incompatibility_graph
-from polymerion.series import _count_clusters, expectation_families
+from polymerion.series import _count_clusters, _expectation_site_sets
 
 from helpers import (
     chain_interaction,
@@ -46,6 +46,7 @@ from helpers import (
     random_instance,
     random_observable,
     random_table,
+    scattered_interaction,
 )
 
 
@@ -322,6 +323,18 @@ def test_expectation_on_the_heisenberg_3x3_patch():
         assert abs(expectation_series(ham, 0.1, obs).value - oracle.expectation(obs)) < 1e-12
 
 
+def test_expectation_on_the_ising_3x3_patch_with_a_field():
+    # 417 378 bond families, 6.5 s by the family walk; 161 site sets.
+    ham = assemble_hamiltonian(
+        ising_model(2, field_h=0.3), Region.box([3, 3]), boundary="free"
+    )
+    obs = Observable.make([(1, 1)], np.array([1.0, -1.0]))
+    got = expectation_series(ham, 0.1, obs)
+    want = Oracle(ham, 0.1).expectation(obs)
+    assert got.n_families == 161
+    assert abs(got.value - want) <= 1e-12 * abs(want)
+
+
 def test_expectation_series_g_mode():
     ham = assemble_hamiltonian(
         ising_model(1, coupling=0.2, field_h=0.1), Region.box([3]), boundary="free"
@@ -399,46 +412,80 @@ def _brute_families(ham, x0, k):
     return out
 
 
-def test_expectation_families_match_brute_force():
+def _product_cluster(kind):
+    # Pairs, the triple (a, b, d) and a field on a 5-site cluster, clipped
+    # so that the pair reaching (2, 0) is contracted against the product state.
+    rng = np.random.default_rng(7)
+    inter = scattered_interaction(rng, 2, kind, 0.1)
+    region = Region.from_sites([(0, 0), (1, 0), (0, 1), (1, 1)])
+    return assemble_hamiltonian(inter, region, boundary="product")
+
+
+def test_expectation_site_sets_are_those_of_the_families():
     cases = [
-        (ising_model(2, field_h=0.3), [2, 3], "free", [(0, 1)]),
-        (ising_model(1), [6], "periodic", [(0,), (3,)]),
-        (heisenberg_model(2), [2, 3], "free", [(0, 0), (0, 1)]),
+        (assemble_hamiltonian(ising_model(2, field_h=0.3), Region.box([2, 3])), [(0, 1)]),
+        (assemble_hamiltonian(ising_model(1), Region.box([6]), boundary="periodic"),
+         [(0,), (3,)]),
+        (assemble_hamiltonian(heisenberg_model(2), Region.box([2, 3])), [(0, 0), (0, 1)]),
+        # Growing along the site graph would also give {(0, 0), (1, 1)}.
+        (_product_cluster(CLASSICAL), [(0, 0)]),
+        (_product_cluster(QUANTUM), [(0, 1)]),
     ]
-    for model, extent, boundary, x0 in cases:
-        ham = assemble_hamiltonian(model, Region.box(extent), boundary=boundary)
-        m = len(ham.bonds)
-        for k in (m - 1, m):
-            got = list(expectation_families(ham, x0, k))
-            assert got == _brute_families(ham, x0, k), (extent, boundary, k)
+    for ham, x0 in cases:
+        x0 = frozenset(x0)
+        got = _expectation_site_sets(ham, x0)
+        families = _brute_families(ham, x0, len(ham.bonds))
+        want = {x0.union(ham.support(ids)) for ids in families}
+        assert got[0] == x0 and len(got) == len(set(got)), x0
+        assert set(got) == want, x0
 
 
-def test_expectation_families_past_the_old_subset_cap():
-    # 40 bonds at K=6 are 4.6 million subsets but 12184 families.
-    ham = assemble_hamiltonian(
-        ising_model(2, field_h=0.3), Region.box([4, 4]), boundary="free"
-    )
-    families = list(expectation_families(ham, [(1, 1)], 6))
-    assert len(families) == 12184
-    assert families == sorted(families, key=lambda ids: (len(ids), ids))
+def test_expectation_site_sets_are_the_connected_sets_through_x0():
+    # On pair bonds, V is a site set of X0 union supp B exactly when it is
+    # connected and holds X0. Through a corner of the 40-bond 4x4 patch
+    # with a field, the family walk stopped at its cap of 10^6 families;
+    # the 5 293 site sets are all counted here.
+    ham = assemble_hamiltonian(ising_model(2, field_h=0.3), Region.box([4, 4]))
+    sites = sorted(ham.sites)
+    pairs = [b for b in ham.bonds if len(b) == 2]
+    x0 = frozenset([(0, 0)])
+
+    def connected(v):
+        reached, todo = set(x0), list(x0)
+        while todo:
+            x = todo.pop()
+            for b in pairs:
+                if x in b:
+                    for y in b:
+                        if y in v and y not in reached:
+                            reached.add(y)
+                            todo.append(y)
+        return reached == v
+
+    want = set()
+    for picks in itertools.product((0, 1), repeat=len(sites)):
+        v = frozenset(x for x, p in zip(sites, picks) if p)
+        if x0 <= v and connected(v):
+            want.add(v)
+    got = _expectation_site_sets(ham, x0)
+    assert len(got) == len(want) == 5293
+    assert set(got) == want
 
 
-def test_expectation_family_cap(monkeypatch):
+def test_expectation_site_set_cap(monkeypatch):
     ham = assemble_hamiltonian(ising_model(2, field_h=0.3), Region.box([2, 3]), boundary="free")
-    n = len(list(expectation_families(ham, [(0, 0)], 7)))
-    monkeypatch.setattr(series, "MAX_EXPECTATION_FAMILIES", n)
-    assert len(list(expectation_families(ham, [(0, 0)], 7))) == n
-    monkeypatch.setattr(series, "MAX_EXPECTATION_FAMILIES", n - 1)
-    with pytest.raises(NumericalError, match="bond families"):
-        list(expectation_families(ham, [(0, 0)], 7))
+    obs = Observable.make([(0, 0)], np.array([1.0, -1.0]))
+    n = len(_expectation_site_sets(ham, frozenset([(0, 0)])))
+    monkeypatch.setattr(series, "MAX_EXPECTATION_SITE_SETS", n)
+    assert expectation_series(ham, 0.2, obs).n_families == n
 
+    def no_trace(*args):
+        raise AssertionError("a trace was taken")
 
-def test_expectation_families_refuse_sites_outside_the_volume():
-    ham = assemble_hamiltonian(ising_model(2, field_h=0.3), Region.box([2, 3]), boundary="free")
-    with pytest.raises(ConfigError, match="not in the volume"):
-        list(expectation_families(ham, [(9, 9)], 3))
-    with pytest.raises(ConfigError, match="not in the volume"):
-        list(expectation_families(ham, [(0, 0), (9, 9)], 3))
+    monkeypatch.setattr(series, "MAX_EXPECTATION_SITE_SETS", n - 1)
+    monkeypatch.setattr(Oracle, "_trace", no_trace)
+    with pytest.raises(NumericalError, match=f"more than {n - 1} site sets"):
+        expectation_series(ham, 0.2, obs)
 
 
 def _relabelled_terms(ham, site_map):
